@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the exhaustive tightness scan at several worker counts.
 
-The scan enumerates all 2^f0 - 2 proper vertex subsets, so the 15-vertex
+The scan covers all 2^f0 - 2 proper vertex subsets, so the 15-vertex
 manifold is the standard stress case (32766 subsets, three nontrivial
-homology degrees each).
+homology degrees each).  Z2 duality lets it evaluate only the subsets of
+at most half the vertices, so both rates are printed: subsets covered
+per second and subsets evaluated per second.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ def main() -> int:
             rep = is_tight_z2(M, mode="exhaustive", jobs=jobs)
             best = min(best, time.perf_counter() - t0)
             assert rep.verdict == "tight" and rep.checked == 32766
-        print(f"jobs={jobs:2d}: {best:6.2f}s  ({rep.checked / best:,.0f} subsets/s)")
+        print(
+            f"jobs={jobs:2d}: {best:6.2f}s  ({rep.checked / best:,.0f} covered/s, "
+            f"{rep.evaluated / best:,.0f} evaluated/s)"
+        )
     return 0
 
 

@@ -22,7 +22,7 @@ from .constructions import (
     random_stacked_sphere,
     standard_sphere,
 )
-from .errors import WalkupError
+from .errors import ParseError, WalkupError
 from .homology import homology_profile
 from .stacked import (
     is_stacked_ball,
@@ -176,6 +176,7 @@ def cmd_check_tight(args) -> int:
         "command": "check tight",
         "mode": report.mode,
         "checked": report.checked,
+        "evaluated": report.evaluated,
         "verdict": report.verdict,
         "violations": [
             {"subset": list(s), "degree": k} for s, k in report.violations
@@ -184,6 +185,7 @@ def cmd_check_tight(args) -> int:
     lines = [
         f"mode: {report.mode}",
         f"subsets checked: {report.checked}",
+        f"subsets evaluated: {report.evaluated}",
         f"verdict: {report.verdict}",
     ]
     if report.violations:
@@ -247,16 +249,27 @@ def _ledger_to_json(ledger: HandleLedger) -> dict:
     }
 
 
-def _ledger_from_json(obj: dict) -> HandleLedger:
-    base = SimplicialComplex(tuple(tuple(f) for f in obj["base"]["facets"]))
-    handles = tuple(
-        VertexBijection(
-            source_facet=tuple(h["source_facet"]),
-            target_facet=tuple(h["target_facet"]),
-            pairs=tuple((a, b) for a, b in h["pairs"]),
+def _ledger_from_json(text: str) -> HandleLedger:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    try:
+        base = SimplicialComplex(tuple(tuple(f) for f in obj["base"]["facets"]))
+        handles = tuple(
+            VertexBijection(
+                source_facet=tuple(h["source_facet"]),
+                target_facet=tuple(h["target_facet"]),
+                pairs=tuple((a, b) for a, b in h["pairs"]),
+            )
+            for h in obj["handles"]
         )
-        for h in obj["handles"]
-    )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(
+            'expected a ledger {"base": {"facets": [...]}, "handles": [...]}'
+            f" ({type(e).__name__}: {e})",
+            1,
+        ) from e
     return HandleLedger(base=base, handles=handles)
 
 
@@ -287,8 +300,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_replay(args) -> int:
     with open(args.ledger, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    ledger = _ledger_from_json(obj)
+        ledger = _ledger_from_json(fh.read())
     X = ledger.replay()
     sys.stdout.write(cio.serialize(X))
     return 0
@@ -351,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("tight", help="mod-2 tightness scan")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="scan all subsets (the default)")
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="check N randomly sampled subsets instead")
     p.add_argument("--seed", type=int, default=0)

@@ -134,6 +134,23 @@ def boundary_columns(X: SimplicialComplex, j: int) -> list[int]:
     return cols
 
 
+def betti_numbers(X: SimplicialComplex, top: int | None = None) -> tuple[int, ...]:
+    """Mod-2 Betti numbers b_0, ..., b_top of a non-empty complex.
+
+    top defaults to the dimension; only the boundary maps up to degree
+    top + 1 are ranked.
+    """
+    d = X.dimension
+    top = d if top is None else min(top, d)
+    f = X.f_vector()
+    # ranks[j] = rank of boundary_j; boundary_0 and boundary_{d+1} are zero maps
+    ranks = [
+        rank_gf2(boundary_columns(X, j)) if 1 <= j <= d else 0
+        for j in range(top + 2)
+    ]
+    return tuple(f[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
+
+
 @dataclass(frozen=True)
 class HomologyProfile:
     """Mod-2 Betti vector plus the cheap global invariants."""
@@ -154,10 +171,7 @@ def homology_profile(X: SimplicialComplex) -> HomologyProfile:
         return HomologyProfile(betti=(), euler=0, orientable=None, connected=False)
     d = X.dimension
     f = X.f_vector()
-    ranks = [0] * (d + 2)  # ranks[j] = rank of boundary_j; 0 and d+1 are zero maps
-    for j in range(1, d + 1):
-        ranks[j] = rank_gf2(boundary_columns(X, j))
-    betti = tuple(f[j] - ranks[j] - ranks[j + 1] for j in range(d + 1))
+    betti = betti_numbers(X)
     euler = sum(f[j] if j % 2 == 0 else -f[j] for j in range(d + 1))
     orientable = None
     if X.is_closed_pseudomanifold():

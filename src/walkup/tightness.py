@@ -13,21 +13,47 @@ gives dim(C_k(Y) ∩ B_k(X)) = f_k(Y) - rank(restriction).  Both sides
 then grow monotonically as vertices are added to S, which the exhaustive
 scan exploits: subsets are enumerated depth-first by ascending vertex
 index, face insertions feed append-only GF(2) pivot structures, and
-backtracking just pops the pivots again.  Every subset is still visited
-and checked individually.
+backtracking just pops the pivots again.
+
+Duality halves the exhaustive scan.  Let X be a connected closed
+Z2-homology d-manifold with vertex set V.  The complement of |X[S]|
+deformation-retracts onto |X[V∖S]|, so the exact sequence of the pair
+(X, X[S]) and Lefschetz duality give
+
+    H_k(X[S]) -> H_k(X) injective  iff  H_{d-1-k}(X[V∖S]) -> H_{d-1-k}(X) injective
+
+(W. Kühnel, Tight Polyhedral Submanifolds and Tight Triangulations,
+LNM 1612).  Evaluating every S with |S| <= n/2 in all degrees therefore
+decides every subset: each evaluated S also settles V∖S, and a violation
+(S, k) is also the violation (V∖S, d-1-k).  duality_applies() gates the
+shortcut on exactly that hypothesis: X is a closed pseudomanifold, it is
+connected, and the link of every face is a Z2-homology sphere.  Vertex
+links with the Betti numbers of spheres would not by themselves prove
+that hypothesis.  Every other input (with boundary, disconnected, a
+singular link) gets the full scan.  Either way a
+report's `checked` counts the subsets covered and `evaluated` the
+subsets actually evaluated.
+
+The pooled scan splits the search into the subtrees of the serial order
+({v1}, then the subsets extending each (v1, v2)) and consumes their
+results in that order, so a report depends on the input alone, not on
+the number of workers or their scheduling.
 
 homology_map_injective is the independent, direct implementation of the
-same test (kernel and image bases stacked and ranked); the scan is
-cross-checked against it in the tests.
+same test (kernel and image bases stacked and ranked), and
+TightnessEngine.scan() is the full scan; the capped scan is
+cross-checked against both in the tests.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complex import SimplicialComplex
-from .errors import SubsetSpaceTooLarge, UnknownVertex
-from .homology import nullspace_gf2, rank_gf2
+from .errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
+from .homology import betti_numbers, nullspace_gf2, rank_gf2
 from .rng import SplitMix64
 
 DEFAULT_EXHAUSTIVE_CEILING = 20
@@ -106,7 +132,8 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
 @dataclass(frozen=True)
 class TightnessReport:
     mode: str  # "exhaustive" or "sampled"
-    checked: int
+    checked: int  # subsets covered
+    evaluated: int  # subsets evaluated; below checked when duality applied
     violations: tuple[tuple[tuple[str, ...], int], ...]
     sample_count: int | None = None
     seed: int | None = None
@@ -116,6 +143,35 @@ class TightnessReport:
         if self.violations:
             return "not-tight"
         return "tight" if self.mode == "exhaustive" else "tight-on-sample"
+
+
+# ---------------------------------------------------------------------- gate
+
+def duality_applies(X: SimplicialComplex) -> bool:
+    """Is X a connected closed Z2-homology manifold?
+
+    That is: a closed pseudomanifold, connected, with every face link a
+    Z2-homology sphere of the matching dimension.  Ridge links are point
+    pairs in any closed pseudomanifold.  The m-dimensional link L of a
+    smaller face is tested for b_0 = 1 and b_1 = ... = b_{m//2} = 0,
+    which every sphere passes.  Once all links pass, the links of L's
+    own faces (links of larger faces of X) are spheres, so L is a closed
+    Z2-homology manifold and Poincaré duality supplies the upper half of
+    its Betti numbers: L is a sphere.
+    """
+    d = X.dimension
+    if d < 1 or not X.is_closed_pseudomanifold() or not X.is_connected():
+        return False
+    links: dict[tuple[str, ...], list[tuple[str, ...]]] = defaultdict(list)
+    for facet in X.facets:
+        for size in range(1, d):
+            for face in combinations(facet, size):
+                links[face].append(tuple(v for v in facet if v not in face))
+    for face, residues in links.items():
+        half = (d - len(face)) // 2
+        if betti_numbers(SimplicialComplex(residues), half) != (1,) + (0,) * half:
+            return False
+    return True
 
 
 # ----------------------------------------------------------- incremental scan
@@ -144,6 +200,13 @@ class _PivotSpace:
     def remove(self, b: int) -> None:
         del self.pivots[b]
         self.rank -= 1
+
+
+class _Stop(Exception):
+    pass
+
+
+Violations = list[tuple[tuple[str, ...], int]]
 
 
 class TightnessEngine:
@@ -202,27 +265,47 @@ class TightnessEngine:
 
     # -- one scan ------------------------------------------------------------
 
-    def scan(
-        self,
-        stop_on_first: bool = True,
-        lo: int = 0,
-        prefix: tuple[int, ...] = (),
-    ) -> tuple[int, list[tuple[tuple[str, ...], int]]]:
-        """DFS over all subsets extending prefix with vertices >= lo.
+    def scan(self, stop_on_first: bool = True) -> tuple[int, Violations]:
+        """Evaluate every proper subset, without duality.
 
-        Returns (number of subsets checked, violations found).  The
-        prefix itself is not checked.
+        Returns (subsets checked, violations).
+        """
+        _, checked, violations = self.search(stop_on_first=stop_on_first)
+        return checked, violations
+
+    def search(
+        self,
+        root: tuple[int, ...] = (),
+        stop_on_first: bool = True,
+        dual: bool = False,
+        descend: bool = True,
+    ) -> tuple[int, int, Violations]:
+        """Evaluate the subset root and, with descend, every subset that
+        extends it by larger vertex indices, depth-first by ascending index.
+
+        root lists vertex indices in ascending order; the empty root is
+        not itself evaluated.  Without dual every proper subset stands for
+        itself.  With dual (sound only when duality_applies(X)) subsets
+        larger than n // 2 are skipped: an evaluated S also covers V∖S
+        unless 2|S| = n, and each violation (S, k) is reported again as
+        (V∖S, d - 1 - k).
+
+        Returns (subsets evaluated, subsets covered, violations).
         """
         d = self.d
         n = self.n
+        cap = n // 2 if dual else n - 1
+        if len(root) > cap:
+            return 0, 0, []
         cnt = [0] * d
         col = [_PivotSpace() for _ in range(d)]
         bdr = [_PivotSpace() for _ in range(d)]
         colvec = self.colvec
         bd = self.bd
         by_max = self.by_max
-        violations: list[tuple[tuple[str, ...], int]] = []
-        checked = 0
+        violations: Violations = []
+        evaluated = covered = 0
+        full = (1 << n) - 1
 
         def add_vertex(v: int, mask: int) -> list[tuple[int, int, int]]:
             log: list[tuple[int, int, int]] = []
@@ -250,44 +333,47 @@ class TightnessEngine:
                         if not rest & ~mask:
                             cnt[k] -= 1
 
-        def violations_at(mask: int) -> list[int]:
-            bad = []
+        def visit(mask: int, size: int) -> None:
+            nonlocal evaluated, covered
+            evaluated += 1
+            mirrored = dual and 2 * size != n
+            covered += 2 if mirrored else 1
             for k in range(d):
                 meet = cnt[k] - col[k].rank
                 # B_k(Y) always sits inside C_k(Y) ∩ B_k(X)
                 assert meet >= bdr[k].rank
-                if meet != bdr[k].rank:
-                    bad.append(k)
-            return bad
+                if meet == bdr[k].rank:
+                    continue
+                violations.append((self._subset_labels(mask), k))
+                if mirrored:
+                    violations.append(
+                        (self._subset_labels(full ^ mask), d - 1 - k)
+                    )
+                if stop_on_first:
+                    raise _Stop
 
-        full = (1 << n) - 1
-
-        class _Stop(Exception):
-            pass
-
-        def dfs(start: int, mask: int) -> None:
-            nonlocal checked
+        def dfs(start: int, mask: int, size: int) -> None:
+            # called with size < cap, so every child fits under the cap
             for v in range(start, n):
                 log = add_vertex(v, mask)
-                mask2 = mask | (1 << v)
-                if mask2 != full:
-                    checked += 1
-                    for k in violations_at(mask2):
-                        violations.append((self._subset_labels(mask2), k))
-                        if stop_on_first:
-                            raise _Stop
-                dfs(v + 1, mask2)
+                child = mask | (1 << v)
+                visit(child, size + 1)
+                if size + 1 < cap:
+                    dfs(v + 1, child, size + 1)
                 undo(v, mask, log)
 
-        base_mask = 0
-        for v in prefix:
-            add_vertex(v, base_mask)
-            base_mask |= 1 << v
+        mask = 0
+        for v in root:
+            add_vertex(v, mask)
+            mask |= 1 << v
         try:
-            dfs(lo, base_mask)
+            if root:
+                visit(mask, len(root))
+            if descend and len(root) < cap:
+                dfs(root[-1] + 1 if root else 0, mask, len(root))
         except _Stop:
             pass
-        return checked, violations
+        return evaluated, covered, violations
 
     def check_subset(self, mask: int) -> tuple[int, list[int]]:
         """Evaluate one subset directly; returns (size, violating degrees)."""
@@ -320,57 +406,57 @@ class TightnessEngine:
 # ------------------------------------------------------------- worker plumbing
 
 _WORKER_ENGINE: TightnessEngine | None = None
+_WORKER_STOP = None
 
 
-def _init_worker(facets):
-    global _WORKER_ENGINE
+def _init_worker(facets, stop):
+    global _WORKER_ENGINE, _WORKER_STOP
     _WORKER_ENGINE = TightnessEngine(SimplicialComplex(facets))
+    _WORKER_STOP = stop
 
 
 def _run_task(task):
-    v1, v2, stop_on_first = task
-    engine = _WORKER_ENGINE
-    checked, violations = engine.scan(
-        stop_on_first=stop_on_first, lo=v2 + 1, prefix=(v1, v2)
-    )
-    # the prefix pair itself is a subset to check
-    _, bad = engine.check_subset((1 << v1) | (1 << v2))
-    pair_viol = [
-        (engine._subset_labels((1 << v1) | (1 << v2)), k) for k in bad
-    ]
-    return checked + 1, pair_viol + violations
+    root, descend, dual, stop_on_first = task
+    if _WORKER_STOP.is_set():
+        return 0, 0, []
+    return _WORKER_ENGINE.search(root, stop_on_first, dual, descend)
 
 
 def _scan_parallel(
-    engine: TightnessEngine, jobs: int, stop_on_first: bool
-) -> tuple[int, list]:
-    from multiprocessing import Pool
+    X: SimplicialComplex, jobs: int, dual: bool, stop_on_first: bool
+) -> tuple[int, int, Violations]:
+    from multiprocessing import Event, Pool
 
-    n = engine.n
-    tasks = [
-        (v1, v2, stop_on_first) for v1 in range(n) for v2 in range(v1 + 1, n)
-    ]
-    checked = 0
-    violations: list = []
-    with Pool(
-        processes=jobs,
-        initializer=_init_worker,
-        initargs=(engine.X.facets,),
-    ) as pool:
-        for c, v in pool.imap_unordered(_run_task, tasks, chunksize=4):
-            checked += c
+    n = len(X.vertices)
+    # the serial search's order: {v1}, then the subsets extending (v1, v2)
+    # for ascending v2; results are consumed in this order
+    tasks = []
+    for v1 in range(n):
+        tasks.append(((v1,), False, dual, stop_on_first))
+        tasks.extend(
+            ((v1, v2), True, dual, stop_on_first) for v2 in range(v1 + 1, n)
+        )
+    evaluated = covered = 0
+    violations: Violations = []
+    stop = Event()
+    pool = Pool(processes=jobs, initializer=_init_worker, initargs=(X.facets, stop))
+    try:
+        for e, c, v in pool.imap(_run_task, tasks, chunksize=4):
+            evaluated += e
+            covered += c
             violations.extend(v)
             if violations and stop_on_first:
-                pool.terminate()
                 break
-    # singletons handled inline (never violating on connected X, but checked)
-    for v1 in range(n):
-        if violations and stop_on_first:
-            break
-        _, bad = engine.check_subset(1 << v1)
-        checked += 1
-        violations.extend((engine._subset_labels(1 << v1), k) for k in bad)
-    return checked, violations
+    except BaseException:
+        pool.terminate()
+        raise
+    # Cancel the queued tasks and let the workers exit on their own.
+    # Pool.terminate() may kill a worker while it holds the result queue's
+    # lock; the pool's task thread then blocks on that lock for good.
+    stop.set()
+    pool.close()
+    pool.join()
+    return evaluated, covered, violations
 
 
 # ------------------------------------------------------------------ front door
@@ -386,10 +472,11 @@ def is_tight_z2(
 ) -> TightnessReport:
     """Scan vertex subsets for homology-injectivity violations.
 
-    Exhaustive mode visits every subset except the empty and full one
-    (requires f0 <= ceiling); sampled mode draws subsets from the seeded
+    Exhaustive mode covers every subset except the empty and full one
+    (requires f0 <= ceiling), evaluating only those up to half size when
+    duality_applies(X); sampled mode draws subsets from the seeded
     generator.  jobs > 1 splits the exhaustive scan over size-2 subset
-    prefixes.
+    prefixes without changing the report.
     """
     n = len(X.vertices)
     if mode == "exhaustive":
@@ -397,16 +484,27 @@ def is_tight_z2(
             raise SubsetSpaceTooLarge(
                 f"{n} vertices exceed the exhaustive ceiling {ceiling}"
             )
-        engine = TightnessEngine(X)
+        dual = duality_applies(X)
         if jobs > 1 and n >= 3:
-            checked, violations = _scan_parallel(engine, jobs, stop_on_first)
+            evaluated, checked, violations = _scan_parallel(
+                X, jobs, dual, stop_on_first
+            )
         else:
-            checked, violations = engine.scan(stop_on_first=stop_on_first)
+            evaluated, checked, violations = TightnessEngine(X).search(
+                stop_on_first=stop_on_first, dual=dual
+            )
         return TightnessReport(
-            mode="exhaustive", checked=checked, violations=tuple(violations)
+            mode="exhaustive",
+            checked=checked,
+            evaluated=evaluated,
+            violations=tuple(violations),
         )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if sample_count < 1:
+        raise InvalidParameters(
+            f"sample count must be at least 1, got {sample_count}"
+        )
     engine = TightnessEngine(X)
     rng = SplitMix64(seed)
     space = (1 << n) - 2
@@ -423,6 +521,7 @@ def is_tight_z2(
     return TightnessReport(
         mode="sampled",
         checked=checked,
+        evaluated=checked,
         violations=tuple(violations),
         sample_count=sample_count,
         seed=seed,

@@ -85,6 +85,19 @@ def cyclic_polytope_boundary(dim: int, n: int) -> SimplicialComplex:
     return from_facets(facets)
 
 
+def kuhnel_manifold(d: int) -> SimplicialComplex:
+    """Kühnel's (2d+3)-vertex S^{d-1}-bundle over S^1.
+
+    The boundary of the (d+1)-ball whose facets are the cyclic intervals
+    {i, ..., i+d+1} mod 2d+3; 2-neighborly and tight.
+    """
+    m = 2 * d + 3
+    ball = from_facets(
+        [f"k{(i + j) % m}" for j in range(d + 2)] for i in range(m)
+    )
+    return ball.boundary_complex()
+
+
 def tube_sphere(d: int, n: int, seed: int) -> SimplicialComplex:
     """Stacked d-sphere grown along a path: long tube, large graph diameter.
 

@@ -6,7 +6,9 @@ import json
 import subprocess
 import sys
 
-from walkup import build_m4_15
+import pytest
+
+from walkup import build_m4_15, random_stacked_sphere
 from walkup.cli import main
 from walkup.io import serialize
 
@@ -212,3 +214,70 @@ def test_real_pipe_subprocess():
 def test_missing_file_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(["info", "/no/such/file.txt"], capsys=capsys)
     assert code == 2
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_check_tight_porcelain_independent_of_jobs(capsys, monkeypatch):
+    # the pooled scan must report the serial scan's first violation and
+    # count, whatever the scheduling of its workers
+    for text in (serialize(random_stacked_sphere(3, 8, 1)), TORUS_TEXT):
+        outputs = set()
+        for _ in range(4):
+            for jobs in ("1", "2"):
+                code, out, _ = run_cli(
+                    ["--porcelain", "check", "tight", "--jobs", jobs],
+                    stdin_text=text, monkeypatch=monkeypatch, capsys=capsys,
+                )
+                outputs.add((code, out))
+        assert len(outputs) == 1
+
+
+def test_check_tight_reports_evaluated(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["--porcelain", "check", "tight", "--jobs", "1"], stdin_text=TORUS_TEXT,
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["checked"] == 2 ** 7 - 2
+    # duality: subsets of size <= 3 stand for their complements
+    assert doc["evaluated"] == 7 + 21 + 35
+
+
+def test_check_tight_rejects_nonpositive_sample(capsys, monkeypatch):
+    for n in ("-3", "0"):
+        code, out, err = run_cli(
+            ["check", "tight", "--sample", n], stdin_text=TORUS_TEXT,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert _one_error_line(err)
+
+
+def test_check_tight_has_no_exhaustive_flag(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            ["check", "tight", "--exhaustive"], stdin_text=TORUS_TEXT,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+    assert exc.value.code == 2
+
+
+def test_replay_rejects_bad_ledgers(tmp_path, capsys, monkeypatch):
+    bad = {
+        "invalid.json": '{"base": {"facets": [["a", "b"]]',
+        "no_facets.json": '{"base": {}, "handles": []}',
+        "not_object.json": "[1, 2]",
+    }
+    for name, text in bad.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(["replay", str(path)], capsys=capsys)
+        assert code == 2, name
+        assert out == ""
+        assert _one_error_line(err), err

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
+from math import comb
 
 import pytest
+from conftest import kuhnel_manifold
 
 from walkup import (
+    SimplicialComplex,
+    disjoint_union,
     homology_map_injective,
     is_tight_z2,
     is_two_neighborly,
@@ -14,7 +20,7 @@ from walkup import (
     standard_sphere,
 )
 from walkup.errors import SubsetSpaceTooLarge, UnknownVertex
-from walkup.tightness import TightnessEngine
+from walkup.tightness import TightnessEngine, duality_applies
 
 
 def test_full_subset_always_injective(torus_7):
@@ -135,3 +141,111 @@ def test_engine_counts_match_report(m4_15):
     checked, violations = engine.scan(stop_on_first=True)
     assert checked == 2 ** 15 - 2
     assert violations == []
+
+
+# ------------------------------------------------ duality-capped exhaustive scan
+
+NON_TIGHT_STACKED = [(2, 7, 0), (2, 8, 3), (3, 8, 1), (3, 9, 5), (4, 10, 2),
+                     (4, 11, 4), (4, 12, 1)]
+
+
+def _dual_twin_corpus(m4_15, rp2_6, torus_7):
+    # tight, n even and odd; the triangle's pooled pair tasks lie above the cap
+    yield from (m4_15, rp2_6, torus_7, standard_sphere(1), standard_sphere(4))
+    yield from (kuhnel_manifold(d) for d in (3, 4, 5))
+    yield from (random_stacked_sphere(*args) for args in NON_TIGHT_STACKED)
+
+
+def test_dual_scan_matches_full_scan(m4_15, rp2_6, torus_7):
+    seen_even = seen_odd = False
+    for X in _dual_twin_corpus(m4_15, rp2_6, torus_7):
+        n = len(X.vertices)
+        seen_even |= n % 2 == 0
+        seen_odd |= n % 2 == 1
+        assert duality_applies(X)
+        full_checked, full_violations = TightnessEngine(X).scan(
+            stop_on_first=False
+        )
+        assert full_checked == 2 ** n - 2
+        for jobs in (1, 2):
+            rep = is_tight_z2(X, jobs=jobs, stop_on_first=False)
+            assert rep.checked == full_checked
+            assert rep.evaluated == sum(comb(n, s) for s in range(1, n // 2 + 1))
+            # each violation is found once: evaluated or mirrored, never both
+            assert sorted(rep.violations) == sorted(full_violations)
+    assert seen_even and seen_odd
+
+
+def test_dual_scan_mirrors_violations_exactly():
+    # a violation (S, k) stands for (V - S, d - 1 - k), and the direct
+    # test agrees with both
+    X = random_stacked_sphere(3, 9, seed=5)
+    d = X.dimension
+    rep = is_tight_z2(X, stop_on_first=False)
+    bad = set(rep.violations)
+    for s, k in bad:
+        rest = tuple(v for v in X.vertices if v not in s)
+        assert (rest, d - 1 - k) in bad
+        assert not homology_map_injective(X, s, k)
+
+
+def test_pooled_report_equals_serial_report(torus_7):
+    # early stop included: same first violation, same count
+    for X in [torus_7] + [random_stacked_sphere(*a) for a in NON_TIGHT_STACKED]:
+        for stop in (True, False):
+            serial = is_tight_z2(X, jobs=1, stop_on_first=stop)
+            assert is_tight_z2(X, jobs=2, stop_on_first=stop) == serial
+
+
+def test_dual_scan_stops_at_first_serial_violation():
+    X = random_stacked_sphere(3, 8, 1)
+    rep = is_tight_z2(X, stop_on_first=True)
+    assert rep.evaluated == 4
+    # {v1}, {v1,v2}, {v1,v2,v3} each cover their complement; {v1..v4} is
+    # half of the vertex set and covers only itself
+    assert rep.checked == 7
+    assert rep.violations == ((("v1", "v2", "v3", "v4"), 2),)
+
+
+def _fallback_corpus(rp2_6):
+    sphere = random_stacked_sphere(3, 8, seed=1)
+    with_boundary = SimplicialComplex(sphere.facets[1:])
+    disconnected, _ = disjoint_union(standard_sphere(2), standard_sphere(2))
+    # suspension of the 6-vertex projective plane: the apex links are RP^2
+    singular_link = SimplicialComplex(
+        tuple(sorted(f + (apex,))) for f in rp2_6.facets for apex in ("n", "s")
+    )
+    return [with_boundary, disconnected, singular_link]
+
+
+def test_gate_falls_back_to_full_scan(rp2_6):
+    for X in _fallback_corpus(rp2_6):
+        assert not duality_applies(X)
+        n = len(X.vertices)
+        full_checked, full_violations = TightnessEngine(X).scan(
+            stop_on_first=False
+        )
+        for jobs in (1, 2):
+            rep = is_tight_z2(X, jobs=jobs, stop_on_first=False)
+            assert rep.evaluated == rep.checked == full_checked == 2 ** n - 2
+            assert list(rep.violations) == full_violations
+
+
+def test_pooled_early_stop_exits_cleanly():
+    # more workers than cores, many early stops: every scan must return
+    # the serial report, and the pool must shut down each time
+    script = (
+        "from walkup import is_tight_z2, random_stacked_sphere\n"
+        "X = random_stacked_sphere(4, 12, 1)\n"
+        "serial = is_tight_z2(X, jobs=1)\n"
+        "assert serial.verdict == 'not-tight'\n"
+        "for _ in range(25):\n"
+        "    assert is_tight_z2(X, jobs=4) == serial\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
