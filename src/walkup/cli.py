@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import io as cio
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, from_facets
 from .constructions import (
     build_b5_30,
     build_m4_15,
@@ -249,13 +249,25 @@ def _ledger_to_json(ledger: HandleLedger) -> dict:
     }
 
 
+def _ledger_base(rows) -> SimplicialComplex:
+    """The ledger's base, validated like a facet file but clone labels
+    allowed; each facet must already be sorted, as the handles' are."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError('ledger base "facets" must be a list of label lists', 1)
+    base = from_facets(rows, clones=True)
+    for row in rows:
+        if row != sorted(row):
+            raise ParseError(f"ledger base facet {row} is not sorted", 1)
+    return base
+
+
 def _ledger_from_json(text: str) -> HandleLedger:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
     try:
-        base = SimplicialComplex(tuple(tuple(f) for f in obj["base"]["facets"]))
+        base = _ledger_base(obj["base"]["facets"])
         handles = tuple(
             VertexBijection(
                 source_facet=tuple(h["source_facet"]),

@@ -37,13 +37,14 @@ Face = tuple[str, ...]
 CLONE_MARKER = "~"
 
 
-def check_label(name: str) -> str:
+def check_label(name: str, clones: bool = False) -> str:
+    """Validate one vertex label; clones=True admits the clone marker."""
     if not isinstance(name, str) or not name:
         raise InvalidLabel(f"vertex label must be a non-empty string, got {name!r}")
     for ch in name:
         if ch.isspace() or ch == "#":
             raise InvalidLabel(f"label {name!r} contains whitespace or '#'")
-        if ch == CLONE_MARKER:
+        if ch == CLONE_MARKER and not clones:
             raise InvalidLabel(
                 f"label {name!r} contains the reserved clone marker {CLONE_MARKER!r}"
             )
@@ -459,11 +460,15 @@ class FaceSet:
         return f"FaceSet(dim={self.dimension}, maximal={len(self.maximal_faces)})"
 
 
-def from_facets(raw_facets: Iterable[Iterable[str]]) -> SimplicialComplex:
+def from_facets(
+    raw_facets: Iterable[Iterable[str]], clones: bool = False
+) -> SimplicialComplex:
     """Build a complex from raw vertex-label lists, validating everything.
 
-    Rejects empty input, repeated vertices inside a facet, mixed facet
-    dimensions and repeated facets.
+    Rejects empty input, invalid labels, repeated vertices inside a
+    facet, mixed facet dimensions and repeated facets.  Labels carrying
+    the clone marker are rejected unless clones is set (complexes written
+    by handle deletion, such as ledger bases, carry them).
     """
     rows = [list(f) for f in raw_facets]
     if not rows:
@@ -473,7 +478,7 @@ def from_facets(raw_facets: Iterable[Iterable[str]]) -> SimplicialComplex:
         if not row:
             raise EmptyInput("empty facet")
         for label in row:
-            check_label(label)
+            check_label(label, clones)
         faces.append(make_face(row))
     dims = {len(f) for f in faces}
     if len(dims) > 1:

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complex import Face, SimplicialComplex, is_standard_sphere
-from .errors import DegreeTooHigh, MixedDimensions, TooFewVertices, UnknownVertex
+from .errors import (
+    DegreeTooHigh,
+    MixedDimensions,
+    TooFewVertices,
+    UnknownVertex,
+    WalkupError,
+)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ def is_stacked_sphere(X: SimplicialComplex) -> bool:
         return False
     try:
         return ball.boundary_complex() == X
-    except Exception:
+    except WalkupError:
         return False
 
 

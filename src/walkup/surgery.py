@@ -30,6 +30,7 @@ from .errors import (
     NotClosedPseudomanifold,
     NotInducedStandardSphere,
     NotWalkup,
+    WalkupError,
     WouldCreateDuplicateFacet,
 )
 from .stacked import is_stacked_sphere
@@ -75,13 +76,31 @@ def bijection_from_map(mapping: dict[str, str]) -> VertexBijection:
     return VertexBijection(src, tgt, tuple(sorted(mapping.items())))
 
 
+def far_apart(adj: dict[str, frozenset[str]], u: str, v: str) -> bool:
+    """True iff distinct vertices u, v sit at graph distance >= 3.
+
+    A distance of at most 2 means an edge uv or a common neighbour, so
+    distance >= 3 (inf included) is exactly: v is not a neighbour of u
+    and the two neighbour sets are disjoint.  adj is the memoized
+    SimplicialComplex.adjacency() of the complex.
+    """
+    nu = adj[u]
+    return v not in nu and nu.isdisjoint(adj[v])
+
+
 def is_admissible(X: SimplicialComplex, psi: VertexBijection) -> bool:
-    """True iff every pair sits at graph distance >= 3 in the 1-skeleton."""
+    """True iff every pair sits at graph distance >= 3 in the 1-skeleton.
+
+    Decided locally by far_apart (no edge, no common neighbour), which is
+    equivalent to distance >= 3; SimplicialComplex.graph_distance is the
+    BFS twin the tests cross-check it against.
+    """
     if psi.source_facet not in X.facet_set:
         raise NotAFacet(f"{psi.source_facet} is not a facet")
     if psi.target_facet not in X.facet_set:
         raise NotAFacet(f"{psi.target_facet} is not a facet")
-    return all(X.graph_distance(a, b) >= 3 for a, b in psi.pairs)
+    adj = X.adjacency()
+    return all(far_apart(adj, a, b) for a, b in psi.pairs)
 
 
 def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialComplex:
@@ -155,37 +174,47 @@ def find_admissible_bijection(
 ) -> VertexBijection | None:
     """Search for an admissible bijection between two disjoint facets.
 
-    Backtracking perfect matching on the pairs at distance >= 3; returns
-    the lexicographically first matching found, or None.
+    Backtracking perfect matching on the pairs at distance >= 3, decided
+    by far_apart (no edge, no common neighbour); returns the first
+    matching found, or None.  Sources are tried fewest candidates first
+    (ties by label), each against its candidates in sigma2's order.
     """
     if sigma1 not in X.facet_set or sigma2 not in X.facet_set:
         raise NotAFacet("both endpoints must be facets")
     if set(sigma1) & set(sigma2):
         return None
-    allowed = {
-        u: [v for v in sigma2 if X.graph_distance(u, v) >= 3] for u in sigma1
-    }
+    adj = X.adjacency()
+    allowed: dict[str, list[str]] = {}
+    for u in sigma1:
+        allowed[u] = [v for v in sigma2 if far_apart(adj, u, v)]
+        if not allowed[u]:
+            return None
     order = sorted(sigma1, key=lambda u: (len(allowed[u]), u))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    assignment = _first_matching(order, allowed, set())
+    return None if assignment is None else bijection_from_map(assignment)
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for v in allowed[u]:
-            if v not in used:
-                assignment[u] = v
-                used.add(v)
-                if backtrack(i + 1):
-                    return True
-                used.remove(v)
-                del assignment[u]
-        return False
 
-    if not backtrack(0):
-        return None
-    return bijection_from_map(assignment)
+def _first_matching(
+    order: list[str], allowed: dict[str, list[str]], used: set[str]
+) -> dict[str, str] | None:
+    """Backtracking: the first assignment of order's vertices to distinct
+    allowed vertices, each tried against its candidates in list order.
+
+    Module-level rather than a recursive closure: a closure that calls
+    itself is a reference cycle, left for the cyclic GC to reclaim.
+    """
+    if not order:
+        return {}
+    u = order[0]
+    for v in allowed[u]:
+        if v not in used:
+            used.add(v)
+            rest = _first_matching(order[1:], allowed, used)
+            used.remove(v)
+            if rest is not None:
+                rest[u] = v
+                return rest
+    return None
 
 
 def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]:
@@ -258,33 +287,35 @@ def _cut_along_sphere(
         raise NotInducedStandardSphere(f"{S} does not induce a standard sphere")
     s_set = set(S)
 
-    # Partition each vertex star by connectivity in the cut dual graph
-    # (adjacency across ridges inside S removed).
+    # Partition each vertex star by connectivity in the cut dual graph:
+    # the two facets of a ridge not inside S stay together in the star of
+    # every S-vertex of that ridge.  Y is closed, so each ridge has two.
+    parent: dict[str, dict[Face, Face]] = {
+        x: {f: f for f in Y.facets if x in f} for x in S
+    }
+
+    def find(p: dict[Face, Face], f: Face) -> Face:
+        while p[f] != f:
+            p[f] = p[p[f]]
+            f = p[f]
+        return f
+
+    for ridge, (fa, fb) in Y.dual_graph().ridge_incidence.items():
+        inside = [x for x in ridge if x in s_set]
+        if len(inside) == len(ridge):
+            continue
+        for x in inside:
+            p = parent[x]
+            ra, rb = find(p, fa), find(p, fb)
+            if ra != rb:
+                p[ra] = rb
     part_of: dict[str, dict[Face, int]] = {}
     for x in S:
-        star = [f for f in Y.facets if x in f]
-        index = {f: i for i, f in enumerate(star)}
-        parent = list(range(len(star)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for fa, fb in combinations(star, 2):
-            shared = set(fa) & set(fb)
-            if len(shared) == d and not shared <= s_set:
-                ra, rb = find(index[fa]), find(index[fb])
-                if ra != rb:
-                    parent[ra] = rb
-        roots: dict[int, int] = {}
+        p = parent[x]
+        roots: dict[Face, int] = {}
         labels: dict[Face, int] = {}
-        for f in star:  # star is facet-sorted, so part ids are canonical
-            r = find(index[f])
-            if r not in roots:
-                roots[r] = len(roots)
-            labels[f] = roots[r]
+        for f in p:  # the star in facet order, so part ids are canonical
+            labels[f] = roots.setdefault(find(p, f), len(roots))
         part_of[x] = labels
         if len(roots) != 2:
             raise CutValidationFailed(
@@ -314,7 +345,7 @@ def _cut_along_sphere(
     # each S-vertex on each; identify the two boundary components.
     try:
         boundary = cut.boundary_complex()
-    except Exception as e:
+    except WalkupError as e:
         raise CutValidationFailed(f"cut has no clean boundary: {e}") from e
     comps = boundary.connected_components()
     if len(comps) != 2:
@@ -374,7 +405,7 @@ def _cut_along_sphere(
     )
     try:
         restored = handle_addition(result, psi)
-    except Exception as e:
+    except WalkupError as e:
         raise CutValidationFailed(f"reattachment failed: {e}") from e
     if restored != Y:
         raise CutValidationFailed("round trip did not reproduce the input")
@@ -465,7 +496,7 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
         psi = pending.pop(0)
         try:
             base = handle_addition(base, psi)
-        except Exception as e:
+        except WalkupError as e:
             raise CutValidationFailed(f"base reassembly failed: {e}") from e
         rename = psi.mapping
         pending = [p.relabeled(rename) for p in pending]

@@ -281,3 +281,39 @@ def test_replay_rejects_bad_ledgers(tmp_path, capsys, monkeypatch):
         assert code == 2, name
         assert out == ""
         assert _one_error_line(err), err
+
+
+TETRA_BASE = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
+
+
+def _write_ledger(tmp_path, name, base_facets):
+    path = tmp_path / name
+    path.write_text(json.dumps({"base": {"facets": base_facets}, "handles": []}))
+    return str(path)
+
+
+def test_replay_rejects_invalid_bases(tmp_path, capsys, monkeypatch):
+    bad = {
+        "unsorted": [["b", "a", "c"]] + TETRA_BASE[1:],
+        "repeated_vertex": [["a", "a", "c"]] + TETRA_BASE[1:],
+        "space_in_label": [["a b", "c", "d"]] + TETRA_BASE[1:],
+        "hash_in_label": [["a", "b", "c#"]] + TETRA_BASE[1:],
+        "mixed_dimensions": [["a", "b"]] + TETRA_BASE[1:],
+        "duplicate_facet": TETRA_BASE + [["a", "b", "c"]],
+        "empty": [],
+        "facet_not_a_list": ["abc"] + TETRA_BASE[1:],
+    }
+    for name, facets in bad.items():
+        path = _write_ledger(tmp_path, f"{name}.json", facets)
+        code, out, err = run_cli(["replay", path], capsys=capsys)
+        assert code == 2, name
+        assert out == "", name
+        assert _one_error_line(err), (name, err)
+
+
+def test_replay_accepts_clone_labels(tmp_path, capsys, monkeypatch):
+    base = [["a", "b", "c~1"], ["a", "b", "d"], ["a", "c~1", "d"], ["b", "c~1", "d"]]
+    code, out, _ = run_cli(["replay", _write_ledger(tmp_path, "l.json", base)],
+                           capsys=capsys)
+    assert code == 0
+    assert out == "a b c~1\na b d\na c~1 d\nb c~1 d\n"

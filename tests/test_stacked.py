@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkup import (
+    SimplicialComplex,
     from_facets,
     is_stacked_ball,
     is_stacked_sphere,
@@ -19,7 +20,7 @@ from walkup import (
     standard_sphere,
 )
 from walkup.complex import is_standard_sphere
-from walkup.errors import DegreeTooHigh, TooFewVertices
+from walkup.errors import DegreeTooHigh, NotPseudomanifoldWithBoundary, TooFewVertices
 from walkup.theory import stacked_sphere_fvector
 
 from conftest import cyclic_polytope_boundary
@@ -157,3 +158,20 @@ def test_clique_complex_boundary_identity(seed, d):
     ball = X.clique_complex().as_complex()
     assert is_stacked_ball(ball)
     assert ball.boundary_complex() == X
+
+
+def test_recognizer_boundary_errors_mean_false(monkeypatch):
+    def refuse(self):
+        raise NotPseudomanifoldWithBoundary("patched")
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_complex", refuse)
+    assert not is_stacked_sphere(standard_sphere(3))
+
+
+def test_recognizer_lets_programming_errors_through(monkeypatch):
+    def broken(self):
+        raise TypeError("patched")
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_complex", broken)
+    with pytest.raises(TypeError):
+        is_stacked_sphere(standard_sphere(3))

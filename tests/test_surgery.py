@@ -25,15 +25,17 @@ from walkup import (
     standard_sphere,
 )
 from walkup.errors import (
+    CutValidationFailed,
     DimensionTooLow,
+    EmptyBoundary,
     NotAdmissible,
     NotAFacet,
     NotInducedStandardSphere,
     NotWalkup,
 )
-from walkup.surgery import HandleLedger
+from walkup.surgery import HandleLedger, far_apart
 
-from conftest import find_handle_pair, tube_sphere
+from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
 
 
 def _identification(x: str) -> VertexBijection:
@@ -70,6 +72,129 @@ def test_neighbor_bijection_not_admissible():
     assert not is_admissible(X, psi)
     with pytest.raises(NotAdmissible):
         handle_addition(X, psi)
+
+
+def _admissibility_corpus(s4_30):
+    """Complexes with far pairs, with none (2-neighborly K4, a small
+    stacked sphere), with distance inf (two disjoint 4-spheres) and a
+    hexagon, whose adjacent vertices share no neighbour."""
+    union, _ = disjoint_union(
+        random_stacked_sphere(4, 9, seed=1), random_stacked_sphere(4, 9, seed=2)
+    )
+    hexagon = SimplicialComplex(
+        tuple(sorted((f"h{i}", f"h{(i + 1) % 6}"))) for i in range(6)
+    )
+    return [
+        hexagon,
+        s4_30,
+        kuhnel_manifold(4),
+        tube_sphere(4, 26, seed=0),
+        tube_sphere(4, 26, seed=1),
+        tube_sphere(4, 26, seed=2),
+        random_stacked_sphere(4, 12, seed=0),
+        union,
+    ]
+
+
+def _bfs_distances(X):
+    """graph_distance, the BFS twin, memoized per unordered pair."""
+    memo = {}
+
+    def dist(u, v):
+        key = (u, v) if u < v else (v, u)
+        if key not in memo:
+            memo[key] = X.graph_distance(u, v)
+        return memo[key]
+
+    return dist
+
+
+def _bfs_bijection(dist, sigma1, sigma2):
+    """Reference search: the same candidate order as the library, with
+    every pair judged by BFS distance."""
+    allowed = {u: [v for v in sigma2 if dist(u, v) >= 3] for u in sigma1}
+    order = sorted(sigma1, key=lambda u: (len(allowed[u]), u))
+
+    def extend(i, used):
+        if i == len(order):
+            return {}
+        u = order[i]
+        for v in allowed[u]:
+            if v not in used:
+                rest = extend(i + 1, used | {v})
+                if rest is not None:
+                    return {u: v, **rest}
+        return None
+
+    match = extend(0, frozenset())
+    return None if match is None else bijection_from_map(match)
+
+
+def _disjoint_facet_pairs(X):
+    return [
+        (f1, f2)
+        for i, f1 in enumerate(X.facets)
+        for f2 in X.facets[i + 1:]
+        if not set(f1) & set(f2)
+    ]
+
+
+def test_far_apart_matches_bfs(s4_30):
+    kinds = set()
+    for X in _admissibility_corpus(s4_30):
+        adj = X.adjacency()
+        for u in X.vertices:
+            for v in X.vertices:
+                if u != v:
+                    dist = X.graph_distance(u, v)
+                    kinds.add(min(dist, 3))
+                    assert far_apart(adj, u, v) == (dist >= 3), (u, v, dist)
+    assert kinds == {1, 2, 3}  # adjacent, common neighbour and far pairs
+
+
+def test_is_admissible_matches_bfs(s4_30):
+    for X in _admissibility_corpus(s4_30):
+        dist = _bfs_distances(X)
+        for f1, f2 in _disjoint_facet_pairs(X):
+            for k in (0, 1):
+                psi = bijection_from_map(dict(zip(f1, f2[k:] + f2[:k])))
+                expect = all(dist(a, b) >= 3 for a, b in psi.pairs)
+                assert is_admissible(X, psi) == expect
+
+
+def test_find_admissible_bijection_matches_bfs_search(s4_30):
+    found = {}
+    for X in _admissibility_corpus(s4_30):
+        dist = _bfs_distances(X)
+        hits = 0
+        for f1, f2 in _disjoint_facet_pairs(X):
+            psi = find_admissible_bijection(X, f1, f2)
+            assert psi == _bfs_bijection(dist, f1, f2), (f1, f2)
+            if psi is not None:
+                assert is_admissible(X, psi)
+                hits += 1
+        found[len(X.vertices)] = hits
+    assert found[11] == 0 and found[12] == 0  # K4; small stacked sphere
+    assert found[30] > 0 and found[18] > 0  # s4-30; the disjoint union
+
+
+def test_admissibility_negative_cases(s4_30):
+    # a1 ~ a2 share an edge, a1 and a5 a neighbour; the union is disconnected
+    adj = s4_30.adjacency()
+    assert s4_30.graph_distance("a1", "a2") == 1 and not far_apart(adj, "a1", "a2")
+    two = next(
+        (u, v)
+        for u in s4_30.vertices
+        for v in s4_30.vertices
+        if s4_30.graph_distance(u, v) == 2
+    )
+    assert not far_apart(adj, *two)
+    union, rename = disjoint_union(standard_sphere(4), standard_sphere(4))
+    f1 = union.facets[0]
+    f2 = tuple(sorted(rename[v] for v in f1))
+    psi = bijection_from_map(dict(zip(f1, f2)))
+    assert union.graph_distance(f1[0], f2[0]) == float("inf")
+    assert is_admissible(union, psi)
 
 
 def test_is_admissible_requires_facets(s4_30):
@@ -313,3 +438,39 @@ def test_intermediate_states_stay_walkup(m4_15):
     assert deletions >= 3
     assert all(is_stacked_sphere(r) for r in residues)
     assert sum(len(r.vertices) for r in residues) == 15 + 5 * deletions
+
+
+# ------------------------------------------------- error handling in the cut
+
+C_SPHERE = ("c1", "c2", "c3", "c4", "c5")
+
+
+def test_cut_turns_library_errors_into_validation_failures(m4_15, monkeypatch):
+    def no_boundary(self):
+        raise EmptyBoundary("patched")
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_complex", no_boundary)
+    with pytest.raises(CutValidationFailed):
+        handle_deletion(m4_15, C_SPHERE)
+
+
+def test_cut_lets_programming_errors_through(m4_15, monkeypatch):
+    def broken(*args):
+        raise TypeError("patched")
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_complex", broken)
+    with pytest.raises(TypeError):
+        handle_deletion(m4_15, C_SPHERE)
+    monkeypatch.undo()
+    monkeypatch.setattr("walkup.surgery.handle_addition", broken)
+    with pytest.raises(TypeError):
+        handle_deletion(m4_15, C_SPHERE)
+
+
+def test_cut_reattachment_failure_is_validation_failure(m4_15, monkeypatch):
+    def refuse(*args):
+        raise NotAdmissible("patched")
+
+    monkeypatch.setattr("walkup.surgery.handle_addition", refuse)
+    with pytest.raises(CutValidationFailed):
+        handle_deletion(m4_15, C_SPHERE)
