@@ -20,13 +20,7 @@ from .constructions import (
     standard_ball,
     standard_sphere,
 )
-from .homology import (
-    BitMatrix,
-    HomologyProfile,
-    boundary_matrix,
-    homology_profile,
-    is_orientable,
-)
+from .homology import HomologyProfile, homology_profile, is_orientable
 from .stacked import (
     ReductionStep,
     is_stacked_ball,

@@ -262,10 +262,7 @@ def _ledger_base(rows) -> SimplicialComplex:
 
 
 def _ledger_from_json(text: str) -> HandleLedger:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    obj = cio.decode_json(text)
     try:
         base = _ledger_base(obj["base"]["facets"])
         handles = tuple(

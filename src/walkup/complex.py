@@ -60,6 +60,29 @@ def make_face(vertices: Iterable[str]) -> Face:
     return vs
 
 
+def spanning_forest(nodes: Iterable, adj) -> dict:
+    """Spanning forest of a graph, by iterative stack search: node -> parent,
+    roots -> None.
+
+    Trees are grown from the nodes in the given order, so each root is
+    the first node of its component.  Every node is listed after its
+    parent.
+    """
+    parent: dict = {}
+    for root in nodes:
+        if root in parent:
+            continue
+        parent[root] = None
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    stack.append(w)
+    return parent
+
+
 @dataclass(frozen=True)
 class DualGraph:
     """Facet-adjacency graph: facets are nodes, shared ridges are edges.
@@ -87,17 +110,8 @@ class DualGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return False
-        adj = self.adjacency()
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for g in adj[stack.pop()]:
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return len(seen) == len(self.nodes)
+        parents = spanning_forest(self.nodes, self.adjacency()).values()
+        return list(parents).count(None) == 1
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == len(self.nodes) - 1
@@ -333,39 +347,21 @@ class SimplicialComplex:
         return inf
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = self.adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        parents = spanning_forest(self.vertices, self.adjacency()).values()
+        return list(parents).count(None) == 1
 
     def connected_components(self) -> list["SimplicialComplex"]:
         """Components of the 1-skeleton as sub-complexes, sorted by min vertex."""
-        adj = self.adjacency()
-        comp: dict[str, int] = {}
-        roots = []
-        for v in self.vertices:
-            if v in comp:
-                continue
-            idx = len(roots)
-            roots.append(v)
-            comp[v] = idx
-            stack = [v]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp[w] = idx
-                        stack.append(w)
-        parts: dict[int, list[Face]] = {i: [] for i in range(len(roots))}
+        # each tree is rooted at its component's minimum vertex
+        root: dict[str, str] = {}
+        parts: dict[str, list[Face]] = {}
+        for v, p in spanning_forest(self.vertices, self.adjacency()).items():
+            root[v] = v if p is None else root[p]
+            if p is None:
+                parts[v] = []
         for f in self.facets:
-            parts[comp[f[0]]].append(f)
-        return [SimplicialComplex(parts[i]) for i in range(len(roots))]
+            parts[root[f[0]]].append(f)
+        return [SimplicialComplex(fs) for fs in parts.values()]
 
     # -- clique complex -------------------------------------------------------
 
@@ -379,19 +375,27 @@ class SimplicialComplex:
         order = {v: i for i, v in enumerate(self.vertices)}
         nbrs = {v: set(adj[v]) for v in self.vertices}
         cliques: list[Face] = []
-
-        def expand(r: set[str], p: set[str], x: set[str]) -> None:
-            if not p and not x:
-                cliques.append(tuple(sorted(r)))
-                return
-            pivot = max(p | x, key=lambda v: len(p & nbrs[v]))
-            for v in sorted(p - nbrs[pivot], key=order.get):
-                expand(r | {v}, p & nbrs[v], x & nbrs[v])
-                p.remove(v)
-                x.add(v)
-
-        expand(set(), set(self.vertices), set())
+        _expand_cliques(set(), set(self.vertices), set(), nbrs, order, cliques)
         return FaceSet(sorted(cliques))
+
+
+def _expand_cliques(
+    r: set[str], p: set[str], x: set[str], nbrs, order, cliques
+) -> None:
+    """Bron-Kerbosch with pivoting: append to cliques each maximal clique C
+    with r <= C <= r | p; x holds the candidates already explored.
+
+    Module-level rather than a recursive closure: a closure that calls
+    itself is a reference cycle, left for the cyclic GC to reclaim.
+    """
+    if not p and not x:
+        cliques.append(tuple(sorted(r)))
+        return
+    pivot = max(p | x, key=lambda v: len(p & nbrs[v]))
+    for v in sorted(p - nbrs[pivot], key=order.get):
+        _expand_cliques(r | {v}, p & nbrs[v], x & nbrs[v], nbrs, order, cliques)
+        p.remove(v)
+        x.add(v)
 
 
 class FaceSet:

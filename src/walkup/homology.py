@@ -1,60 +1,71 @@
 """Mod-2 simplicial homology and combinatorial orientability.
 
-Boundary operators are bit matrices (one Python int per row), so row
-operations are word-parallel and ranks are exact.  Face order is the
-lexicographic order on sorted label tuples, fixed per complex, which
-makes every matrix reproducible bit for bit.
+A chain is a bitset (one Python int) over a face order, so additions are
+word-parallel and ranks are exact.  boundary_columns() builds the
+boundary of every j-face as one int over the (j-1)-faces, and every rank,
+kernel and injectivity test in the package runs on those columns through
+the one pivot structure, PivotSpace.  Face order is the lexicographic
+order on sorted label tuples, fixed per complex, which makes every
+column reproducible bit for bit.
 
 Orientability is decided over the integers by sign propagation along a
-spanning tree of the dual graph, independently of the mod-2 machinery.
+spanning forest of the dual graph, independently of the mod-2 machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import Face, SimplicialComplex
+from .complex import Face, SimplicialComplex, spanning_forest
 from .errors import NotClosedPseudomanifold
+
+
+class PivotSpace:
+    """Append-only GF(2) span with undo: insert returns the pivot key or None."""
+
+    __slots__ = ("pivots", "rank")
+
+    def __init__(self):
+        self.pivots: dict[int, int] = {}
+        self.rank = 0
+
+    def insert(self, v: int) -> int | None:
+        piv = self.pivots
+        while v:
+            b = v.bit_length() - 1
+            p = piv.get(b)
+            if p is None:
+                piv[b] = v
+                self.rank += 1
+                return b
+            v ^= p
+        return None
+
+    def remove(self, b: int) -> None:
+        del self.pivots[b]
+        self.rank -= 1
 
 
 def rank_gf2(rows: list[int]) -> int:
     """Rank of a list of bitset row vectors over GF(2)."""
-    pivots: dict[int, int] = {}
-    rank = 0
+    space = PivotSpace()
     for v in rows:
-        while v:
-            b = v.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
-                rank += 1
-                break
-            v ^= p
-    return rank
+        space.insert(v)
+    return space.rank
 
 
-def rref_gf2(rows: list[int]) -> dict[int, int]:
-    """Reduced row echelon form; maps pivot bit -> fully reduced row."""
-    pivots: dict[int, int] = {}
+def nullspace_gf2(rows: list[int], ncols: int) -> list[int]:
+    """Basis of {x : row . x = 0 for every row}, vectors as ncols-bit ints."""
+    space = PivotSpace()
     for v in rows:
-        while v:
-            b = v.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
-                break
-            v ^= p
+        space.insert(v)
+    # back-substitute into reduced row echelon form: pivot bit -> row
+    pivots = space.pivots
     for b in sorted(pivots, reverse=True):
         pb = pivots[b]
         for b2, r in pivots.items():
             if b2 != b and (r >> b) & 1:
                 pivots[b2] = r ^ pb
-    return pivots
-
-
-def nullspace_gf2(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {x : row . x = 0 for every row}, vectors as ncols-bit ints."""
-    pivots = rref_gf2(rows)
     basis = []
     for j in range(ncols):
         if j in pivots:
@@ -67,58 +78,15 @@ def nullspace_gf2(rows: list[int], ncols: int) -> list[int]:
     return basis
 
 
-@dataclass
-class BitMatrix:
-    """Dense GF(2) matrix, rows packed into ints (bit c of data[r] = entry r,c)."""
-
-    rows: int
-    cols: int
-    data: list[int]
-
-    def rank(self) -> int:
-        return rank_gf2(list(self.data))
-
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for r, row in enumerate(self.data):
-            while row:
-                c = row.bit_length() - 1
-                row ^= 1 << c
-                out[c] |= 1 << r
-        return BitMatrix(self.cols, self.rows, out)
-
-    def mul_vec(self, v: int) -> int:
-        out = 0
-        for r, row in enumerate(self.data):
-            if bin(row & v).count("1") & 1:
-                out |= 1 << r
-        return out
-
-    def column(self, c: int) -> int:
-        out = 0
-        for r, row in enumerate(self.data):
-            if (row >> c) & 1:
-                out |= 1 << r
-        return out
-
-
-def boundary_matrix(X: SimplicialComplex, j: int) -> BitMatrix:
-    """Mod-2 boundary operator from j-chains to (j-1)-chains.
-
-    Rows are indexed by the canonical order of (j-1)-faces, columns by
-    the canonical order of j-faces.
-    """
-    if not 1 <= j <= X.dimension:
-        raise ValueError(f"boundary degree {j} outside 1..{X.dimension}")
-    low = X.faces_of_dim(j - 1)
-    high = X.faces_of_dim(j)
-    index = {f: i for i, f in enumerate(low)}
-    data = [0] * len(low)
-    for c, face in enumerate(high):
-        for i in range(len(face)):
-            r = index[face[:i] + face[i + 1:]]
-            data[r] |= 1 << c
-    return BitMatrix(len(low), len(high), data)
+def transpose_gf2(rows: list[int], ncols: int) -> list[int]:
+    """Transpose of a GF(2) matrix given as bitset rows over ncols columns."""
+    out = [0] * ncols
+    for r, v in enumerate(rows):
+        while v:
+            c = v.bit_length() - 1
+            v ^= 1 << c
+            out[c] |= 1 << r
+    return out
 
 
 def boundary_columns(X: SimplicialComplex, j: int) -> list[int]:
@@ -184,19 +152,16 @@ def homology_profile(X: SimplicialComplex) -> HomologyProfile:
     )
 
 
-def is_orientable(X: SimplicialComplex, traversal: str = "bfs") -> bool:
+def is_orientable(X: SimplicialComplex) -> bool:
     """Decide whether the facets admit a coherent orientation.
 
-    Signs are propagated over a spanning structure of the dual graph and
-    checked on every remaining adjacency; facets inherit the reference
-    orientation of their sorted vertex tuple.  The traversal argument
-    ("bfs" or "dfs") only changes the spanning structure, never the
-    answer.
+    Signs are propagated down a spanning forest of the dual graph and
+    then checked on every adjacency; facets inherit the reference
+    orientation of their sorted vertex tuple.
     """
     if X.is_empty or not X.is_closed_pseudomanifold():
         raise NotClosedPseudomanifold("orientability needs a closed weak pseudomanifold")
     dg = X.dual_graph()
-    adj = dg.adjacency()
     position = {
         f: {v: i for i, v in enumerate(f)} for f in X.facets
     }
@@ -209,23 +174,8 @@ def is_orientable(X: SimplicialComplex, traversal: str = "bfs") -> bool:
         vb = next(v for v in b if v not in shared)
         return -1 if (position[a][va] + position[b][vb]) % 2 == 0 else 1
 
+    # a forest lists every facet after its parent
     sign: dict[Face, int] = {}
-    for root in X.facets:
-        if root in sign:
-            continue
-        sign[root] = 1
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop(0 if traversal == "bfs" else -1)
-            for nxt in sorted(adj[cur]):
-                if nxt not in sign:
-                    sign[nxt] = sign[cur] * relative_sign(cur, nxt)
-                    frontier.append(nxt)
-                elif sign[nxt] != sign[cur] * relative_sign(cur, nxt):
-                    return False
-    # re-check every adjacency (non-tree edges may have been consumed above,
-    # but a full pass keeps the check independent of traversal order)
-    for a, b in dg.edges:
-        if sign[b] != sign[a] * relative_sign(a, b):
-            return False
-    return True
+    for f, parent in spanning_forest(X.facets, dg.adjacency()).items():
+        sign[f] = 1 if parent is None else sign[parent] * relative_sign(parent, f)
+    return all(sign[b] == sign[a] * relative_sign(a, b) for a, b in dg.edges)

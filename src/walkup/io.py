@@ -73,12 +73,20 @@ def parse_facet_text(text: str) -> SimplicialComplex:
         raise ParseError(str(e), lines[-1]) from e
 
 
-def parse_facet_json(text: str) -> SimplicialComplex:
-    """Parse the structured {"facets": [...]} form."""
+def decode_json(text: str):
+    """Decode a JSON document; malformed or too deeply nested input is a ParseError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from e
+    except RecursionError as e:
+        # the decoder recurses once per nesting level
+        raise ParseError("invalid JSON: nested too deeply", 1) from e
+
+
+def parse_facet_json(text: str) -> SimplicialComplex:
+    """Parse the structured {"facets": [...]} form."""
+    obj = decode_json(text)
     if not isinstance(obj, dict) or "facets" not in obj:
         raise ParseError('expected an object with a "facets" key', 1)
     facets = obj["facets"]

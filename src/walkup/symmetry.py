@@ -9,7 +9,7 @@ the prune that matters, since adjacency alone says nothing there.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .complex import SimplicialComplex
 
@@ -72,44 +72,54 @@ def _search(
     if any(len(cells_x[c]) != len(cells_y[c]) for c in cells_x):
         return []
 
-    adj_x = X.adjacency()
-    adj_y = Y.adjacency()
+    graphs = (X.adjacency(), Y.adjacency(), edeg_x, edeg_y)
     # most constrained cells first, labels for determinism
     order = sorted(X.vertices, key=lambda v: (len(cells_x[colors_x[v]]), v))
-    results: list[Permutation] = []
-    mapping: Permutation = {}
-    used: set[str] = set()
+    slots = [(v, cells_y[colors_x[v]]) for v in order]
+    found = _extensions(X, Y, slots, graphs, {}, set())
+    return list(found if find_all else islice(found, 1))
 
-    def feasible(v: str, w: str) -> bool:
-        for u, m in mapping.items():
-            adjacent = u in adj_x[v]
-            if adjacent != (m in adj_y[w]):
-                return False
-            if adjacent and edeg_x(v, u) != edeg_y(w, m):
-                return False
-        return True
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            image = {tuple(sorted(mapping[v] for v in f)) for f in X.facets}
-            if image == set(Y.facets):
-                results.append(dict(mapping))
-                return not find_all
+def _feasible(v: str, w: str, mapping: Permutation, graphs) -> bool:
+    """Does v -> w keep adjacency and edge degrees to every mapped vertex?"""
+    adj_x, adj_y, edeg_x, edeg_y = graphs
+    for u, m in mapping.items():
+        adjacent = u in adj_x[v]
+        if adjacent != (m in adj_y[w]):
             return False
-        v = order[i]
-        for w in cells_y[colors_x[v]]:
-            if w in used or not feasible(v, w):
-                continue
+        if adjacent and edeg_x(v, u) != edeg_y(w, m):
+            return False
+    return True
+
+
+def _extensions(
+    X: SimplicialComplex,
+    Y: SimplicialComplex,
+    slots: list[tuple[str, list[str]]],
+    graphs,
+    mapping: Permutation,
+    used: set[str],
+):
+    """Yield, as new dicts, the facet-preserving maps X -> Y that extend
+    mapping, which maps the first len(mapping) vertices of slots; each
+    slot is a vertex and its candidate images, tried in list order.
+
+    Module-level rather than a recursive closure: a closure that calls
+    itself is a reference cycle, left for the cyclic GC to reclaim.
+    """
+    i = len(mapping)
+    if i == len(slots):
+        if {tuple(sorted(mapping[v] for v in f)) for f in X.facets} == Y.facet_set:
+            yield dict(mapping)
+        return
+    v, candidates = slots[i]
+    for w in candidates:
+        if w not in used and _feasible(v, w, mapping, graphs):
             mapping[v] = w
             used.add(w)
-            if backtrack(i + 1):
-                return True
+            yield from _extensions(X, Y, slots, graphs, mapping, used)
             used.discard(w)
             del mapping[v]
-        return False
-
-    backtrack(0)
-    return results
 
 
 def automorphism_group(X: SimplicialComplex) -> list[Permutation]:

@@ -53,7 +53,14 @@ from itertools import combinations
 
 from .complex import SimplicialComplex
 from .errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
-from .homology import betti_numbers, nullspace_gf2, rank_gf2
+from .homology import (
+    PivotSpace,
+    betti_numbers,
+    boundary_columns,
+    nullspace_gf2,
+    rank_gf2,
+    transpose_gf2,
+)
 from .rng import SplitMix64
 
 DEFAULT_EXHAUSTIVE_CEILING = 20
@@ -85,21 +92,10 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
     if k == 0:
         cycles_y = [1 << index_k[f] for f in y_k]
     else:
-        lower_all = X.faces_of_dim(k - 1)
-        lower_idx = {f: i for i, f in enumerate(lower_all)}
-        rows = []
-        for f in y_k:
-            v = 0
-            for i in range(len(f)):
-                v |= 1 << lower_idx[f[:i] + f[i + 1:]]
-            rows.append(v)
+        bd_k = boundary_columns(X, k)
+        rows = [bd_k[index_k[f]] for f in y_k]
         # kernel over the y_k columns: transpose to (lower x y_k) and solve
-        mat = [0] * len(lower_all)
-        for c, v in enumerate(rows):
-            while v:
-                b = v.bit_length() - 1
-                v ^= 1 << b
-                mat[b] |= 1 << c
+        mat = transpose_gf2(rows, len(X.faces_of_dim(k - 1)))
         kernel = nullspace_gf2(mat, len(y_k))
         cycles_y = []
         for u in kernel:
@@ -110,16 +106,8 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
             cycles_y.append(w)
 
     # B_k(X): boundaries of all (k+1)-faces; B_k(Y): those of Y's.
-    upper_all = X.faces_of_dim(k + 1)
-    bx = []
-    by = []
-    for f in upper_all:
-        v = 0
-        for i in range(len(f)):
-            v |= 1 << index_k[f[:i] + f[i + 1:]]
-        bx.append(v)
-        if set(f) <= s:
-            by.append(v)
+    bx = boundary_columns(X, k + 1)
+    by = [v for f, v in zip(X.faces_of_dim(k + 1), bx) if set(f) <= s]
     dim_z = len(cycles_y)
     dim_bx = rank_gf2(bx)
     dim_sum = rank_gf2(bx + cycles_y)
@@ -176,32 +164,6 @@ def duality_applies(X: SimplicialComplex) -> bool:
 
 # ----------------------------------------------------------- incremental scan
 
-class _PivotSpace:
-    """Append-only GF(2) span with undo: insert returns the pivot key or None."""
-
-    __slots__ = ("pivots", "rank")
-
-    def __init__(self):
-        self.pivots: dict[int, int] = {}
-        self.rank = 0
-
-    def insert(self, v: int) -> int | None:
-        piv = self.pivots
-        while v:
-            b = v.bit_length() - 1
-            p = piv.get(b)
-            if p is None:
-                piv[b] = v
-                self.rank += 1
-                return b
-            v ^= p
-        return None
-
-    def remove(self, b: int) -> None:
-        del self.pivots[b]
-        self.rank -= 1
-
-
 class _Stop(Exception):
     pass
 
@@ -220,34 +182,19 @@ class TightnessEngine:
         d = self.d
 
         self.faces: list[tuple] = [X.faces_of_dim(k) for k in range(d + 1)]
-        index = [
-            {f: i for i, f in enumerate(self.faces[k])} for k in range(d + 1)
-        ]
-
         # boundary of each k-face over (k-1)-face indices
-        self.bd: list[list[int]] = [[]]
-        for k in range(1, d + 1):
-            idx = index[k - 1]
-            col = []
-            for f in self.faces[k]:
-                v = 0
-                for i in range(len(f)):
-                    v |= 1 << idx[f[:i] + f[i + 1:]]
-                col.append(v)
-            self.bd.append(col)
-
+        self.bd: list[list[int]] = [[]] + [
+            boundary_columns(X, k) for k in range(1, d + 1)
+        ]
         # orthogonal complements of the boundary spaces B_k(X), k < d,
         # transposed into one column vector per k-face
-        self.colvec: list[list[int]] = []
-        for k in range(d):
-            basis = nullspace_gf2(self.bd[k + 1], len(self.faces[k]))
-            cols = [0] * len(self.faces[k])
-            for b, u in enumerate(basis):
-                while u:
-                    i = u.bit_length() - 1
-                    u ^= 1 << i
-                    cols[i] |= 1 << b
-            self.colvec.append(cols)
+        self.colvec: list[list[int]] = [
+            transpose_gf2(
+                nullspace_gf2(self.bd[k + 1], len(self.faces[k])),
+                len(self.faces[k]),
+            )
+            for k in range(d)
+        ]
 
         # faces grouped by their largest vertex, with the rest as a bitmask
         self.by_max: list[list[list[tuple[int, int]]]] = [
@@ -298,8 +245,8 @@ class TightnessEngine:
         if len(root) > cap:
             return 0, 0, []
         cnt = [0] * d
-        col = [_PivotSpace() for _ in range(d)]
-        bdr = [_PivotSpace() for _ in range(d)]
+        col = [PivotSpace() for _ in range(d)]
+        bdr = [PivotSpace() for _ in range(d)]
         colvec = self.colvec
         bd = self.bd
         by_max = self.by_max
@@ -380,8 +327,8 @@ class TightnessEngine:
         ids = [v for v in range(self.n) if (mask >> v) & 1]
         d = self.d
         cnt = [0] * d
-        col = [_PivotSpace() for _ in range(d)]
-        bdr = [_PivotSpace() for _ in range(d)]
+        col = [PivotSpace() for _ in range(d)]
+        bdr = [PivotSpace() for _ in range(d)]
         m = 0
         for v in ids:
             for k in range(d + 1):

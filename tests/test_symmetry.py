@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from itertools import permutations
 from math import factorial
 
@@ -127,3 +128,18 @@ def test_generating_set_and_cycles(m4_15):
     identity = {v: v for v in m4_15.vertices}
     assert cycle_notation(identity) == "()"
     assert compose(gens[0], inverse(gens[0])) == identity
+
+
+def test_clique_and_automorphism_searches_leave_no_cycles(m4_15):
+    # Recursive closures are reference cycles: their garbage waits for the
+    # cyclic GC, so peak memory would depend on when it happens to run.
+    gc.collect()
+    gc.disable()
+    try:
+        cliques = m4_15.clique_complex()
+        group = automorphism_group(m4_15)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert cliques.maximal_faces == (m4_15.vertices,)  # 2-neighborly
+    assert len(group) == 3
