@@ -166,7 +166,8 @@ def cmd_check_tight(args) -> int:
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     if args.sample is not None:
         report = is_tight_z2(
-            X, mode="sampled", sample_count=args.sample, seed=args.seed
+            X, mode="sampled", sample_count=args.sample, seed=args.seed,
+            jobs=jobs,
         )
     else:
         report = is_tight_z2(
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", type=int, default=DEFAULT_EXHAUSTIVE_CEILING,
                    help="max vertex count for exhaustive scans")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, N >= 1 (default: available parallelism)")
     p.set_defaults(func=cmd_check_tight)
 
     fv = sub.add_parser("fvector", help="closed-form face vectors")

@@ -9,11 +9,13 @@ seeded facet subdivision.  Primed vertex labels use a plain "p" suffix
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations
 
 from .complex import Face, SimplicialComplex, from_facets
 from .errors import InvalidParameters
 from .rng import SplitMix64
+from .stacked import stack_star
 from .surgery import VertexBijection, handle_addition
 
 # The 25 facets of the stacked 5-ball, keyed by their conventional names.
@@ -139,19 +141,15 @@ def random_stacked_sphere(d: int, n: int, seed: int) -> SimplicialComplex:
 
     Starting from the standard sphere, n-(d+2) times a facet is chosen
     uniformly (SplitMix64 stream, facets in canonical order) and starred
-    from a new vertex.  Equal seeds give identical complexes.
+    from a new vertex.  Equal seeds give identical complexes.  The facet
+    list is kept sorted in place, so one complex is built at the end.
     """
     if d < 1 or n < d + 2:
         raise InvalidParameters(f"need d >= 1 and n >= d+2, got d={d}, n={n}")
     rng = SplitMix64(seed)
-    cur = standard_sphere(d)
+    facets = list(standard_sphere(d).facets)
     for step in range(n - (d + 2)):
-        facets = cur.facets
-        chosen = facets[rng.next_below(len(facets))]
-        new_vertex = f"v{d + 3 + step}"
-        star = [
-            tuple(sorted(chosen[:i] + chosen[i + 1:] + (new_vertex,)))
-            for i in range(len(chosen))
-        ]
-        cur = SimplicialComplex((set(facets) - {chosen}) | set(star))
-    return cur
+        chosen = facets.pop(rng.next_below(len(facets)))
+        for f in stack_star(chosen, f"v{d + 3 + step}"):
+            insort(facets, f)
+    return SimplicialComplex(facets)

@@ -9,6 +9,7 @@ residue).  They must agree; tests cross-check them.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .complex import Face, SimplicialComplex, is_standard_sphere
@@ -98,38 +99,66 @@ def reduce_to_core(
     At each step the lexicographically smallest vertex of degree d+1 is
     removed, which makes the step list deterministic.  The residue equals
     the standard sphere exactly when the input was a stacked sphere.
+
+    Each step is reduce_once done in place: the facet set, the facets
+    through each vertex and the neighbour sets are updated locally (x
+    leaves, N(x) becomes a clique), and a min-heap holds the labels
+    whose degree is d+1, stale entries being skipped when popped.  One
+    complex is built at the end (none if nothing reduces).
     """
     d = X.dimension
+    adj = {v: set(ns) for v, ns in X.adjacency().items()}
+    facets = set(X.facets)
+    star: dict[str, set[Face]] = {v: set() for v in X.vertices}
+    for f in facets:
+        for v in f:
+            star[v].add(f)
+    heap = [v for v in X.vertices if len(adj[v]) == d + 1]  # sorted, so a heap
     steps: list[ReductionStep] = []
-    cur = X
-    while len(cur.vertices) > d + 2:
-        adj = cur.adjacency()
-        candidates = [v for v in cur.vertices if len(adj[v]) == d + 1]
-        if not candidates:
-            break
-        x = candidates[0]
-        sigma = tuple(sorted(adj[x]))
-        cur = reduce_once(cur, x)
+    while len(adj) > d + 2 and heap:
+        x = heapq.heappop(heap)
+        if x not in adj or len(adj[x]) != d + 1:
+            continue
+        neighbors = adj.pop(x)
+        sigma = tuple(sorted(neighbors))
+        for f in star.pop(x):
+            facets.remove(f)
+            for v in f:
+                if v != x:
+                    star[v].discard(f)
+        facets.add(sigma)  # a no-op if sigma is already a facet
+        for v in sigma:
+            star[v].add(sigma)
+        for y in neighbors:
+            ns = adj[y]
+            ns.discard(x)
+            ns.update(neighbors)
+            ns.discard(y)
+            if len(ns) == d + 1:
+                heapq.heappush(heap, y)
         steps.append(ReductionStep(removed_vertex=x, replacing_facet=sigma))
-    return cur, steps
+    return (SimplicialComplex(facets) if steps else X), steps
+
+
+def stack_star(sigma: Face, x: str) -> list[Face]:
+    """The d+1 facets that replace the facet sigma when x is stacked on it."""
+    return [
+        tuple(sorted(sigma[:i] + sigma[i + 1:] + (x,))) for i in range(len(sigma))
+    ]
 
 
 def replay_reductions(
     residue: SimplicialComplex, steps: list[ReductionStep]
 ) -> SimplicialComplex:
     """Invert reduce_to_core: re-attach each removed vertex over its facet."""
-    cur = residue
+    facets = set(residue.facets)
     for step in reversed(steps):
         sigma = step.replacing_facet
-        x = step.removed_vertex
-        if sigma not in cur.facet_set:
+        if sigma not in facets:
             raise UnknownVertex(f"replacing facet {sigma} missing during replay")
-        star = [
-            tuple(sorted(sigma[:i] + sigma[i + 1:] + (x,)))
-            for i in range(len(sigma))
-        ]
-        cur = SimplicialComplex((set(cur.facets) - {sigma}) | set(star))
-    return cur
+        facets.remove(sigma)
+        facets.update(stack_star(sigma, step.removed_vertex))
+    return SimplicialComplex(facets)
 
 
 def is_stacked_sphere_by_reduction(X: SimplicialComplex) -> bool:

@@ -422,10 +422,13 @@ def is_tight_z2(
     Exhaustive mode covers every subset except the empty and full one
     (requires f0 <= ceiling), evaluating only those up to half size when
     duality_applies(X); sampled mode draws subsets from the seeded
-    generator.  jobs > 1 splits the exhaustive scan over size-2 subset
-    prefixes without changing the report.
+    generator.  jobs must be at least 1 in either mode; jobs > 1 splits
+    the exhaustive scan over size-2 subset prefixes without changing the
+    report.
     """
     n = len(X.vertices)
+    if jobs < 1:
+        raise InvalidParameters(f"need at least 1 job, got {jobs}")
     if mode == "exhaustive":
         if n > ceiling:
             raise SubsetSpaceTooLarge(

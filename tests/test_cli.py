@@ -259,6 +259,18 @@ def test_check_tight_rejects_nonpositive_sample(capsys, monkeypatch):
         assert _one_error_line(err)
 
 
+def test_check_tight_rejects_nonpositive_jobs(capsys, monkeypatch):
+    for extra in ([], ["--sample", "25"]):
+        for n in ("0", "-2"):
+            code, out, err = run_cli(
+                ["check", "tight", "--jobs", n, *extra], stdin_text=TORUS_TEXT,
+                monkeypatch=monkeypatch, capsys=capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert _one_error_line(err)
+
+
 def test_check_tight_has_no_exhaustive_flag(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli(

@@ -21,6 +21,8 @@ from walkup import (
 )
 from walkup.complex import is_standard_sphere
 from walkup.errors import DegreeTooHigh, NotPseudomanifoldWithBoundary, TooFewVertices
+from walkup.rng import SplitMix64
+from walkup.stacked import ReductionStep
 from walkup.theory import stacked_sphere_fvector
 
 from conftest import cyclic_polytope_boundary
@@ -175,3 +177,90 @@ def test_recognizer_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "boundary_complex", broken)
     with pytest.raises(TypeError):
         is_stacked_sphere(standard_sphere(3))
+
+
+# -- in-place stacking against the rebuild-per-step twins ---------------------
+
+
+def _reduce_by_rebuild(X):
+    """reduce_to_core spelled out with reduce_once and a full rebuild per step."""
+    d = X.dimension
+    steps = []
+    cur = X
+    while len(cur.vertices) > d + 2:
+        adj = cur.adjacency()
+        low = [v for v in cur.vertices if len(adj[v]) == d + 1]
+        if not low:
+            break
+        x = low[0]
+        steps.append(ReductionStep(x, tuple(sorted(adj[x]))))
+        cur = reduce_once(cur, x)
+    return cur, steps
+
+
+def _random_stacked_by_rebuild(d, n, seed):
+    """random_stacked_sphere building a complex for every added vertex."""
+    rng = SplitMix64(seed)
+    cur = standard_sphere(d)
+    for step in range(n - (d + 2)):
+        chosen = cur.facets[rng.next_below(len(cur.facets))]
+        x = f"v{d + 3 + step}"
+        star = {
+            tuple(sorted(chosen[:i] + chosen[i + 1:] + (x,)))
+            for i in range(len(chosen))
+        }
+        cur = SimplicialComplex((set(cur.facets) - {chosen}) | star)
+    return cur
+
+
+def _disjoint_union(A, B):
+    return from_facets(
+        [f"{tag}{v}" for v in f] for tag, X in (("a", A), ("b", B)) for f in X.facets
+    )
+
+
+@pytest.fixture(scope="module")
+def reduction_corpus(s4_30, b5_30, m4_15, n5_15, torus_7):
+    """Name -> (complex, is a stacked sphere), negatives included."""
+    corpus = {
+        "s4-30": (s4_30, True),
+        "b5-30": (b5_30, False),
+        "m4-15": (m4_15, False),
+        "n5-15": (n5_15, False),
+        "torus-7": (torus_7, False),
+        "cyclic-4-7": (cyclic_polytope_boundary(4, 7), False),
+        # the replacing facet of the first step is already a facet
+        "two-3-spheres": (_disjoint_union(standard_sphere(3), standard_sphere(3)), False),
+        "sphere+stacked": (
+            _disjoint_union(standard_sphere(3), random_stacked_sphere(3, 14, seed=2)),
+            False,
+        ),
+    }
+    for d in (2, 3, 4):
+        for seed in (0, 5, 11):
+            X = random_stacked_sphere(d, 9 + 7 * d, seed=seed)
+            corpus[f"stacked-{d}-{seed}"] = (X, True)
+    return corpus
+
+
+def test_reduce_to_core_matches_reduce_once_twin(reduction_corpus):
+    reduced = 0
+    for name, (X, stacked) in reduction_corpus.items():
+        residue, steps = reduce_to_core(X)
+        assert (residue, steps) == _reduce_by_rebuild(X), name
+        reduced += bool(steps)
+        assert (is_standard_sphere(residue) and residue.is_closed_pseudomanifold()) == (
+            stacked
+        ), name
+        if stacked:
+            assert replay_reductions(residue, steps) == X, name
+    assert reduced >= 12
+
+
+def test_random_stacked_sphere_matches_rebuild_twin():
+    for d in (1, 2, 3, 4, 5):
+        for seed in (0, 1, 7, 2**63 + 5):
+            for n in (d + 2, d + 3, 3 * d + 17):
+                assert random_stacked_sphere(d, n, seed) == _random_stacked_by_rebuild(
+                    d, n, seed
+                ), (d, n, seed)
