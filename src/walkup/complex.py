@@ -312,9 +312,11 @@ class SimplicialComplex:
 
         def compute():
             adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-            for (u, v) in self.faces_of_dim(1):
-                adj[u].add(v)
-                adj[v].add(u)
+            for facet in self.facets:
+                for v in facet:
+                    adj[v].update(facet)
+            for v, ns in adj.items():
+                ns.discard(v)
             return {v: frozenset(ns) for v, ns in adj.items()}
 
         return self._memo("adjacency", compute)

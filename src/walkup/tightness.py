@@ -12,8 +12,12 @@ restricting the complement's basis matrix to the columns of Y's k-faces
 gives dim(C_k(Y) ∩ B_k(X)) = f_k(Y) - rank(restriction).  Both sides
 then grow monotonically as vertices are added to S, which the exhaustive
 scan exploits: subsets are enumerated depth-first by ascending vertex
-index, face insertions feed append-only GF(2) pivot structures, and
-backtracking just pops the pivots again.
+index, so each step adds a vertex v larger than every vertex of S and
+with it the faces of v's lower star (the faces whose largest vertex is v)
+that lie in S ∪ {v}.  Walking each lower star as a trie, only down the
+branches inside S, makes a subset cost only the faces it adds.  Face
+insertions feed append-only GF(2) pivot structures, and backtracking pops
+the pivots and restores the face counts.
 
 Duality halves the exhaustive scan.  Let X be a connected closed
 Z2-homology d-manifold with vertex set V.  The complement of |X[S]|
@@ -29,15 +33,16 @@ decides every subset: each evaluated S also settles V∖S, and a violation
 shortcut on exactly that hypothesis: X is a closed pseudomanifold, it is
 connected, and the link of every face is a Z2-homology sphere.  Vertex
 links with the Betti numbers of spheres would not by themselves prove
-that hypothesis.  Every other input (with boundary, disconnected, a
-singular link) gets the full scan.  Either way a
-report's `checked` counts the subsets covered and `evaluated` the
-subsets actually evaluated.
+that hypothesis; vertex links that are stacked spheres (Walkup's class
+K(d)) do.  Every other input (with boundary, disconnected, a singular
+link) gets the full scan.  Either way a report's `checked` counts the
+subsets covered and `evaluated` the subsets actually evaluated.
 
 The pooled scan splits the search into the subtrees of the serial order
 ({v1}, then the subsets extending each (v1, v2)) and consumes their
 results in that order, so a report depends on the input alone, not on
-the number of workers or their scheduling.
+the number of workers or their scheduling.  Smaller scans than
+POOL_MIN_SUBSETS run serially whatever the job count.
 
 homology_map_injective is the independent, direct implementation of the
 same test (kernel and image bases stacked and ranked), and
@@ -50,6 +55,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .complex import SimplicialComplex
 from .errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
@@ -62,8 +68,14 @@ from .homology import (
     transpose_gf2,
 )
 from .rng import SplitMix64
+from .theory import in_walkup_class
 
 DEFAULT_EXHAUSTIVE_CEILING = 20
+# Exhaustive scans with fewer subsets to evaluate run serially.  On 2 vCPUs
+# starting a pool and feeding it costs about 40 ms, and a subset 5-30 us, so
+# the pool breaks even near 0.1 s of serial work: K5 (4095 subsets) ties,
+# m4-15 and K6 (16383 each) gain.
+POOL_MIN_SUBSETS = 8000
 
 
 # --------------------------------------------------------------- direct test
@@ -139,17 +151,31 @@ def duality_applies(X: SimplicialComplex) -> bool:
     """Is X a connected closed Z2-homology manifold?
 
     That is: a closed pseudomanifold, connected, with every face link a
-    Z2-homology sphere of the matching dimension.  Ridge links are point
-    pairs in any closed pseudomanifold.  The m-dimensional link L of a
-    smaller face is tested for b_0 = 1 and b_1 = ... = b_{m//2} = 0,
-    which every sphere passes.  Once all links pass, the links of L's
-    own faces (links of larger faces of X) are spheres, so L is a closed
-    Z2-homology manifold and Poincaré duality supplies the upper half of
-    its Betti numbers: L is a sphere.
+    Z2-homology sphere of the matching dimension.  A member of Walkup's
+    class K(d) passes at once: its vertex links are stacked spheres,
+    hence PL spheres, and the link of a face in a PL sphere is again a
+    PL sphere (F. Effenberger, Stacked polytopes and tight
+    triangulations of manifolds, JCTA 118, 2011).  Any other input gets
+    _face_links_are_spheres().
     """
     d = X.dimension
     if d < 1 or not X.is_closed_pseudomanifold() or not X.is_connected():
         return False
+    return in_walkup_class(X) or _face_links_are_spheres(X)
+
+
+def _face_links_are_spheres(X: SimplicialComplex) -> bool:
+    """Is the link of every face of the closed pseudomanifold X a
+    Z2-homology sphere?
+
+    Ridge links are point pairs in any closed pseudomanifold.  The
+    m-dimensional link L of a smaller face is tested for b_0 = 1 and
+    b_1 = ... = b_{m//2} = 0, which every sphere passes.  Once all links
+    pass, the links of L's own faces (links of larger faces of X) are
+    spheres, so L is a closed Z2-homology manifold and Poincaré duality
+    supplies the upper half of its Betti numbers: L is a sphere.
+    """
+    d = X.dimension
     links: dict[tuple[str, ...], list[tuple[str, ...]]] = defaultdict(list)
     for facet in X.facets:
         for size in range(1, d):
@@ -172,43 +198,91 @@ Violations = list[tuple[tuple[str, ...], int]]
 
 
 class TightnessEngine:
-    """Shared precomputation for scanning the subsets of one complex."""
+    """Shared precomputation for scanning the subsets of one complex.
+
+    star[v] is the trie of v's lower star: the root is the face (v,), and
+    a child adds one smaller vertex, larger than those already added.  A
+    node is [degree, complement column, boundary, child bitmask, children
+    keyed by their vertex bit].  The engine holds no complex, so it pickles.
+    """
 
     def __init__(self, X: SimplicialComplex):
-        self.X = X
+        self.labels = X.vertices
         self.n = len(X.vertices)
-        self.d = X.dimension
+        self.d = d = X.dimension
         vidx = {v: i for i, v in enumerate(X.vertices)}
-        d = self.d
-
-        self.faces: list[tuple] = [X.faces_of_dim(k) for k in range(d + 1)]
+        faces = [X.faces_of_dim(k) for k in range(d + 1)]
         # boundary of each k-face over (k-1)-face indices
-        self.bd: list[list[int]] = [[]] + [
-            boundary_columns(X, k) for k in range(1, d + 1)
-        ]
+        bd = [[0] * self.n] + [boundary_columns(X, k) for k in range(1, d + 1)]
         # orthogonal complements of the boundary spaces B_k(X), k < d,
         # transposed into one column vector per k-face
-        self.colvec: list[list[int]] = [
-            transpose_gf2(
-                nullspace_gf2(self.bd[k + 1], len(self.faces[k])),
-                len(self.faces[k]),
-            )
-            for k in range(d)
+        colvec = [
+            transpose_gf2(nullspace_gf2(bd[k + 1], len(faces[k])), len(faces[k]))
+            if k < d else [0] * len(faces[k])
+            for k in range(d + 1)
         ]
 
-        # faces grouped by their largest vertex, with the rest as a bitmask
-        self.by_max: list[list[list[tuple[int, int]]]] = [
-            [[] for _ in range(self.n)] for _ in range(d + 1)
-        ]
+        nodes: dict[tuple[int, ...], list] = {}
         for k in range(d + 1):
-            for i, f in enumerate(self.faces[k]):
-                ids = [vidx[v] for v in f]
-                m = max(ids)
-                rest = 0
-                for j in ids:
-                    if j != m:
-                        rest |= 1 << j
-                self.by_max[k][m].append((rest, i))
+            for i, f in enumerate(faces[k]):
+                ids = tuple(vidx[v] for v in f)
+                node = nodes[ids] = [k, colvec[k][i], bd[k][i], 0, {}]
+                if k:
+                    # the parent drops the largest vertex below the top one
+                    parent = nodes[ids[:-2] + ids[-1:]]
+                    bit = 1 << ids[-2]
+                    parent[3] |= bit
+                    parent[4][bit] = node
+        self.star: list[list] = [nodes[(v,)] for v in range(self.n)]
+
+    def _walk(self, stack: list, within: int, cnt, col, bdr, log) -> None:
+        """Insert the faces of the lower-star tries on stack whose other
+        vertices all lie in the mask within.
+
+        With the roots star[v] for v in S and within = S, that is every
+        face of X[S] once.  cnt[k] counts the k-faces, col[k] spans their
+        complement columns and bdr[k] their boundaries; with a log, each
+        new pivot is logged as (space, pivot) for undo.
+        """
+        pop, push = stack.pop, stack.append
+        while stack:
+            k, cv, b, cm, kids = pop()
+            cnt[k] += 1
+            if cv:
+                space = col[k]
+                p = space.insert(cv)
+                if p is not None and log is not None:
+                    log.append((space, p))
+            if b:
+                space = bdr[k]
+                p = space.insert(b)
+                if p is not None and log is not None:
+                    log.append((space, p))
+            m = cm & within
+            while m:
+                low = m & -m
+                push(kids[low])
+                m ^= low
+
+    def _spaces(self):
+        d = self.d
+        return (
+            [0] * (d + 1),
+            [PivotSpace() for _ in range(d)],
+            [PivotSpace() for _ in range(d + 1)],
+        )
+
+    @staticmethod
+    def _bad_degrees(cnt, col, bdr) -> list[int]:
+        """Degrees k whose map H_k(Y) -> H_k(X) is not injective."""
+        bad = []
+        for k, space in enumerate(col):
+            meet = cnt[k] - space.rank
+            # B_k(Y) always sits inside C_k(Y) ∩ B_k(X)
+            assert meet >= bdr[k + 1].rank
+            if meet != bdr[k + 1].rank:
+                bad.append(k)
+        return bad
 
     # -- one scan ------------------------------------------------------------
 
@@ -244,53 +318,19 @@ class TightnessEngine:
         cap = n // 2 if dual else n - 1
         if len(root) > cap:
             return 0, 0, []
-        cnt = [0] * d
-        col = [PivotSpace() for _ in range(d)]
-        bdr = [PivotSpace() for _ in range(d)]
-        colvec = self.colvec
-        bd = self.bd
-        by_max = self.by_max
+        cnt, col, bdr = self._spaces()
+        star, walk = self.star, self._walk
+        bad_degrees = self._bad_degrees
         violations: Violations = []
         evaluated = covered = 0
         full = (1 << n) - 1
-
-        def add_vertex(v: int, mask: int) -> list[tuple[int, int, int]]:
-            log: list[tuple[int, int, int]] = []
-            for k in range(d + 1):
-                for rest, i in by_max[k][v]:
-                    if rest & ~mask:
-                        continue
-                    if k < d:
-                        cnt[k] += 1
-                        b = col[k].insert(colvec[k][i])
-                        if b is not None:
-                            log.append((0, k, b))
-                    if k >= 1:
-                        b = bdr[k - 1].insert(bd[k][i])
-                        if b is not None:
-                            log.append((1, k - 1, b))
-            return log
-
-        def undo(v: int, mask: int, log: list[tuple[int, int, int]]) -> None:
-            for kind, k, b in log:
-                (col if kind == 0 else bdr)[k].remove(b)
-            for k in range(d + 1):
-                if k < d:
-                    for rest, _ in by_max[k][v]:
-                        if not rest & ~mask:
-                            cnt[k] -= 1
 
         def visit(mask: int, size: int) -> None:
             nonlocal evaluated, covered
             evaluated += 1
             mirrored = dual and 2 * size != n
             covered += 2 if mirrored else 1
-            for k in range(d):
-                meet = cnt[k] - col[k].rank
-                # B_k(Y) always sits inside C_k(Y) ∩ B_k(X)
-                assert meet >= bdr[k].rank
-                if meet == bdr[k].rank:
-                    continue
+            for k in bad_degrees(cnt, col, bdr):
                 violations.append((self._subset_labels(mask), k))
                 if mirrored:
                     violations.append(
@@ -302,17 +342,19 @@ class TightnessEngine:
         def dfs(start: int, mask: int, size: int) -> None:
             # called with size < cap, so every child fits under the cap
             for v in range(start, n):
-                log = add_vertex(v, mask)
+                saved = cnt[:]
+                log: list = []
+                walk([star[v]], mask, cnt, col, bdr, log)
                 child = mask | (1 << v)
                 visit(child, size + 1)
                 if size + 1 < cap:
                     dfs(v + 1, child, size + 1)
-                undo(v, mask, log)
+                cnt[:] = saved
+                for space, p in log:
+                    space.remove(p)
 
-        mask = 0
-        for v in root:
-            add_vertex(v, mask)
-            mask |= 1 << v
+        mask = sum(1 << v for v in root)
+        walk([star[v] for v in root], mask, cnt, col, bdr, None)
         try:
             if root:
                 visit(mask, len(root))
@@ -324,29 +366,14 @@ class TightnessEngine:
 
     def check_subset(self, mask: int) -> tuple[int, list[int]]:
         """Evaluate one subset directly; returns (size, violating degrees)."""
-        ids = [v for v in range(self.n) if (mask >> v) & 1]
-        d = self.d
-        cnt = [0] * d
-        col = [PivotSpace() for _ in range(d)]
-        bdr = [PivotSpace() for _ in range(d)]
-        m = 0
-        for v in ids:
-            for k in range(d + 1):
-                for rest, i in self.by_max[k][v]:
-                    if rest & ~m:
-                        continue
-                    if k < d:
-                        cnt[k] += 1
-                        col[k].insert(self.colvec[k][i])
-                    if k >= 1:
-                        bdr[k - 1].insert(self.bd[k][i])
-            m |= 1 << v
-        bad = [k for k in range(d) if cnt[k] - col[k].rank != bdr[k].rank]
-        return len(ids), bad
+        cnt, col, bdr = self._spaces()
+        roots = [self.star[v] for v in range(self.n) if (mask >> v) & 1]
+        self._walk(roots, mask, cnt, col, bdr, None)
+        return mask.bit_count(), self._bad_degrees(cnt, col, bdr)
 
     def _subset_labels(self, mask: int) -> tuple[str, ...]:
         return tuple(
-            self.X.vertices[v] for v in range(self.n) if (mask >> v) & 1
+            self.labels[v] for v in range(self.n) if (mask >> v) & 1
         )
 
 
@@ -356,9 +383,9 @@ _WORKER_ENGINE: TightnessEngine | None = None
 _WORKER_STOP = None
 
 
-def _init_worker(facets, stop):
+def _init_worker(engine, stop):
     global _WORKER_ENGINE, _WORKER_STOP
-    _WORKER_ENGINE = TightnessEngine(SimplicialComplex(facets))
+    _WORKER_ENGINE = engine
     _WORKER_STOP = stop
 
 
@@ -370,13 +397,14 @@ def _run_task(task):
 
 
 def _scan_parallel(
-    X: SimplicialComplex, jobs: int, dual: bool, stop_on_first: bool
+    engine: TightnessEngine, jobs: int, dual: bool, stop_on_first: bool
 ) -> tuple[int, int, Violations]:
     from multiprocessing import Event, Pool
 
-    n = len(X.vertices)
+    n = engine.n
     # the serial search's order: {v1}, then the subsets extending (v1, v2)
-    # for ascending v2; results are consumed in this order
+    # for ascending v2; results are consumed in this order, one task at a
+    # time so that the large early subtrees spread over the workers
     tasks = []
     for v1 in range(n):
         tasks.append(((v1,), False, dual, stop_on_first))
@@ -386,9 +414,9 @@ def _scan_parallel(
     evaluated = covered = 0
     violations: Violations = []
     stop = Event()
-    pool = Pool(processes=jobs, initializer=_init_worker, initargs=(X.facets, stop))
+    pool = Pool(processes=jobs, initializer=_init_worker, initargs=(engine, stop))
     try:
-        for e, c, v in pool.imap(_run_task, tasks, chunksize=4):
+        for e, c, v in pool.imap(_run_task, tasks):
             evaluated += e
             covered += c
             violations.extend(v)
@@ -423,8 +451,8 @@ def is_tight_z2(
     (requires f0 <= ceiling), evaluating only those up to half size when
     duality_applies(X); sampled mode draws subsets from the seeded
     generator.  jobs must be at least 1 in either mode; jobs > 1 splits
-    the exhaustive scan over size-2 subset prefixes without changing the
-    report.
+    an exhaustive scan of at least POOL_MIN_SUBSETS subsets to evaluate
+    over size-2 subset prefixes without changing the report.
     """
     n = len(X.vertices)
     if jobs < 1:
@@ -435,12 +463,15 @@ def is_tight_z2(
                 f"{n} vertices exceed the exhaustive ceiling {ceiling}"
             )
         dual = duality_applies(X)
-        if jobs > 1 and n >= 3:
+        engine = TightnessEngine(X)
+        cap = n // 2 if dual else n - 1
+        work = sum(comb(n, s) for s in range(1, cap + 1))
+        if jobs > 1 and work >= POOL_MIN_SUBSETS:
             evaluated, checked, violations = _scan_parallel(
-                X, jobs, dual, stop_on_first
+                engine, jobs, dual, stop_on_first
             )
         else:
-            evaluated, checked, violations = TightnessEngine(X).search(
+            evaluated, checked, violations = engine.search(
                 stop_on_first=stop_on_first, dual=dual
             )
         return TightnessReport(

@@ -236,6 +236,18 @@ def test_clique_complex_of_stacked_sphere_is_ball():
 
 # ---------------------------------------------------------------- 1-skeleton
 
+def test_adjacency_matches_edge_faces(m4_15, b5_30):
+    # neighbour sets read from the facets equal those of the enumerated edges
+    points = SimplicialComplex([("a",), ("b",)])
+    for X in (m4_15, b5_30, points, standard_sphere(1),
+              random_stacked_sphere(3, 20, seed=4)):
+        adj = {v: set() for v in X.vertices}
+        for u, v in X.faces_of_dim(1):
+            adj[u].add(v)
+            adj[v].add(u)
+        assert X.adjacency() == {v: frozenset(ns) for v, ns in adj.items()}
+
+
 def test_graph_distance_basics(m4_15):
     assert m4_15.graph_distance("a1", "a1") == 0
     assert m4_15.graph_distance("a1", "b3") == 1  # 2-neighborly

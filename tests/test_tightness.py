@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import subprocess
 import sys
 from itertools import combinations
@@ -13,14 +14,23 @@ from conftest import kuhnel_manifold
 from walkup import (
     SimplicialComplex,
     disjoint_union,
+    from_facets,
     homology_map_injective,
+    in_walkup_class,
     is_tight_z2,
     is_two_neighborly,
     random_stacked_sphere,
     standard_sphere,
 )
 from walkup.errors import SubsetSpaceTooLarge, UnknownVertex
-from walkup.tightness import TightnessEngine, duality_applies
+from walkup import tightness
+from walkup.tightness import (
+    POOL_MIN_SUBSETS,
+    TightnessEngine,
+    _face_links_are_spheres,
+    _scan_parallel,
+    duality_applies,
+)
 
 
 def test_full_subset_always_injective(torus_7):
@@ -241,6 +251,150 @@ def test_pooled_early_stop_exits_cleanly():
         "assert serial.verdict == 'not-tight'\n"
         "for _ in range(25):\n"
         "    assert is_tight_z2(X, jobs=4) == serial\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+# ------------------------------------------------------ the K(d) gate shortcut
+
+def test_walkup_shortcut_agrees_with_face_link_gate(m4_15, rp2_6):
+    members = [m4_15, rp2_6] + [kuhnel_manifold(d) for d in (4, 5, 6, 7)]
+    members += [random_stacked_sphere(*a) for a in ((2, 7, 0), (3, 9, 5), (4, 12, 1))]
+    for X in members:
+        assert in_walkup_class(X)
+        assert duality_applies(X)
+        assert _face_links_are_spheres(X)
+
+
+def test_non_members_reach_face_link_gate(monkeypatch, rp2_6):
+    calls = []
+
+    def spy(X):
+        calls.append(X)
+        return _face_links_are_spheres(X)
+
+    monkeypatch.setattr(tightness, "_face_links_are_spheres", spy)
+    suspension = _fallback_corpus(rp2_6)[2]
+    # the octahedral 3-sphere: a PL sphere whose vertex links (octahedra)
+    # are not stacked, so the shortcut does not apply but the gate passes
+    cross = from_facets(
+        [f"{'+' if (m >> i) & 1 else '-'}{i}" for i in range(4)] for m in range(16)
+    )
+    for X, verdict in ((suspension, False), (cross, True)):
+        calls.clear()
+        assert not in_walkup_class(X)
+        assert duality_applies(X) is verdict
+        assert calls == [X]
+    # with boundary or disconnected: refused before either test, even when
+    # every component is a member
+    two_spheres, _ = disjoint_union(standard_sphere(3), random_stacked_sphere(3, 7, 2))
+    assert in_walkup_class(two_spheres)
+    for X in _fallback_corpus(rp2_6)[:2] + [two_spheres]:
+        calls.clear()
+        assert not duality_applies(X)
+        assert calls == []
+
+
+# ------------------------------------------------- lower-star walk twin tests
+
+def _walk_twin_corpus():
+    sphere3 = random_stacked_sphere(3, 8, seed=1)
+    sphere4 = random_stacked_sphere(4, 10, seed=3)
+    yield SimplicialComplex(sphere3.facets[1:])
+    yield SimplicialComplex(sphere4.facets[2:])
+    yield disjoint_union(standard_sphere(2), random_stacked_sphere(2, 5, 2))[0]
+    yield disjoint_union(standard_sphere(3), standard_sphere(3))[0]
+    yield from (random_stacked_sphere(*a) for a in ((2, 7, 0), (3, 8, 1), (4, 10, 2)))
+
+
+def test_full_scan_matches_check_subset_on_every_mask():
+    # the scan's incremental walk against a from-scratch walk per subset,
+    # in the scan's order (subsets as ascending index tuples, sorted)
+    found = 0
+    for X in _walk_twin_corpus():
+        engine = TightnessEngine(X)
+        n = len(X.vertices)
+        evaluated, covered, violations = engine.search(stop_on_first=False)
+        assert evaluated == covered == 2 ** n - 2
+        subsets = sorted(
+            sub for size in range(1, n) for sub in combinations(range(n), size)
+        )
+        expected = []
+        for sub in subsets:
+            mask = sum(1 << v for v in sub)
+            size, bad = engine.check_subset(mask)
+            assert size == len(sub)
+            expected += [(tuple(X.vertices[v] for v in sub), k) for k in bad]
+        assert violations == expected
+        found += len(violations)
+        for s, k in violations:
+            assert not homology_map_injective(X, s, k)
+    assert found
+
+
+def test_engine_pickles():
+    X = random_stacked_sphere(4, 9, seed=3)
+    engine = TightnessEngine(X)
+    copy = pickle.loads(pickle.dumps(engine))
+    assert copy.search(stop_on_first=False) == engine.search(stop_on_first=False)
+    assert [copy.check_subset(m) for m in range(1, 2 ** 9 - 1, 7)] == [
+        engine.check_subset(m) for m in range(1, 2 ** 9 - 1, 7)
+    ]
+
+
+# ------------------------------------------------------------------ the pool
+
+def test_pool_scan_matches_serial_search(rp2_6, torus_7):
+    # small inputs go serial through is_tight_z2, so drive the pool here
+    corpus = [rp2_6, torus_7, kuhnel_manifold(3), standard_sphere(1)]
+    corpus += [random_stacked_sphere(*a) for a in NON_TIGHT_STACKED[:4]]
+    corpus += _fallback_corpus(rp2_6)
+    for X in corpus:
+        engine = TightnessEngine(X)
+        dual = duality_applies(X)
+        for stop in (True, False):
+            assert _scan_parallel(engine, 2, dual, stop) == engine.search(
+                stop_on_first=stop, dual=dual
+            )
+
+
+def test_small_scans_skip_the_pool(monkeypatch, m4_15):
+    calls = []
+
+    def fake_pool(engine, jobs, dual, stop_on_first):
+        calls.append(engine.n)
+        return 0, 0, []
+
+    monkeypatch.setattr(tightness, "_scan_parallel", fake_pool)
+    X = random_stacked_sphere(4, 12, seed=1)
+    assert sum(comb(12, s) for s in range(1, 7)) < POOL_MIN_SUBSETS
+    assert is_tight_z2(X, jobs=4) == is_tight_z2(X, jobs=1)
+    assert calls == []
+    # m4-15 evaluates 16383 subsets: worth a pool
+    is_tight_z2(m4_15, jobs=2)
+    assert calls == [15]
+
+
+def test_pool_early_stop_exits_cleanly_direct():
+    # many early stops through the pool itself, under fork and spawn
+    script = (
+        "import multiprocessing\n"
+        "from walkup import random_stacked_sphere\n"
+        "from walkup.tightness import TightnessEngine, _scan_parallel\n"
+        "engine = TightnessEngine(random_stacked_sphere(4, 12, 1))\n"
+        "serial = engine.search(dual=True)\n"
+        "assert serial[2]\n"
+        "for _ in range(25):\n"
+        "    assert _scan_parallel(engine, 4, True, True) == serial\n"
+        "multiprocessing.set_start_method('spawn', force=True)\n"
+        "assert _scan_parallel(engine, 2, True, False) == "
+        "engine.search(dual=True, stop_on_first=False)\n"
         "print('ok')\n"
     )
     proc = subprocess.run(
