@@ -8,6 +8,12 @@ inside the sphere, splits each affected vertex star into its cut
 components, clones the vertices one copy per component, and caps the two
 boundary spheres with fresh facets.  The reconstruction is validated by
 replaying the returned bijection and demanding the exact input back.
+
+The decomposition cuts only along spheres that leave the complex
+connected, so it follows one complex from the input down to its stacked
+base, and each cut's bijection restores exactly the complex it was cut
+from.  Clone labels are fresh in the complex being cut, hence replaying
+the cuts in reverse never has to rename a pending handle.
 """
 
 from __future__ import annotations
@@ -252,10 +258,13 @@ def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]
 
 
 def _fresh_clone(label: str, taken: set[str]) -> str:
+    """The first free `<root>~i`, root being the label before any clone
+    marker, so a clone of a clone does not nest a second marker."""
+    root = label.split(CLONE_MARKER, 1)[0]
     i = 1
-    while f"{label}{CLONE_MARKER}{i}" in taken:
+    while f"{root}{CLONE_MARKER}{i}" in taken:
         i += 1
-    return f"{label}{CLONE_MARKER}{i}"
+    return f"{root}{CLONE_MARKER}{i}"
 
 
 def handle_deletion(
@@ -267,14 +276,6 @@ def handle_deletion(
     addition restores the input exactly; the round trip is validated
     before returning.
     """
-    result, psi, _ = _cut_along_sphere(Y, subset)
-    return result, psi
-
-
-def _cut_along_sphere(
-    Y: SimplicialComplex, subset: Iterable[str]
-) -> tuple[SimplicialComplex, VertexBijection, dict[Face, dict[str, str]]]:
-    """handle_deletion plus the per-facet relabeling actually applied."""
     d = Y.dimension
     if d < 3:
         raise DimensionTooLow(f"need dimension >= 3, got {d}")
@@ -336,8 +337,7 @@ def _cut_along_sphere(
             )
         )
 
-    cut_facets = {f: tentative(f) for f in Y.facets}
-    cut = SimplicialComplex(set(cut_facets.values()))
+    cut = SimplicialComplex({tentative(f) for f in Y.facets})
     if len(cut.facets) != len(Y.facets):
         raise CutValidationFailed("cut collapsed distinct facets")
 
@@ -373,27 +373,9 @@ def _cut_along_sphere(
         final[kept_copy] = x
         final[other_copy] = clone[x]
 
-    def finalize(f: Face) -> Face:
-        return tuple(sorted(final.get(v, v) for v in f))
-
-    facet_relabels: dict[Face, dict[str, str]] = {}
-    new_facets: set[Face] = set()
-    for f in Y.facets:
-        t = cut_facets[f]
-        g = finalize(t)
-        new_facets.add(g)
-        vmap = {}
-        for orig in f:
-            if orig in s_set:
-                tent = clone[orig] if part_of[orig][f] == 1 else orig
-                cur = final.get(tent, tent)
-                if cur != orig:
-                    vmap[orig] = cur
-        if vmap:
-            facet_relabels[f] = vmap
-
     cap_keep = S
     cap_clone = tuple(sorted(clone[x] for x in S))
+    new_facets = {tuple(sorted(final.get(v, v) for v in f)) for f in cut.facets}
     new_facets.add(cap_keep)
     new_facets.add(cap_clone)
     result = SimplicialComplex(new_facets)
@@ -409,7 +391,7 @@ def _cut_along_sphere(
         raise CutValidationFailed(f"reattachment failed: {e}") from e
     if restored != Y:
         raise CutValidationFailed("round trip did not reproduce the input")
-    return result, psi, facet_relabels
+    return result, psi
 
 
 @dataclass(frozen=True)
@@ -438,11 +420,13 @@ class HandleLedger:
 def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     """Decompose a connected Walkup-class member into base + handles.
 
-    Repeatedly deletes the handle at the lexicographically smallest
-    induced standard sphere; on disconnection the components are
-    processed separately and re-joined into the base afterwards.  The
-    ledger holds exactly beta_1 handles; replaying it reproduces the
-    input exactly.
+    While the complex is not a stacked sphere, cut it along the first
+    induced standard sphere (in sorted order) whose cut leaves it
+    connected.  Such a cut lowers beta_1 by one and stays in the class,
+    and one exists whenever beta_1 > 0; at beta_1 = 0 the complex is
+    stacked (Kalai).  The ledger is the last complex plus the cuts'
+    bijections, most recent first: it holds exactly beta_1 handles, and
+    replaying it reproduces the input exactly.
     """
     d = X.dimension
     if d < 4:
@@ -452,59 +436,21 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     if not in_walkup_class(X):
         raise NotWalkup("some vertex link is not a stacked sphere")
 
-    events: list[dict] = []  # {"psi": VertexBijection, "split": bool}
-    residues: list[SimplicialComplex] = []
-    work: list[SimplicialComplex] = [X]
-    while work:
-        Y = work.pop(0)
-        if is_stacked_sphere(Y):
-            residues.append(Y)
-            continue
-        spheres = find_induced_standard_spheres(Y)
-        if not spheres:
-            raise NotWalkup("no induced standard sphere found; not in the class")
-        target = min(spheres)
-        cut, psi, facet_relabels = _cut_along_sphere(Y, target)
-        # Earlier caps live in Y; carry their labels through this cut.
-        for ev in events:
-            p: VertexBijection = ev["psi"]
-            changed = False
-            for facet in (p.source_facet, p.target_facet):
-                if facet in facet_relabels:
-                    changed = True
-            if changed:
-                rename: dict[str, str] = {}
-                for facet in (p.source_facet, p.target_facet):
-                    rename.update(facet_relabels.get(facet, {}))
-                ev["psi"] = p.relabeled(rename)
-        comps = cut.connected_components()
-        events.append({"psi": psi, "split": len(comps) > 1})
-        work = sorted(comps, key=lambda c: c.vertices[0]) + work
+    cuts: list[VertexBijection] = []
+    Y = X
+    while not is_stacked_sphere(Y):
+        for sphere in find_induced_standard_spheres(Y):
+            cut, psi = handle_deletion(Y, sphere)
+            if cut.is_connected():
+                break
+        else:
+            raise NotWalkup(
+                "no non-separating induced standard sphere; not in the class"
+            )
+        cuts.append(psi)
+        Y = cut
 
-    # Assemble: re-join the split pieces (building the base), then stack
-    # the true handles on top, most recently deleted first.
-    union = residues[0]
-    for extra in residues[1:]:
-        union = SimplicialComplex(set(union.facets) | set(extra.facets))
-    splits = [ev["psi"] for ev in events if ev["split"]]
-    handles = [ev["psi"] for ev in events if not ev["split"]]
-
-    base = union
-    pending = list(reversed(splits))
-    rest = list(reversed(handles))
-    while pending:
-        psi = pending.pop(0)
-        try:
-            base = handle_addition(base, psi)
-        except WalkupError as e:
-            raise CutValidationFailed(f"base reassembly failed: {e}") from e
-        rename = psi.mapping
-        pending = [p.relabeled(rename) for p in pending]
-        rest = [p.relabeled(rename) for p in rest]
-    if not is_stacked_sphere(base):
-        raise CutValidationFailed("reassembled base is not a stacked sphere")
-
-    ledger = HandleLedger(base=base, handles=tuple(rest))
+    ledger = HandleLedger(base=Y, handles=tuple(reversed(cuts)))
     if ledger.replay() != X:
         raise CutValidationFailed("ledger replay did not reproduce the input")
     return ledger

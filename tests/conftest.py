@@ -17,7 +17,7 @@ from walkup import (
     standard_sphere,
 )
 from walkup.rng import SplitMix64
-from walkup.stacked import ReductionStep, replay_reductions
+from walkup.stacked import stack_star
 
 
 @pytest.fixture(scope="session")
@@ -102,21 +102,19 @@ def tube_sphere(d: int, n: int, seed: int) -> SimplicialComplex:
     """Stacked d-sphere grown along a path: long tube, large graph diameter.
 
     Used where admissible handle pairs are needed; uniform growth keeps
-    the skeleton too shallow for distance-3 pairs at small n.
+    the skeleton too shallow for distance-3 pairs at small n.  Each new
+    vertex is stacked on a facet drawn from the sorted star of the
+    previous one (any facet at the first step), in place on one facet set.
     """
     rng = SplitMix64(seed)
-    cur = standard_sphere(d)
-    newest = None
+    facets = set(standard_sphere(d).facets)
+    pool = sorted(facets)
     for step in range(n - (d + 2)):
-        pool = (
-            cur.facets
-            if newest is None
-            else tuple(f for f in cur.facets if newest in f)
-        )
         chosen = pool[rng.next_below(len(pool))]
-        newest = f"v{d + 3 + step}"
-        cur = replay_reductions(cur, [ReductionStep(newest, chosen)])
-    return cur
+        pool = sorted(stack_star(chosen, f"v{d + 3 + step}"))
+        facets.remove(chosen)
+        facets.update(pool)
+    return SimplicialComplex(facets)
 
 
 def find_handle_pair(X: SimplicialComplex):

@@ -10,7 +10,7 @@ import pytest
 
 from walkup import build_m4_15, random_stacked_sphere
 from walkup.cli import main
-from walkup.io import serialize
+from walkup.io import loads, serialize
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -185,6 +185,24 @@ def test_decompose_replay_round_trip(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["replay", str(ledger)], capsys=capsys)
     assert code == 0
     assert out == m_text
+
+
+def test_decompose_replay_reversed_labels(tmp_path, capsys):
+    # `walkup generate m4-15 | tr 12345 54321`: the same object under a
+    # label order that puts other spheres first
+    _, m_text, _ = run_cli(["generate", "m4-15"], capsys=capsys)
+    src = tmp_path / "r.txt"
+    src.write_text(m_text.translate(str.maketrans("12345", "54321")))
+    ledger = tmp_path / "l.json"
+    code, out, err = run_cli(
+        ["--porcelain", "decompose", str(src), "--ledger", str(ledger)],
+        capsys=capsys,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["handles"] == 3
+    code, out, _ = run_cli(["replay", str(ledger)], capsys=capsys)
+    assert code == 0
+    assert out == serialize(loads(src.read_text()))
 
 
 def test_automorphisms_command(capsys, monkeypatch):

@@ -25,7 +25,7 @@ from walkup.rng import SplitMix64
 from walkup.stacked import ReductionStep
 from walkup.theory import stacked_sphere_fvector
 
-from conftest import cyclic_polytope_boundary
+from conftest import cyclic_polytope_boundary, tube_sphere
 
 
 def test_b5_30_is_stacked_ball(b5_30):
@@ -264,3 +264,32 @@ def test_random_stacked_sphere_matches_rebuild_twin():
                 assert random_stacked_sphere(d, n, seed) == _random_stacked_by_rebuild(
                     d, n, seed
                 ), (d, n, seed)
+
+
+def _tube_sphere_by_rebuild(d, n, seed):
+    """The twin of conftest.tube_sphere: one complex per added vertex,
+    drawing from the facets through the newest vertex in facet order."""
+    rng = SplitMix64(seed)
+    cur = standard_sphere(d)
+    newest = None
+    for step in range(n - (d + 2)):
+        pool = (
+            cur.facets
+            if newest is None
+            else tuple(f for f in cur.facets if newest in f)
+        )
+        chosen = pool[rng.next_below(len(pool))]
+        newest = f"v{d + 3 + step}"
+        cur = replay_reductions(cur, [ReductionStep(newest, chosen)])
+    return cur
+
+
+def test_tube_sphere_matches_rebuild_twin():
+    # the seeds the suite draws: 26-vertex tubes up to seed 97 (the
+    # 50-handle acceptance suite) and the two 16-vertex summands
+    cases = [(26, seed) for seed in range(98)] + [(16, 1), (16, 2)]
+    for n, seed in cases:
+        assert tube_sphere(4, n, seed) == _tube_sphere_by_rebuild(4, n, seed), (
+            n,
+            seed,
+        )

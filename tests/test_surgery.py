@@ -33,6 +33,8 @@ from walkup.errors import (
     NotInducedStandardSphere,
     NotWalkup,
 )
+from walkup.complex import CLONE_MARKER
+from walkup.rng import SplitMix64
 from walkup.surgery import HandleLedger, far_apart
 
 from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
@@ -359,6 +361,12 @@ def test_kalai_decompose_m4_15(m4_15):
     assert len(ledger.base.vertices) == 30
     assert is_stacked_sphere(ledger.base)
     assert ledger.replay() == m4_15
+    # a clone of a clone is minted from the root label: no nested markers
+    labels = set(ledger.base.vertices)
+    for psi in ledger.handles:
+        labels.update(v for pair in psi.pairs for v in pair)
+    assert any(CLONE_MARKER in v for v in labels)
+    assert all(v.count(CLONE_MARKER) <= 1 for v in labels)
 
 
 def test_kalai_ledger_length_equals_beta1(m4_15):
@@ -419,25 +427,67 @@ def test_ledger_replay_standalone(m4_15):
 
 
 def test_intermediate_states_stay_walkup(m4_15):
-    # every deletion along the decomposition keeps the class membership;
-    # deletions may disconnect, so follow the components like the worklist
-    work = [m4_15]
-    residues = []
-    deletions = 0
-    while work:
-        cur = work.pop()
-        if is_stacked_sphere(cur):
-            residues.append(cur)
-            continue
-        spheres = find_induced_standard_spheres(cur)
-        cut, _ = handle_deletion(cur, min(spheres))
-        deletions += 1
-        for comp in cut.connected_components():
-            assert in_walkup_class(comp)
-            work.append(comp)
-    assert deletions >= 3
-    assert all(is_stacked_sphere(r) for r in residues)
-    assert sum(len(r.vertices) for r in residues) == 15 + 5 * deletions
+    # follow the decomposition's cuts (the first sphere in sorted order
+    # whose cut stays connected): each cut stays connected and in the
+    # class, and lowers beta_1 by exactly one
+    cur = m4_15
+    beta1 = homology_profile(cur).betti[1]
+    cuts = 0
+    while not is_stacked_sphere(cur):
+        for s in find_induced_standard_spheres(cur):
+            cut, _ = handle_deletion(cur, s)
+            if cut.is_connected():
+                break
+        else:
+            pytest.fail("no non-separating induced standard sphere")
+        assert in_walkup_class(cut)
+        assert homology_profile(cut).betti[1] == beta1 - 1
+        cur, beta1, cuts = cut, beta1 - 1, cuts + 1
+    assert cuts == 3 and beta1 == 0
+    assert cur == kalai_decompose(m4_15).base
+
+
+def _relabelled(X, seed):
+    """X with its own labels permuted by a seeded Fisher-Yates shuffle."""
+    labels = list(X.vertices)
+    image = labels[:]
+    rng = SplitMix64(seed)
+    for i in range(len(image) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        image[i], image[j] = image[j], image[i]
+    rename = dict(zip(labels, image))
+    return SimplicialComplex(tuple(sorted(rename[v] for v in f)) for f in X.facets)
+
+
+def _assert_decomposes(X, name):
+    ledger = kalai_decompose(X)
+    assert len(ledger.handles) == homology_profile(X).betti[1], name
+    assert is_stacked_sphere(ledger.base), name
+    assert ledger.replay() == X, name
+
+
+@pytest.mark.parametrize("family", ["m4-15", "K4", "K5", "K6"])
+def test_kalai_decompose_relabelled_corpus(family, m4_15):
+    # the label order decides which spheres come first; every order of
+    # the paper's object and of Kühnel's bundles must decompose
+    X = m4_15 if family == "m4-15" else kuhnel_manifold(int(family[1:]))
+    for seed in range(30):
+        _assert_decomposes(_relabelled(X, seed), (family, seed))
+
+
+def test_kalai_decompose_glued_corpus(m4_15):
+    # K4 # K4(q) at every target facet has a separating sphere beside
+    # its two handles, and so does K4 # m4-15
+    K4 = kuhnel_manifold(4)
+    K4q = SimplicialComplex(
+        tuple(sorted("q" + v[1:] for v in f)) for f in K4.facets
+    )
+    assert len(K4q.facets) == 44
+    for g in K4q.facets:
+        X = connected_sum(K4, K4q, dict(zip(K4.facets[0], g)))
+        _assert_decomposes(X, g)
+    X = connected_sum(K4, m4_15, dict(zip(K4.facets[0], m4_15.facets[0])))
+    _assert_decomposes(X, "K4 # m4-15")
 
 
 # ------------------------------------------------- error handling in the cut
