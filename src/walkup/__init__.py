@@ -4,7 +4,6 @@ from .complex import (
     CLONE_MARKER,
     DualGraph,
     Face,
-    FaceSet,
     SimplicialComplex,
     empty_complex,
     from_facets,

@@ -213,7 +213,7 @@ class SimplicialComplex:
         fb = self.faces_by_dim()
         return tuple(len(fb[j]) for j in range(self.dimension + 1))
 
-    # -- links, induced subcomplexes ----------------------------------------
+    # -- links ---------------------------------------------------------------
 
     def link(self, face: Sequence[str]) -> "SimplicialComplex":
         """Link of a face: residues of the facets containing it."""
@@ -236,26 +236,6 @@ class SimplicialComplex:
 
     def _vertex_set(self) -> frozenset[str]:
         return self._memo("vertex_set", lambda: frozenset(self.vertices))
-
-    def induced_subcomplex(self, subset: Iterable[str]) -> "FaceSet":
-        """All faces whose vertices lie in the subset, as a face system.
-
-        The result need not be pure, so it is returned as a FaceSet
-        carrying the maximal faces.
-        """
-        s = frozenset(subset)
-        unknown = s - self._vertex_set()
-        if unknown:
-            raise UnknownVertex(f"unknown vertices {sorted(unknown)}")
-        # Faces inside s are exactly the subsets of facet-intersections,
-        # so the maximal ones are the inclusion-maximal intersections.
-        inters = {tuple(sorted(set(f) & s)) for f in self.facets}
-        inters.discard(())
-        maximal = [
-            a for a in inters
-            if not any(a != b and set(a) <= set(b) for b in inters)
-        ]
-        return FaceSet(maximal)
 
     # -- dual graph / boundary ----------------------------------------------
 
@@ -367,18 +347,17 @@ class SimplicialComplex:
 
     # -- clique complex -------------------------------------------------------
 
-    def clique_complex(self) -> "FaceSet":
-        """Cliques of the 1-skeleton, returned by their maximal members.
+    def clique_complex(self) -> tuple[Face, ...]:
+        """Clique complex of the 1-skeleton: its maximal cliques, sorted.
 
-        The output is pure only when all maximal cliques have one size;
-        callers needing a SimplicialComplex must go through as_complex().
+        The cliques may differ in size (the complex need not be pure).
         """
         adj = self.adjacency()
         order = {v: i for i, v in enumerate(self.vertices)}
         nbrs = {v: set(adj[v]) for v in self.vertices}
         cliques: list[Face] = []
         _expand_cliques(set(), set(self.vertices), set(), nbrs, order, cliques)
-        return FaceSet(sorted(cliques))
+        return tuple(sorted(cliques))
 
 
 def _expand_cliques(
@@ -398,72 +377,6 @@ def _expand_cliques(
         _expand_cliques(r | {v}, p & nbrs[v], x & nbrs[v], nbrs, order, cliques)
         p.remove(v)
         x.add(v)
-
-
-class FaceSet:
-    """A finite face system given by its maximal faces (possibly non-pure)."""
-
-    __slots__ = ("maximal_faces", "_all")
-
-    def __init__(self, maximal_faces: Iterable[Face]):
-        self.maximal_faces: tuple[Face, ...] = tuple(sorted(set(maximal_faces)))
-        self._all: frozenset[Face] | None = None
-
-    @property
-    def dimension(self) -> int:
-        return max((len(f) - 1 for f in self.maximal_faces), default=-1)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.maximal_faces
-
-    @property
-    def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.maximal_faces}
-        return len(sizes) <= 1
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        vs: set[str] = set()
-        for f in self.maximal_faces:
-            vs.update(f)
-        return tuple(sorted(vs))
-
-    def all_faces(self) -> frozenset[Face]:
-        if self._all is None:
-            out: set[Face] = set()
-            for f in self.maximal_faces:
-                for k in range(1, len(f) + 1):
-                    out.update(combinations(f, k))
-            self._all = frozenset(out)
-        return self._all
-
-    def faces_of_dim(self, j: int) -> tuple[Face, ...]:
-        return tuple(sorted(f for f in self.all_faces() if len(f) == j + 1))
-
-    def has_face(self, face: Sequence[str]) -> bool:
-        return tuple(sorted(face)) in self.all_faces()
-
-    def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.dimension + 1)
-        for f in self.all_faces():
-            counts[len(f) - 1] += 1
-        return tuple(counts)
-
-    def as_complex(self) -> SimplicialComplex:
-        """The same face system as a pure complex; raises if non-pure."""
-        if not self.is_pure:
-            raise MixedDimensions("face system is not pure")
-        return SimplicialComplex(self.maximal_faces)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FaceSet) and self.maximal_faces == other.maximal_faces
-
-    def __hash__(self) -> int:
-        return hash(self.maximal_faces)
-
-    def __repr__(self) -> str:
-        return f"FaceSet(dim={self.dimension}, maximal={len(self.maximal_faces)})"
 
 
 def from_facets(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .complex import Face, SimplicialComplex, is_standard_sphere
 from .errors import (
     DegreeTooHigh,
-    MixedDimensions,
     TooFewVertices,
     UnknownVertex,
     WalkupError,
@@ -60,12 +59,9 @@ def is_stacked_sphere(X: SimplicialComplex) -> bool:
             and all(X.degree(v) == 2 for v in X.vertices)
         )
     cliques = X.clique_complex()
-    if not cliques.is_pure or cliques.dimension != d + 1:
+    if any(len(c) != d + 2 for c in cliques):
         return False
-    try:
-        ball = cliques.as_complex()
-    except MixedDimensions:
-        return False
+    ball = SimplicialComplex(cliques)
     if not is_stacked_ball(ball):
         return False
     try:

@@ -241,9 +241,8 @@ def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]
         if len(adj[x]) < d + 2:
             continue
         link = X.vertex_link(x)
-        link_cliques = link.clique_complex()
         candidates: set[Face] = set()
-        for clique in link_cliques.maximal_faces:
+        for clique in link.clique_complex():
             if len(clique) >= d:
                 candidates.update(combinations(clique, d))
         for sigma in candidates:
@@ -405,15 +404,22 @@ class HandleLedger:
         """Re-add every handle in order, starting from the base.
 
         Each addition renames vertices globally, so the bijections still
-        pending are rewritten through the applied identification.
+        pending are rewritten through the applied identification; a
+        pending handle whose source then meets its target is refused.
         """
         cur = self.base
-        pending = list(self.handles)
-        while pending:
-            psi = pending.pop(0)
+        handles = list(self.handles)
+        for i, psi in enumerate(handles):
             cur = handle_addition(cur, psi)
             rename = psi.mapping
-            pending = [p.relabeled(rename) for p in pending]
+            for j in range(i + 1, len(handles)):
+                try:
+                    handles[j] = handles[j].relabeled(rename)
+                except ValueError as e:
+                    raise NotAdmissible(
+                        f"ledger handle {j + 1} of {len(handles)}, renamed "
+                        f"by handle {i + 1}: {e}"
+                    ) from e
         return cur
 
 

@@ -38,16 +38,17 @@ K(d)) do.  Every other input (with boundary, disconnected, a singular
 link) gets the full scan.  Either way a report's `checked` counts the
 subsets covered and `evaluated` the subsets actually evaluated.
 
-The pooled scan splits the search into the subtrees of the serial order
-({v1}, then the subsets extending each (v1, v2)) and consumes their
-results in that order, so a report depends on the input alone, not on
-the number of workers or their scheduling.  Smaller scans than
-POOL_MIN_SUBSETS run serially whatever the job count.
+Every scan is an ordered list of TightnessEngine.search tasks: the
+subtrees of the serial order ({v1}, then the subsets extending each
+(v1, v2)), or one task per sampled subset.  One loop reads their results
+in list order, in process or over a worker pool (exhaustive scans of at
+least POOL_MIN_SUBSETS subsets to evaluate), so a report depends on the
+input alone, not on the number of workers or their scheduling.
 
 homology_map_injective is the independent, direct implementation of the
-same test (kernel and image bases stacked and ranked), and
-TightnessEngine.scan() is the full scan; the capped scan is
-cross-checked against both in the tests.
+same test (kernel and image bases stacked and ranked), and the
+whole-tree search(()) without duality is the full scan; the capped and
+pooled scans are cross-checked against both in the tests.
 """
 
 from __future__ import annotations
@@ -264,14 +265,6 @@ class TightnessEngine:
                 push(kids[low])
                 m ^= low
 
-    def _spaces(self):
-        d = self.d
-        return (
-            [0] * (d + 1),
-            [PivotSpace() for _ in range(d)],
-            [PivotSpace() for _ in range(d + 1)],
-        )
-
     @staticmethod
     def _bad_degrees(cnt, col, bdr) -> list[int]:
         """Degrees k whose map H_k(Y) -> H_k(X) is not injective."""
@@ -283,16 +276,6 @@ class TightnessEngine:
             if meet != bdr[k + 1].rank:
                 bad.append(k)
         return bad
-
-    # -- one scan ------------------------------------------------------------
-
-    def scan(self, stop_on_first: bool = True) -> tuple[int, Violations]:
-        """Evaluate every proper subset, without duality.
-
-        Returns (subsets checked, violations).
-        """
-        _, checked, violations = self.search(stop_on_first=stop_on_first)
-        return checked, violations
 
     def search(
         self,
@@ -318,7 +301,9 @@ class TightnessEngine:
         cap = n // 2 if dual else n - 1
         if len(root) > cap:
             return 0, 0, []
-        cnt, col, bdr = self._spaces()
+        cnt = [0] * (d + 1)
+        col = [PivotSpace() for _ in range(d)]
+        bdr = [PivotSpace() for _ in range(d + 1)]
         star, walk = self.star, self._walk
         bad_degrees = self._bad_degrees
         violations: Violations = []
@@ -364,20 +349,31 @@ class TightnessEngine:
             pass
         return evaluated, covered, violations
 
-    def check_subset(self, mask: int) -> tuple[int, list[int]]:
-        """Evaluate one subset directly; returns (size, violating degrees)."""
-        cnt, col, bdr = self._spaces()
-        roots = [self.star[v] for v in range(self.n) if (mask >> v) & 1]
-        self._walk(roots, mask, cnt, col, bdr, None)
-        return mask.bit_count(), self._bad_degrees(cnt, col, bdr)
-
     def _subset_labels(self, mask: int) -> tuple[str, ...]:
         return tuple(
             self.labels[v] for v in range(self.n) if (mask >> v) & 1
         )
 
 
-# ------------------------------------------------------------- worker plumbing
+# ------------------------------------------------------------------ the scan
+
+def _subtrees(n: int, dual: bool, stop_on_first: bool):
+    """An exhaustive scan as search tasks in the serial order: {v1}, then
+    the subsets extending (v1, v2) for ascending v2."""
+    for v1 in range(n):
+        yield (v1,), stop_on_first, dual, False
+        for v2 in range(v1 + 1, n):
+            yield (v1, v2), stop_on_first, dual, True
+
+
+def _samples(n: int, sample_count: int, seed: int):
+    """Sampled-scan tasks, one per seeded draw, each reporting every bad degree."""
+    rng = SplitMix64(seed)
+    space = (1 << n) - 2
+    for _ in range(sample_count):
+        mask = rng.next_below(space) + 1  # uniform over non-empty proper subsets
+        yield tuple(v for v in range(n) if (mask >> v) & 1), False, False, False
+
 
 _WORKER_ENGINE: TightnessEngine | None = None
 _WORKER_STOP = None
@@ -390,47 +386,47 @@ def _init_worker(engine, stop):
 
 
 def _run_task(task):
-    root, descend, dual, stop_on_first = task
     if _WORKER_STOP.is_set():
         return 0, 0, []
-    return _WORKER_ENGINE.search(root, stop_on_first, dual, descend)
+    return _WORKER_ENGINE.search(*task)
 
 
-def _scan_parallel(
-    engine: TightnessEngine, jobs: int, dual: bool, stop_on_first: bool
+def _run(
+    engine: TightnessEngine, tasks, jobs: int, stop_on_first: bool
 ) -> tuple[int, int, Violations]:
-    from multiprocessing import Event, Pool
+    """Run search tasks and consume their results in task order, in
+    process with one job, otherwise over a pool of jobs workers."""
+    if jobs == 1:
+        pool = None
+        results = (engine.search(*task) for task in tasks)
+    else:
+        from multiprocessing import Event, Pool
 
-    n = engine.n
-    # the serial search's order: {v1}, then the subsets extending (v1, v2)
-    # for ascending v2; results are consumed in this order, one task at a
-    # time so that the large early subtrees spread over the workers
-    tasks = []
-    for v1 in range(n):
-        tasks.append(((v1,), False, dual, stop_on_first))
-        tasks.extend(
-            ((v1, v2), True, dual, stop_on_first) for v2 in range(v1 + 1, n)
-        )
+        stop = Event()
+        pool = Pool(processes=jobs, initializer=_init_worker, initargs=(engine, stop))
+        # one task at a time, so that the large early subtrees spread over
+        # the workers
+        results = pool.imap(_run_task, tasks)
     evaluated = covered = 0
     violations: Violations = []
-    stop = Event()
-    pool = Pool(processes=jobs, initializer=_init_worker, initargs=(engine, stop))
     try:
-        for e, c, v in pool.imap(_run_task, tasks):
+        for e, c, v in results:
             evaluated += e
             covered += c
             violations.extend(v)
             if violations and stop_on_first:
                 break
     except BaseException:
-        pool.terminate()
+        if pool is not None:
+            pool.terminate()
         raise
-    # Cancel the queued tasks and let the workers exit on their own.
-    # Pool.terminate() may kill a worker while it holds the result queue's
-    # lock; the pool's task thread then blocks on that lock for good.
-    stop.set()
-    pool.close()
-    pool.join()
+    if pool is not None:
+        # Cancel the queued tasks and let the workers exit on their own.
+        # Pool.terminate() may kill a worker while it holds the result queue's
+        # lock; the pool's task thread then blocks on that lock for good.
+        stop.set()
+        pool.close()
+        pool.join()
     return evaluated, covered, violations
 
 
@@ -463,47 +459,32 @@ def is_tight_z2(
                 f"{n} vertices exceed the exhaustive ceiling {ceiling}"
             )
         dual = duality_applies(X)
-        engine = TightnessEngine(X)
         cap = n // 2 if dual else n - 1
-        work = sum(comb(n, s) for s in range(1, cap + 1))
-        if jobs > 1 and work >= POOL_MIN_SUBSETS:
-            evaluated, checked, violations = _scan_parallel(
-                engine, jobs, dual, stop_on_first
+        if sum(comb(n, s) for s in range(1, cap + 1)) < POOL_MIN_SUBSETS:
+            jobs = 1
+        tasks = _subtrees(n, dual, stop_on_first)
+    elif mode == "sampled":
+        if sample_count < 1:
+            raise InvalidParameters(
+                f"sample count must be at least 1, got {sample_count}"
             )
-        else:
-            evaluated, checked, violations = engine.search(
-                stop_on_first=stop_on_first, dual=dual
+        if n < 2:
+            raise InvalidParameters(
+                f"need at least 2 vertices to sample a proper subset, got {n}"
             )
-        return TightnessReport(
-            mode="exhaustive",
-            checked=checked,
-            evaluated=evaluated,
-            violations=tuple(violations),
-        )
-    if mode != "sampled":
+        jobs = 1
+        tasks = _samples(n, sample_count, seed)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if sample_count < 1:
-        raise InvalidParameters(
-            f"sample count must be at least 1, got {sample_count}"
-        )
-    engine = TightnessEngine(X)
-    rng = SplitMix64(seed)
-    space = (1 << n) - 2
-    violations = []
-    checked = 0
-    for _ in range(sample_count):
-        mask = rng.next_below(space) + 1  # uniform over non-empty proper subsets
-        checked += 1
-        _, bad = engine.check_subset(mask)
-        for k in bad:
-            violations.append((engine._subset_labels(mask), k))
-        if violations and stop_on_first:
-            break
+    evaluated, checked, violations = _run(
+        TightnessEngine(X), tasks, jobs, stop_on_first
+    )
+    sampled = mode == "sampled"
     return TightnessReport(
-        mode="sampled",
+        mode=mode,
         checked=checked,
-        evaluated=checked,
+        evaluated=evaluated,
         violations=tuple(violations),
-        sample_count=sample_count,
-        seed=seed,
+        sample_count=sample_count if sampled else None,
+        seed=seed if sampled else None,
     )

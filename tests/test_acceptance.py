@@ -12,6 +12,7 @@ import time
 import pytest
 
 from walkup import (
+    SimplicialComplex,
     build_m4_15,
     check_bounds_4manifold,
     dehn_sommerville_4,
@@ -251,7 +252,7 @@ def test_criterion_11c_clique_boundary_identity(sphere_corpus):
     for _, _, X in sphere_corpus:
         if X.dimension < 2:
             continue
-        ball = X.clique_complex().as_complex()
+        ball = SimplicialComplex(X.clique_complex())
         assert is_stacked_ball(ball)
         assert ball.boundary_complex() == X
     _report(11, t0, 240.0, "(c) boundary of clique complex recovers every sphere")

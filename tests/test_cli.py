@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -277,6 +278,16 @@ def test_check_tight_rejects_nonpositive_sample(capsys, monkeypatch):
         assert _one_error_line(err)
 
 
+def test_check_tight_sample_rejects_one_vertex(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["check", "tight", "--sample", "3"], stdin_text="a\n",
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert _one_error_line(err), err
+
+
 def test_check_tight_rejects_nonpositive_jobs(capsys, monkeypatch):
     for extra in ([], ["--sample", "25"]):
         for n in ("0", "-2"):
@@ -313,6 +324,29 @@ def test_replay_rejects_bad_ledgers(tmp_path, capsys, monkeypatch):
         assert _one_error_line(err), err
 
 
+def test_replay_rejects_handle_renamed_onto_itself(tmp_path, capsys):
+    # after the first handle glues a1..a5 to b1..b5, the second one's
+    # source a2..a6 is renamed to b2..b5 a6, which meets its target b2..b6
+    a = [f"a{i}" for i in range(1, 7)]
+    b = [f"b{i}" for i in range(1, 7)]
+    base = [list(f) for f in combinations(a, 5)] + [list(f) for f in combinations(b, 5)]
+
+    def handle(src, tgt):
+        return {"source_facet": src, "target_facet": tgt,
+                "pairs": [list(p) for p in zip(src, tgt)]}
+
+    path = tmp_path / "l.json"
+    path.write_text(json.dumps({
+        "base": {"facets": base},
+        "handles": [handle(a[:5], b[:5]), handle(a[1:], b[1:])],
+    }))
+    code, out, err = run_cli(["replay", str(path)], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert _one_error_line(err), err
+    assert "handle 2" in err
+
+
 TETRA_BASE = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
 
 
@@ -347,3 +381,286 @@ def test_replay_accepts_clone_labels(tmp_path, capsys, monkeypatch):
                            capsys=capsys)
     assert code == 0
     assert out == "a b c~1\na b d\na c~1 d\nb c~1 d\n"
+
+
+# Exact stdout and exit code of every report command, text and --porcelain,
+# on the tight m4-15 and on a non-tight stacked 4-sphere whose default-jobs
+# scan takes the pooled early-stop path on a multi-core host.  stderr must
+# stay empty.
+GOLDEN_INPUTS = {
+    "m4-15": ["generate", "m4-15"],
+    "stacked": ["generate", "stacked", "--dim", "4", "--n", "15", "--seed", "1"],
+}
+
+# (input, command) -> (exit code, text stdout, porcelain stdout)
+GOLDEN = {
+    ("m4-15", "info"): (
+        0,
+        (
+            "dimension: 4\n"
+            "f-vector: 15 105 230 240 96\n"
+            "weak pseudomanifold: yes (closed)\n"
+            "pseudomanifold (connected dual graph): yes\n"
+            "euler characteristic: -4\n"
+        ),
+        (
+            '{"closed": true, "command": "info", "dimension": 4, '
+            '"euler": -4, "f_vector": [15, 105, 230, 240, 96], '
+            '"pseudomanifold": true, "weak_pseudomanifold": true}\n'
+        ),
+    ),
+    ("m4-15", "homology"): (
+        0,
+        (
+            "betti (Z2): 1 3 0 3 1\n"
+            "euler characteristic: -4\n"
+            "connected: yes\n"
+            "orientable: non-orientable\n"
+        ),
+        (
+            '{"betti": [1, 3, 0, 3, 1], "command": "homology", '
+            '"connected": true, "euler": -4, "orientable": false}\n'
+        ),
+    ),
+    ("m4-15", "automorphisms"): (
+        0,
+        (
+            "group order: 3\n"
+            "generator: (a1 b1 c1)(a2 b2 c2)(a3 b3 c3)(a4 b4 c4)(a5 b5 c5)\n"
+        ),
+        (
+            '{"command": "automorphisms", "generators": ["(a1 b1 '
+            'c1)(a2 b2 c2)(a3 b3 c3)(a4 b4 c4)(a5 b5 c5)"], "order": 3}\n'
+        ),
+    ),
+    ("m4-15", "decompose"): (
+        0,
+        (
+            "handles: 3\n"
+            "base: stacked sphere with 30 vertices, 102 facets\n"
+        ),
+        (
+            '{"base_facets": 102, "base_vertices": 30, "command": '
+            '"decompose", "handles": 3, "ledger_file": null}\n'
+        ),
+    ),
+    ("m4-15", "check walkup"): (
+        0,
+        "walkup class member: yes\n",
+        '{"command": "check walkup", "member": true}\n',
+    ),
+    ("m4-15", "check stacked"): (
+        1,
+        (
+            "detected: closed, testing sphere\n"
+            "stacked sphere: no\n"
+        ),
+        '{"command": "check stacked", "kind": "sphere", "stacked": false}\n',
+    ),
+    ("m4-15", "check bounds4"): (
+        0,
+        (
+            "euler characteristic: -4\n"
+            "2f1 >= 10f0 - 15chi: 210 >= 210 (tight)\n"
+            "f0(f0-11) >= -15chi: 60 >= 60 (tight)\n"
+            "2-neighborly: yes\n"
+        ),
+        (
+            '{"bounds": [{"holds": true, "lhs": 210, "name": "2f1 >= '
+            '10f0 - 15chi", "rhs": 210, "tight": true}, {"holds": '
+            'true, "lhs": 60, "name": "f0(f0-11) >= -15chi", "rhs": '
+            '60, "tight": true}], "command": "check bounds4", "euler": '
+            '-4, "overall_equality": true, "two_neighborly": true}\n'
+        ),
+    ),
+    ("m4-15", "check tight"): (
+        0,
+        (
+            "mode: exhaustive\n"
+            "subsets checked: 32766\n"
+            "subsets evaluated: 16383\n"
+            "verdict: tight\n"
+        ),
+        (
+            '{"checked": 32766, "command": "check tight", "evaluated": '
+            '16383, "mode": "exhaustive", "verdict": "tight", '
+            '"violations": []}\n'
+        ),
+    ),
+    ("m4-15", "check tight --jobs 1"): (
+        0,
+        (
+            "mode: exhaustive\n"
+            "subsets checked: 32766\n"
+            "subsets evaluated: 16383\n"
+            "verdict: tight\n"
+        ),
+        (
+            '{"checked": 32766, "command": "check tight", "evaluated": '
+            '16383, "mode": "exhaustive", "verdict": "tight", '
+            '"violations": []}\n'
+        ),
+    ),
+    ("m4-15", "check tight --sample 300 --seed 7"): (
+        0,
+        (
+            "mode: sampled\n"
+            "subsets checked: 300\n"
+            "subsets evaluated: 300\n"
+            "verdict: tight-on-sample\n"
+        ),
+        (
+            '{"checked": 300, "command": "check tight", "evaluated": '
+            '300, "mode": "sampled", "verdict": "tight-on-sample", '
+            '"violations": []}\n'
+        ),
+    ),
+    ("stacked", "info"): (
+        0,
+        (
+            "dimension: 4\n"
+            "f-vector: 15 60 110 105 42\n"
+            "weak pseudomanifold: yes (closed)\n"
+            "pseudomanifold (connected dual graph): yes\n"
+            "euler characteristic: 2\n"
+        ),
+        (
+            '{"closed": true, "command": "info", "dimension": 4, '
+            '"euler": 2, "f_vector": [15, 60, 110, 105, 42], '
+            '"pseudomanifold": true, "weak_pseudomanifold": true}\n'
+        ),
+    ),
+    ("stacked", "homology"): (
+        0,
+        (
+            "betti (Z2): 1 0 0 0 1\n"
+            "euler characteristic: 2\n"
+            "connected: yes\n"
+            "orientable: orientable\n"
+        ),
+        (
+            '{"betti": [1, 0, 0, 0, 1], "command": "homology", '
+            '"connected": true, "euler": 2, "orientable": true}\n'
+        ),
+    ),
+    ("stacked", "automorphisms"): (
+        0,
+        (
+            "group order: 1\n"
+            "generator: () (trivial group)\n"
+        ),
+        '{"command": "automorphisms", "generators": [], "order": 1}\n',
+    ),
+    ("stacked", "decompose"): (
+        0,
+        (
+            "handles: 0\n"
+            "base: stacked sphere with 15 vertices, 42 facets\n"
+        ),
+        (
+            '{"base_facets": 42, "base_vertices": 15, "command": '
+            '"decompose", "handles": 0, "ledger_file": null}\n'
+        ),
+    ),
+    ("stacked", "check walkup"): (
+        0,
+        "walkup class member: yes\n",
+        '{"command": "check walkup", "member": true}\n',
+    ),
+    ("stacked", "check stacked"): (
+        0,
+        (
+            "detected: closed, testing sphere\n"
+            "stacked sphere: yes\n"
+        ),
+        '{"command": "check stacked", "kind": "sphere", "stacked": true}\n',
+    ),
+    ("stacked", "check bounds4"): (
+        0,
+        (
+            "euler characteristic: 2\n"
+            "2f1 >= 10f0 - 15chi: 120 >= 120 (tight)\n"
+            "f0(f0-11) >= -15chi: 60 >= -30 (strict)\n"
+            "2-neighborly: no\n"
+        ),
+        (
+            '{"bounds": [{"holds": true, "lhs": 120, "name": "2f1 >= '
+            '10f0 - 15chi", "rhs": 120, "tight": true}, {"holds": '
+            'true, "lhs": 60, "name": "f0(f0-11) >= -15chi", "rhs": '
+            '-30, "tight": false}], "command": "check bounds4", '
+            '"euler": 2, "overall_equality": false, "two_neighborly": false}\n'
+        ),
+    ),
+    ("stacked", "check tight"): (
+        1,
+        (
+            "mode: exhaustive\n"
+            "subsets checked: 4\n"
+            "subsets evaluated: 2\n"
+            "verdict: not-tight\n"
+            "first violation: subset {v1 v10} in degree 0\n"
+        ),
+        (
+            '{"checked": 4, "command": "check tight", "evaluated": 2, '
+            '"mode": "exhaustive", "verdict": "not-tight", '
+            '"violations": [{"degree": 0, "subset": ["v1", "v10"]}, '
+            '{"degree": 3, "subset": ["v11", "v12", "v13", "v14", '
+            '"v15", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"]}]}\n'
+        ),
+    ),
+    ("stacked", "check tight --jobs 1"): (
+        1,
+        (
+            "mode: exhaustive\n"
+            "subsets checked: 4\n"
+            "subsets evaluated: 2\n"
+            "verdict: not-tight\n"
+            "first violation: subset {v1 v10} in degree 0\n"
+        ),
+        (
+            '{"checked": 4, "command": "check tight", "evaluated": 2, '
+            '"mode": "exhaustive", "verdict": "not-tight", '
+            '"violations": [{"degree": 0, "subset": ["v1", "v10"]}, '
+            '{"degree": 3, "subset": ["v11", "v12", "v13", "v14", '
+            '"v15", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"]}]}\n'
+        ),
+    ),
+    ("stacked", "check tight --sample 300 --seed 7"): (
+        1,
+        (
+            "mode: sampled\n"
+            "subsets checked: 5\n"
+            "subsets evaluated: 5\n"
+            "verdict: not-tight\n"
+            "first violation: subset {v1 v10 v12 v13 v14 v15 v2 v3 v5 "
+            "v7 v8 v9} in degree 3\n"
+        ),
+        (
+            '{"checked": 5, "command": "check tight", "evaluated": 5, '
+            '"mode": "sampled", "verdict": "not-tight", "violations": '
+            '[{"degree": 3, "subset": ["v1", "v10", "v12", "v13", '
+            '"v14", "v15", "v2", "v3", "v5", "v7", "v8", "v9"]}]}\n'
+        ),
+    ),
+    (None, "fvector walkup --dim 4 --n 15 --chi -4"): (
+        0,
+        "15 105 230 240 96\n",
+        (
+            '{"command": "fvector walkup", "f_vector": [15, 105, 230, '
+            "240, 96]}\n"
+        ),
+    ),
+}
+
+
+def test_golden_cli_outputs(capsys, monkeypatch):
+    texts = {None: None}
+    for name, argv in GOLDEN_INPUTS.items():
+        _, texts[name], _ = run_cli(argv, capsys=capsys)
+    for (name, command), (code, text_out, porcelain_out) in GOLDEN.items():
+        for prefix, expected in (([], text_out), (["--porcelain"], porcelain_out)):
+            got = run_cli(
+                prefix + command.split(), stdin_text=texts[name],
+                monkeypatch=monkeypatch, capsys=capsys,
+            )
+            assert got == (code, expected, ""), (name, prefix, command)

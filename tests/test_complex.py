@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkup import (
-    FaceSet,
     SimplicialComplex,
     from_facets,
     induces_standard_sphere,
@@ -127,39 +126,12 @@ def test_link_of_facet_is_empty():
 
 # ------------------------------------------------------- induced subcomplex
 
-def test_induced_on_facet_is_simplex():
-    X = standard_sphere(3)
-    f = X.facets[0]
-    sub = X.induced_subcomplex(f)
-    assert sub.maximal_faces == (f,)
-
-
 def test_induced_handle_scar(m4_15):
     scar = ("a1", "a2", "a3", "a4", "a5")
-    sub = m4_15.induced_subcomplex(scar)
     # all proper subsets present, the 5-set itself absent
-    assert sub.maximal_faces == tuple(sorted(combinations(scar, 4)))
+    assert all(m4_15.has_face(f) for f in combinations(scar, 4))
     assert not m4_15.has_face(scar)
     assert induces_standard_sphere(m4_15, scar)
-
-
-def test_induced_empty_set(m4_15):
-    sub = m4_15.induced_subcomplex(())
-    assert sub.is_empty
-    assert sub.f_vector() == ()
-
-
-def test_induced_unknown_vertex(m4_15):
-    with pytest.raises(UnknownVertex):
-        m4_15.induced_subcomplex(("a1", "zz"))
-
-
-def test_induced_can_be_nonpure():
-    # a triangle plus a pendant edge: inducing on all vertices keeps both
-    X = from_facets([["a", "b", "c"], ["c", "d", "e"]])
-    sub = X.induced_subcomplex(("a", "b", "c", "d"))
-    assert not sub.is_pure
-    assert set(sub.maximal_faces) == {("a", "b", "c"), ("c", "d")}
 
 
 # ----------------------------------------------------------------- dual graph
@@ -216,22 +188,19 @@ def test_boundary_of_nonpseudomanifold_raises():
 
 def test_clique_complex_of_simplex_boundary():
     X = standard_sphere(3)
-    K = X.clique_complex()
-    assert K.maximal_faces == (tuple(X.vertices),)
+    assert X.clique_complex() == (X.vertices,)
 
 
 def test_clique_complex_of_four_cycle():
     X = from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["4", "1"]])
-    K = X.clique_complex()
-    assert set(K.maximal_faces) == set(X.facets)
+    assert set(X.clique_complex()) == set(X.facets)
 
 
 def test_clique_complex_of_stacked_sphere_is_ball():
     X = random_stacked_sphere(3, 9, seed=11)
-    K = X.clique_complex()
-    assert K.is_pure and K.dimension == 4
-    ball = K.as_complex()
-    assert ball.boundary_complex() == X
+    cliques = X.clique_complex()
+    assert all(len(c) == 5 for c in cliques)
+    assert SimplicialComplex(cliques).boundary_complex() == X
 
 
 # ---------------------------------------------------------------- 1-skeleton
@@ -307,7 +276,7 @@ def test_vertex_link_of_closed_pseudomanifold_closed(seed, d):
 def test_dual_tree_edge_count_random():
     for seed in range(5):
         X = random_stacked_sphere(3, 12, seed=seed)
-        K = X.clique_complex().as_complex()
+        K = SimplicialComplex(X.clique_complex())
         dg = K.dual_graph()
         assert len(dg.edges) == len(dg.nodes) - 1
 
@@ -316,9 +285,6 @@ def test_face_set_queries(m4_15):
     assert m4_15.has_face(("a1",))
     assert m4_15.has_face(("a1", "b2"))
     assert not m4_15.has_face(("a1", "a2", "a3", "a4", "a5"))
-    fs = FaceSet([("a", "b"), ("b", "c", "d")])
-    assert fs.dimension == 2
-    assert fs.f_vector() == (4, 4, 1)
 
 
 def test_concurrent_queries_share_one_complex():
@@ -332,7 +298,7 @@ def test_concurrent_queries_share_one_complex():
             X.f_vector(),
             len(X.dual_graph().edges),
             X.graph_distance(X.vertices[0], X.vertices[-1]),
-            len(X.clique_complex().maximal_faces),
+            len(X.clique_complex()),
         )
 
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -141,5 +141,5 @@ def test_clique_and_automorphism_searches_leave_no_cycles(m4_15):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert cliques.maximal_faces == (m4_15.vertices,)  # 2-neighborly
+    assert cliques == (m4_15.vertices,)  # 2-neighborly
     assert len(group) == 3

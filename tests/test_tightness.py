@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import subprocess
 import sys
@@ -22,13 +23,14 @@ from walkup import (
     random_stacked_sphere,
     standard_sphere,
 )
-from walkup.errors import SubsetSpaceTooLarge, UnknownVertex
+from walkup.errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
 from walkup import tightness
 from walkup.tightness import (
     POOL_MIN_SUBSETS,
     TightnessEngine,
     _face_links_are_spheres,
-    _scan_parallel,
+    _run,
+    _subtrees,
     duality_applies,
 )
 
@@ -75,7 +77,7 @@ def test_scan_agrees_with_direct_check_exhaustively():
         engine = TightnessEngine(X)
         n = len(X.vertices)
         scan_violations = set()
-        _, viols = engine.scan(stop_on_first=False)
+        _, _, viols = engine.search(stop_on_first=False)
         for s, k in viols:
             scan_violations.add((s, k))
         direct_violations = set()
@@ -146,9 +148,18 @@ def test_ceiling_guard():
     assert rep.checked <= 20
 
 
+def test_sampling_needs_a_proper_subset():
+    # one vertex (or none) has no non-empty proper subset to draw
+    for X in (from_facets([["a"]]), SimplicialComplex(())):
+        with pytest.raises(InvalidParameters):
+            is_tight_z2(X, mode="sampled", sample_count=3)
+    rep = is_tight_z2(from_facets([["a", "b"]]), mode="sampled", sample_count=3)
+    assert rep.checked == 3
+
+
 def test_engine_counts_match_report(m4_15):
     engine = TightnessEngine(m4_15)
-    checked, violations = engine.scan(stop_on_first=True)
+    _, checked, violations = engine.search(stop_on_first=True)
     assert checked == 2 ** 15 - 2
     assert violations == []
 
@@ -173,7 +184,7 @@ def test_dual_scan_matches_full_scan(m4_15, rp2_6, torus_7):
         seen_even |= n % 2 == 0
         seen_odd |= n % 2 == 1
         assert duality_applies(X)
-        full_checked, full_violations = TightnessEngine(X).scan(
+        _, full_checked, full_violations = TightnessEngine(X).search(
             stop_on_first=False
         )
         assert full_checked == 2 ** n - 2
@@ -232,7 +243,7 @@ def test_gate_falls_back_to_full_scan(rp2_6):
     for X in _fallback_corpus(rp2_6):
         assert not duality_applies(X)
         n = len(X.vertices)
-        full_checked, full_violations = TightnessEngine(X).scan(
+        _, full_checked, full_violations = TightnessEngine(X).search(
             stop_on_first=False
         )
         for jobs in (1, 2):
@@ -314,8 +325,9 @@ def _walk_twin_corpus():
 
 
 def test_full_scan_matches_check_subset_on_every_mask():
-    # the scan's incremental walk against a from-scratch walk per subset,
-    # in the scan's order (subsets as ascending index tuples, sorted)
+    # the scan's incremental walk against a from-scratch walk per subset
+    # (a search of that root alone), in the scan's order (subsets as
+    # ascending index tuples, sorted)
     found = 0
     for X in _walk_twin_corpus():
         engine = TightnessEngine(X)
@@ -327,10 +339,13 @@ def test_full_scan_matches_check_subset_on_every_mask():
         )
         expected = []
         for sub in subsets:
-            mask = sum(1 << v for v in sub)
-            size, bad = engine.check_subset(mask)
-            assert size == len(sub)
-            expected += [(tuple(X.vertices[v] for v in sub), k) for k in bad]
+            evaluated, covered, bad = engine.search(
+                sub, stop_on_first=False, descend=False
+            )
+            assert evaluated == covered == 1
+            labels = tuple(X.vertices[v] for v in sub)
+            assert all(s == labels for s, _ in bad)
+            expected += bad
         assert violations == expected
         found += len(violations)
         for s, k in violations:
@@ -343,15 +358,20 @@ def test_engine_pickles():
     engine = TightnessEngine(X)
     copy = pickle.loads(pickle.dumps(engine))
     assert copy.search(stop_on_first=False) == engine.search(stop_on_first=False)
-    assert [copy.check_subset(m) for m in range(1, 2 ** 9 - 1, 7)] == [
-        engine.check_subset(m) for m in range(1, 2 ** 9 - 1, 7)
-    ]
+    roots = [tuple(v for v in range(9) if (m >> v) & 1)
+             for m in range(1, 2 ** 9 - 1, 7)]
+
+    def per_root(e):
+        return [e.search(r, stop_on_first=False, descend=False) for r in roots]
+
+    assert per_root(copy) == per_root(engine)
 
 
 # ------------------------------------------------------------------ the pool
 
 def test_pool_scan_matches_serial_search(rp2_6, torus_7):
-    # small inputs go serial through is_tight_z2, so drive the pool here
+    # small inputs go serial through is_tight_z2, so drive the pool here;
+    # the in-process run of the same tasks must agree too
     corpus = [rp2_6, torus_7, kuhnel_manifold(3), standard_sphere(1)]
     corpus += [random_stacked_sphere(*a) for a in NON_TIGHT_STACKED[:4]]
     corpus += _fallback_corpus(rp2_6)
@@ -359,26 +379,33 @@ def test_pool_scan_matches_serial_search(rp2_6, torus_7):
         engine = TightnessEngine(X)
         dual = duality_applies(X)
         for stop in (True, False):
-            assert _scan_parallel(engine, 2, dual, stop) == engine.search(
-                stop_on_first=stop, dual=dual
-            )
+            serial = engine.search(stop_on_first=stop, dual=dual)
+            for jobs in (1, 2):
+                tasks = _subtrees(engine.n, dual, stop)
+                assert _run(engine, tasks, jobs, stop) == serial
 
 
 def test_small_scans_skip_the_pool(monkeypatch, m4_15):
     calls = []
 
-    def fake_pool(engine, jobs, dual, stop_on_first):
-        calls.append(engine.n)
-        return 0, 0, []
+    class PoolStarted(Exception):
+        pass
 
-    monkeypatch.setattr(tightness, "_scan_parallel", fake_pool)
+    def fake_pool(processes, initializer, initargs):
+        calls.append(processes)
+        raise PoolStarted
+
+    monkeypatch.setattr(multiprocessing, "Pool", fake_pool)
     X = random_stacked_sphere(4, 12, seed=1)
     assert sum(comb(12, s) for s in range(1, 7)) < POOL_MIN_SUBSETS
     assert is_tight_z2(X, jobs=4) == is_tight_z2(X, jobs=1)
+    # sampled scans stay serial, however many subsets they draw
+    is_tight_z2(m4_15, mode="sampled", sample_count=50, jobs=2)
     assert calls == []
     # m4-15 evaluates 16383 subsets: worth a pool
-    is_tight_z2(m4_15, jobs=2)
-    assert calls == [15]
+    with pytest.raises(PoolStarted):
+        is_tight_z2(m4_15, jobs=2)
+    assert calls == [2]
 
 
 def test_pool_early_stop_exits_cleanly_direct():
@@ -386,14 +413,14 @@ def test_pool_early_stop_exits_cleanly_direct():
     script = (
         "import multiprocessing\n"
         "from walkup import random_stacked_sphere\n"
-        "from walkup.tightness import TightnessEngine, _scan_parallel\n"
+        "from walkup.tightness import TightnessEngine, _run, _subtrees\n"
         "engine = TightnessEngine(random_stacked_sphere(4, 12, 1))\n"
         "serial = engine.search(dual=True)\n"
         "assert serial[2]\n"
         "for _ in range(25):\n"
-        "    assert _scan_parallel(engine, 4, True, True) == serial\n"
+        "    assert _run(engine, _subtrees(12, True, True), 4, True) == serial\n"
         "multiprocessing.set_start_method('spawn', force=True)\n"
-        "assert _scan_parallel(engine, 2, True, False) == "
+        "assert _run(engine, _subtrees(12, True, False), 2, False) == "
         "engine.search(dual=True, stop_on_first=False)\n"
         "print('ok')\n"
     )
