@@ -4,6 +4,10 @@ Every subcommand reads complexes in the facet-list text format (or the
 JSON object form) from a file argument, with "-" or no argument meaning
 stdin.  Exit codes: 0 success / predicate true, 1 predicate false or
 violation found, 2 usage or input errors.
+
+Start-up is most of a short command's time, so this module imports only
+io, complex and errors at top level; each cmd_* imports the layers it
+calls, and no command loads a layer it does not run.
 """
 
 from __future__ import annotations
@@ -15,24 +19,7 @@ import sys
 
 from . import io as cio
 from .complex import SimplicialComplex, from_facets
-from .constructions import (
-    build_b5_30,
-    build_m4_15,
-    build_n5_15,
-    random_stacked_sphere,
-    standard_sphere,
-)
 from .errors import ParseError, WalkupError
-from .homology import homology_profile
-from .stacked import (
-    is_stacked_ball,
-    is_stacked_sphere,
-    is_stacked_sphere_by_reduction,
-)
-from .surgery import HandleLedger, VertexBijection, kalai_decompose
-from .symmetry import automorphism_group, cycle_notation, generating_set
-from .theory import check_bounds_4manifold, in_walkup_class
-from .tightness import DEFAULT_EXHAUSTIVE_CEILING, is_tight_z2
 
 
 def _read_complex(path: str | None) -> SimplicialComplex:
@@ -52,6 +39,8 @@ def _emit(args, result: dict, lines: list[str]) -> None:
 # ------------------------------------------------------------------ commands
 
 def cmd_info(args) -> int:
+    from .homology import homology_profile
+
     X = _read_complex(args.file)
     dg = X.dual_graph()
     prof = homology_profile(X)
@@ -80,6 +69,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .homology import homology_profile
+
     X = _read_complex(args.file)
     prof = homology_profile(X)
     orient = {True: "orientable", False: "non-orientable", None: "not-applicable"}
@@ -101,6 +92,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_check_walkup(args) -> int:
+    from .theory import in_walkup_class
+
     X = _read_complex(args.file)
     ok = in_walkup_class(X)
     _emit(
@@ -112,6 +105,12 @@ def cmd_check_walkup(args) -> int:
 
 
 def cmd_check_stacked(args) -> int:
+    from .stacked import (
+        is_stacked_ball,
+        is_stacked_sphere,
+        is_stacked_sphere_by_reduction,
+    )
+
     X = _read_complex(args.file)
     closed = X.is_closed_pseudomanifold()
     if closed:
@@ -130,6 +129,8 @@ def cmd_check_stacked(args) -> int:
 
 
 def cmd_check_bounds4(args) -> int:
+    from .theory import check_bounds_4manifold
+
     X = _read_complex(args.file)
     rep = check_bounds_4manifold(X)
     ok = rep.edge_bound.holds and rep.vertex_bound.holds
@@ -162,6 +163,8 @@ def cmd_check_bounds4(args) -> int:
 
 
 def cmd_check_tight(args) -> int:
+    from .tightness import DEFAULT_EXHAUSTIVE_CEILING, is_tight_z2
+
     X = _read_complex(args.file)
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     if args.sample is not None:
@@ -170,9 +173,8 @@ def cmd_check_tight(args) -> int:
             jobs=jobs,
         )
     else:
-        report = is_tight_z2(
-            X, mode="exhaustive", ceiling=args.ceiling, jobs=jobs
-        )
+        ceiling = DEFAULT_EXHAUSTIVE_CEILING if args.ceiling is None else args.ceiling
+        report = is_tight_z2(X, mode="exhaustive", ceiling=ceiling, jobs=jobs)
     result = {
         "command": "check tight",
         "mode": report.mode,
@@ -218,6 +220,14 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .constructions import (
+        build_b5_30,
+        build_m4_15,
+        build_n5_15,
+        random_stacked_sphere,
+        standard_sphere,
+    )
+
     if args.what == "m4-15":
         X = build_m4_15()
     elif args.what == "b5-30":
@@ -236,7 +246,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _ledger_to_json(ledger: HandleLedger) -> dict:
+def _ledger_to_json(ledger) -> dict:
     return {
         "base": {"facets": [list(f) for f in ledger.base.facets]},
         "handles": [
@@ -262,7 +272,9 @@ def _ledger_base(rows) -> SimplicialComplex:
     return base
 
 
-def _ledger_from_json(text: str) -> HandleLedger:
+def _ledger_from_json(text: str):
+    from .surgery import HandleLedger, VertexBijection
+
     obj = cio.decode_json(text)
     try:
         base = _ledger_base(obj["base"]["facets"])
@@ -284,6 +296,8 @@ def _ledger_from_json(text: str) -> HandleLedger:
 
 
 def cmd_decompose(args) -> int:
+    from .surgery import kalai_decompose
+
     X = _read_complex(args.file)
     ledger = kalai_decompose(X)
     doc = _ledger_to_json(ledger)
@@ -317,6 +331,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_automorphisms(args) -> int:
+    from .symmetry import automorphism_group, cycle_notation, generating_set
+
     X = _read_complex(args.file)
     group = automorphism_group(X)
     gens = generating_set(group)
@@ -376,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="check N randomly sampled subsets instead")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ceiling", type=int, default=DEFAULT_EXHAUSTIVE_CEILING,
+    p.add_argument("--ceiling", type=int, default=None,
                    help="max vertex count for exhaustive scans")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, N >= 1 (default: available parallelism)")

@@ -28,6 +28,16 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
+def _check_f0_f1(d: int, f0: int, f1: int) -> None:
+    """Refuse vertex and edge counts no closed d-manifold can have."""
+    if f0 < d + 2:
+        raise InvalidParameters(f"need f0 >= d+2, got d={d}, f0={f0}")
+    if f1 > comb(f0, 2):
+        raise InvalidParameters(
+            f"f1 = {f1} exceeds C(f0, 2) = {comb(f0, 2)}, the edges {f0} vertices span"
+        )
+
+
 def stacked_sphere_fvector(d: int, f0: int) -> tuple[int, ...]:
     """Face vector of any stacked d-sphere on f0 vertices.
 
@@ -48,7 +58,8 @@ def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
 
     f_j = C(d+1, j) f0 - (j/2) C(d+2, j+1) chi for 1 <= j < d, and
     f_d = d f0 - (d+2)(d-1) chi / 2.  Stacked spheres are the chi = 2
-    case and reproduce stacked_sphere_fvector.
+    case and reproduce stacked_sphere_fvector.  Raises InvalidParameters
+    when f0 < d+2 or the resulting f1 exceeds C(f0, 2).
     """
     if d < 2 or d % 2 != 0:
         raise OddDimension(f"need an even dimension >= 2, got {d}")
@@ -58,7 +69,9 @@ def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
             comb(d + 1, j) * f0 - Fraction(j, 2) * comb(d + 2, j + 1) * chi
         )
     counts.append(d * f0 - Fraction((d + 2) * (d - 1), 2) * chi)
-    return tuple(_as_int(c, f"f_{j}") for j, c in enumerate(counts))
+    f = tuple(_as_int(c, f"f_{j}") for j, c in enumerate(counts))
+    _check_f0_f1(d, f0, f[1])
+    return f
 
 
 def fvector_from_f0_f1(d: int, f0: int, f1: int) -> tuple[int, ...]:
@@ -66,10 +79,12 @@ def fvector_from_f0_f1(d: int, f0: int, f1: int) -> tuple[int, ...]:
 
     Valid in every dimension d >= 2:
     f_j = (2/(j+1)) C(d, j-1) f1 - ((j-1)/(j+1)) C(d+1, j) f0 for j < d,
-    f_d = ((2d-2)/(d+1)) f1 - (d-2) f0.
+    f_d = ((2d-2)/(d+1)) f1 - (d-2) f0.  Raises InvalidParameters when
+    f0 < d+2 or f1 > C(f0, 2).
     """
     if d < 2:
         raise InvalidParameters(f"need d >= 2, got {d}")
+    _check_f0_f1(d, f0, f1)
     counts = [Fraction(f0), Fraction(f1)]
     for j in range(2, d):
         counts.append(

@@ -143,6 +143,18 @@ def test_fvector_error_exit(capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "fvector walkup --dim 4 --n 3 --chi 0",  # f0 < d + 2
+    "fvector walkup --dim 4 --n 10 --chi -100",  # f1 = 800 > C(10, 2)
+    "fvector from-f1 --dim 4 --n 5 --f1 1000",  # f0 < d + 2
+    "fvector from-f1 --dim 4 --n 10 --f1 50",  # f1 > C(10, 2)
+])
+def test_fvector_refuses_impossible_counts(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys=capsys)
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+
+
 def test_parse_error_diagnostic(capsys, monkeypatch):
     code, _, err = run_cli(
         ["info"], stdin_text="a b\na b c\n", monkeypatch=monkeypatch, capsys=capsys

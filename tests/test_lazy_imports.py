@@ -1,0 +1,104 @@
+"""Start-up cost: `import walkup` loads no layer, each CLI command loads
+only the layers it runs, and the lazy names are the submodules' own.
+
+The import-set checks run in fresh interpreters, because this test
+session has already imported every module.
+"""
+
+from __future__ import annotations
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import walkup
+from walkup.io import serialize
+
+REPORT = (
+    "\nimport sys\n"
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'walkup'))\n"
+)
+
+
+def _loaded_by(script: str) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", script + REPORT], capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_walkup_loads_no_layer():
+    assert _loaded_by("import walkup") == {"walkup"}
+
+
+def test_import_cli_loads_only_io_complex_errors():
+    assert _loaded_by("import walkup.cli") == {
+        "walkup", "walkup.cli", "walkup.complex", "walkup.errors", "walkup.io",
+    }
+
+
+@pytest.mark.parametrize("command", ["info", "automorphisms"])
+def test_light_commands_skip_heavy_layers(command, tmp_path, m4_15):
+    path = tmp_path / "m.txt"
+    path.write_text(serialize(m4_15))
+    loaded = _loaded_by(
+        "import contextlib, io\n"
+        "from walkup.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main([{command!r}, {str(path)!r}]) == 0\n"
+    )
+    assert f"walkup.{'homology' if command == 'info' else 'symmetry'}" in loaded
+    for layer in ("surgery", "constructions", "tightness"):
+        assert f"walkup.{layer}" not in loaded
+
+
+def test_public_names_are_their_submodule_attributes():
+    assert len(walkup.__all__) == len(set(walkup.__all__)) == 50
+    assert dir(walkup) == walkup.__all__
+    for layer, names in walkup._LAYERS.items():
+        module = importlib.import_module(f"walkup.{layer}")
+        for name in names:
+            namespace: dict = {}
+            exec(f"from walkup import {name}", namespace)
+            assert namespace[name] is getattr(module, name), name
+            assert getattr(walkup, name) is getattr(module, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        walkup.no_such_name
+    with pytest.raises(ImportError):
+        exec("from walkup import no_such_name", {})
+
+
+def test_first_use_from_many_threads_sees_the_loaded_layer():
+    # threads that race to a layer's first import must all wait for it to
+    # finish, not read a partly initialised submodule
+    out = _loaded_by(
+        "import sys, threading\n"
+        "import walkup\n"
+        "barrier = threading.Barrier(8)\n"
+        "got, errors = [], []\n"
+        "def use():\n"
+        "    barrier.wait(timeout=30)\n"
+        "    try:\n"
+        "        got.append((walkup.is_tight_z2, walkup.automorphism_group,\n"
+        "                    walkup.build_m4_15, walkup.kalai_decompose))\n"
+        "    except AttributeError as e:\n"
+        "        errors.append(e)\n"
+        "threads = [threading.Thread(target=use) for _ in range(8)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert not errors, errors\n"
+        "assert len(got) == 8\n"
+        "assert set(got) == {(sys.modules['walkup.tightness'].is_tight_z2,\n"
+        "    sys.modules['walkup.symmetry'].automorphism_group,\n"
+        "    sys.modules['walkup.constructions'].build_m4_15,\n"
+        "    sys.modules['walkup.surgery'].kalai_decompose)}\n"
+    )
+    assert {"walkup.tightness", "walkup.surgery"} <= out

@@ -82,6 +82,17 @@ def test_walkup_fvector_non_integral():
         walkup_fvector_even(4, 10, 1)  # 15 chi / 2 not integral for odd chi
 
 
+def test_walkup_fvector_refuses_impossible_counts():
+    with pytest.raises(InvalidParameters):
+        walkup_fvector_even(4, 3, 0)  # fewer than d + 2 vertices
+    with pytest.raises(InvalidParameters):
+        walkup_fvector_even(4, 10, -100)  # f1 = 800 > C(10, 2)
+    with pytest.raises(InvalidParameters):
+        walkup_fvector_even(4, 15, -6)  # f1 = 120 > C(15, 2), one step past m4-15
+    # the 2-neighborly edge case f1 = C(f0, 2) is allowed
+    assert walkup_fvector_even(2, 7, 0)[1] == comb(7, 2)
+
+
 # ----------------------------------------------------------------- from f0,f1
 
 def test_fvector_from_f0_f1_m4_15():
@@ -99,6 +110,14 @@ def test_fvector_from_f0_f1_matches_even_formula():
     for n, chi in ((15, -4), (11, 0), (20, 2)):
         f1 = 5 * n - 15 * chi // 2
         assert fvector_from_f0_f1(4, n, f1) == walkup_fvector_even(4, n, chi)
+
+
+def test_fvector_from_f0_f1_refuses_impossible_counts():
+    with pytest.raises(InvalidParameters):
+        fvector_from_f0_f1(4, 5, 1000)  # fewer than d + 2 vertices
+    with pytest.raises(InvalidParameters):
+        fvector_from_f0_f1(4, 10, 50)  # integral, but f1 > C(10, 2)
+    assert fvector_from_f0_f1(4, 6, 15) == stacked_sphere_fvector(4, 6)
 
 
 @settings(max_examples=15, deadline=None)

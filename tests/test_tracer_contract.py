@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import walkup
 from walkup import build_m4_15, homology
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
@@ -33,11 +34,15 @@ def test_tracer_installs_on_every_named_method(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        # the package namespace reads through to the patched submodule
+        assert walkup.homology_profile is homology.homology_profile
         profile = homology.homology_profile(build_m4_15())
     finally:
         tracer.uninstall()
     assert profile.betti == (1, 3, 0, 3, 1)
     assert homology.rank_gf2 is original
+    assert walkup.homology_profile is homology.homology_profile
+    assert not hasattr(walkup.homology_profile, "__wrapped__")
     assert tracer.calls["homology.homology_profile"] == 1
     assert tracer.calls["homology.rank_gf2"] >= 1
     for layer, (cls_name, methods) in tracing.METHODS.items():
