@@ -5,6 +5,11 @@ JSON object form) from a file argument, with "-" or no argument meaning
 stdin.  Exit codes: 0 success / predicate true, 1 predicate false or
 violation found, 2 usage or input errors.
 
+Command contract: a report command returns (exit code, report dict), a
+complex command (generate, replay) returns the complex, and main() alone
+reads the input file and prints.  It prints a report as JSON under
+--porcelain and otherwise as the text _text renders from that same dict.
+
 Start-up is most of a short command's time, so this module imports only
 io, complex and errors at top level; each cmd_* imports the layers it
 calls, and no command loads a layer it does not run.
@@ -28,113 +33,65 @@ def _read_complex(path: str | None) -> SimplicialComplex:
     return cio.load(path)
 
 
-def _emit(args, result: dict, lines: list[str]) -> None:
-    if args.porcelain:
-        print(json.dumps(result, indent=None, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 # ------------------------------------------------------------------ commands
 
-def cmd_info(args) -> int:
+def cmd_info(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .homology import homology_profile
 
-    X = _read_complex(args.file)
     dg = X.dual_graph()
-    prof = homology_profile(X)
-    fvec = X.f_vector()
-    result = {
+    return 0, {
         "command": "info",
         "dimension": X.dimension,
-        "f_vector": list(fvec),
+        "f_vector": list(X.f_vector()),
         "weak_pseudomanifold": dg.is_weak_pseudomanifold,
         "closed": dg.is_closed,
         "pseudomanifold": dg.is_weak_pseudomanifold and dg.is_connected(),
-        "euler": prof.euler,
+        "euler": homology_profile(X).euler,
     }
-    lines = [
-        f"dimension: {X.dimension}",
-        f"f-vector: {' '.join(str(c) for c in fvec)}",
-        f"weak pseudomanifold: {'yes' if dg.is_weak_pseudomanifold else 'no'}"
-        + ("" if not dg.is_weak_pseudomanifold else
-           f" ({'closed' if dg.is_closed else 'with boundary'})"),
-        f"pseudomanifold (connected dual graph): "
-        f"{'yes' if result['pseudomanifold'] else 'no'}",
-        f"euler characteristic: {prof.euler}",
-    ]
-    _emit(args, result, lines)
-    return 0
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .homology import homology_profile
 
-    X = _read_complex(args.file)
     prof = homology_profile(X)
-    orient = {True: "orientable", False: "non-orientable", None: "not-applicable"}
-    result = {
+    return 0, {
         "command": "homology",
         "betti": list(prof.betti),
         "euler": prof.euler,
         "connected": prof.connected,
         "orientable": prof.orientable,
     }
-    lines = [
-        f"betti (Z2): {' '.join(str(b) for b in prof.betti)}",
-        f"euler characteristic: {prof.euler}",
-        f"connected: {'yes' if prof.connected else 'no'}",
-        f"orientable: {orient[prof.orientable]}",
-    ]
-    _emit(args, result, lines)
-    return 0
 
 
-def cmd_check_walkup(args) -> int:
+def cmd_check_walkup(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .theory import in_walkup_class
 
-    X = _read_complex(args.file)
     ok = in_walkup_class(X)
-    _emit(
-        args,
-        {"command": "check walkup", "member": ok},
-        [f"walkup class member: {'yes' if ok else 'no'}"],
-    )
-    return 0 if ok else 1
+    return (0 if ok else 1), {"command": "check walkup", "member": ok}
 
 
-def cmd_check_stacked(args) -> int:
+def cmd_check_stacked(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .stacked import (
         is_stacked_ball,
         is_stacked_sphere,
         is_stacked_sphere_by_reduction,
     )
 
-    X = _read_complex(args.file)
-    closed = X.is_closed_pseudomanifold()
-    if closed:
+    if X.is_closed_pseudomanifold():
         ok = is_stacked_sphere(X) and is_stacked_sphere_by_reduction(X)
         kind = "sphere"
     else:
         ok = is_stacked_ball(X)
         kind = "ball"
-    _emit(
-        args,
-        {"command": "check stacked", "kind": kind, "stacked": ok},
-        [f"detected: {'closed, testing sphere' if closed else 'boundary, testing ball'}",
-         f"stacked {kind}: {'yes' if ok else 'no'}"],
-    )
-    return 0 if ok else 1
+    return (0 if ok else 1), {"command": "check stacked", "kind": kind, "stacked": ok}
 
 
-def cmd_check_bounds4(args) -> int:
+def cmd_check_bounds4(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .theory import check_bounds_4manifold
 
-    X = _read_complex(args.file)
     rep = check_bounds_4manifold(X)
     ok = rep.edge_bound.holds and rep.vertex_bound.holds
-    result = {
+    return (0 if ok else 1), {
         "command": "check bounds4",
         "euler": rep.euler,
         "two_neighborly": rep.two_neighborly,
@@ -150,22 +107,11 @@ def cmd_check_bounds4(args) -> int:
         ],
         "overall_equality": rep.overall_equality,
     }
-    lines = [
-        f"euler characteristic: {rep.euler}",
-        f"{rep.edge_bound.name}: {rep.edge_bound.lhs} >= {rep.edge_bound.rhs}"
-        f" ({'tight' if rep.edge_bound.tight else 'strict' if rep.edge_bound.holds else 'VIOLATED'})",
-        f"{rep.vertex_bound.name}: {rep.vertex_bound.lhs} >= {rep.vertex_bound.rhs}"
-        f" ({'tight' if rep.vertex_bound.tight else 'strict' if rep.vertex_bound.holds else 'VIOLATED'})",
-        f"2-neighborly: {'yes' if rep.two_neighborly else 'no'}",
-    ]
-    _emit(args, result, lines)
-    return 0 if ok else 1
 
 
-def cmd_check_tight(args) -> int:
+def cmd_check_tight(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .tightness import DEFAULT_EXHAUSTIVE_CEILING, is_tight_z2
 
-    X = _read_complex(args.file)
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     if args.sample is not None:
         report = is_tight_z2(
@@ -175,7 +121,7 @@ def cmd_check_tight(args) -> int:
     else:
         ceiling = DEFAULT_EXHAUSTIVE_CEILING if args.ceiling is None else args.ceiling
         report = is_tight_z2(X, mode="exhaustive", ceiling=ceiling, jobs=jobs)
-    result = {
+    return (0 if not report.violations else 1), {
         "command": "check tight",
         "mode": report.mode,
         "checked": report.checked,
@@ -185,20 +131,9 @@ def cmd_check_tight(args) -> int:
             {"subset": list(s), "degree": k} for s, k in report.violations
         ],
     }
-    lines = [
-        f"mode: {report.mode}",
-        f"subsets checked: {report.checked}",
-        f"subsets evaluated: {report.evaluated}",
-        f"verdict: {report.verdict}",
-    ]
-    if report.violations:
-        s, k = report.violations[0]
-        lines.append(f"first violation: subset {{{' '.join(s)}}} in degree {k}")
-    _emit(args, result, lines)
-    return 0 if not report.violations else 1
 
 
-def cmd_fvector(args) -> int:
+def cmd_fvector(args) -> tuple[int, dict]:
     from .theory import (
         fvector_from_f0_f1,
         stacked_sphere_fvector,
@@ -211,15 +146,10 @@ def cmd_fvector(args) -> int:
         f = walkup_fvector_even(args.dim, args.n, args.chi)
     else:
         f = fvector_from_f0_f1(args.dim, args.n, args.f1)
-    _emit(
-        args,
-        {"command": f"fvector {args.kind}", "f_vector": list(f)},
-        [" ".join(str(c) for c in f)],
-    )
-    return 0
+    return 0, {"command": f"fvector {args.kind}", "f_vector": list(f)}
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> SimplicialComplex:
     from .constructions import (
         build_b5_30,
         build_m4_15,
@@ -242,8 +172,7 @@ def cmd_generate(args) -> int:
         if args.dim is None or args.n is None:
             raise WalkupError("generate stacked requires --dim and --n")
         X = random_stacked_sphere(args.dim, args.n, args.seed)
-    sys.stdout.write(cio.serialize(X))
-    return 0
+    return X
 
 
 def _ledger_to_json(ledger) -> dict:
@@ -295,61 +224,123 @@ def _ledger_from_json(text: str):
     return HandleLedger(base=base, handles=handles)
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .surgery import kalai_decompose
 
-    X = _read_complex(args.file)
     ledger = kalai_decompose(X)
-    doc = _ledger_to_json(ledger)
     if args.ledger:
         with open(args.ledger, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    result = {
+            json.dump(_ledger_to_json(ledger), fh, indent=2)
+    return 0, {
         "command": "decompose",
         "handles": len(ledger.handles),
         "base_vertices": len(ledger.base.vertices),
         "base_facets": len(ledger.base.facets),
         "ledger_file": args.ledger,
     }
-    lines = [
-        f"handles: {len(ledger.handles)}",
-        f"base: stacked sphere with {len(ledger.base.vertices)} vertices, "
-        f"{len(ledger.base.facets)} facets",
-    ]
-    if args.ledger:
-        lines.append(f"ledger written to {args.ledger}")
-    _emit(args, result, lines)
-    return 0
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> SimplicialComplex:
     with open(args.ledger, "r", encoding="utf-8") as fh:
         ledger = _ledger_from_json(fh.read())
-    X = ledger.replay()
-    sys.stdout.write(cio.serialize(X))
-    return 0
+    return ledger.replay()
 
 
-def cmd_automorphisms(args) -> int:
+def cmd_automorphisms(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .symmetry import automorphism_group, cycle_notation, generating_set
 
-    X = _read_complex(args.file)
     group = automorphism_group(X)
-    gens = generating_set(group)
-    result = {
+    return 0, {
         "command": "automorphisms",
         "order": len(group),
-        "generators": [cycle_notation(g) for g in gens],
+        "generators": [cycle_notation(g) for g in generating_set(group)],
     }
-    lines = [f"group order: {len(group)}"]
-    lines += [f"generator: {cycle_notation(g)}" for g in gens]
-    if not gens:
-        lines.append("generator: () (trivial group)")
-    _emit(args, result, lines)
-    return 0
+
+
+# -------------------------------------------------------------------- text
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _words(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+def _text(report: dict) -> list[str]:
+    """The text lines of a report, read from the --porcelain dict alone."""
+    command = report["command"]
+    if command == "info":
+        weak = _yes(report["weak_pseudomanifold"])
+        if report["weak_pseudomanifold"]:
+            weak += " (closed)" if report["closed"] else " (with boundary)"
+        return [
+            f"dimension: {report['dimension']}",
+            f"f-vector: {_words(report['f_vector'])}",
+            f"weak pseudomanifold: {weak}",
+            f"pseudomanifold (connected dual graph): {_yes(report['pseudomanifold'])}",
+            f"euler characteristic: {report['euler']}",
+        ]
+    if command == "homology":
+        orient = {True: "orientable", False: "non-orientable", None: "not-applicable"}
+        return [
+            f"betti (Z2): {_words(report['betti'])}",
+            f"euler characteristic: {report['euler']}",
+            f"connected: {_yes(report['connected'])}",
+            f"orientable: {orient[report['orientable']]}",
+        ]
+    if command == "check walkup":
+        return [f"walkup class member: {_yes(report['member'])}"]
+    if command == "check stacked":
+        kind = report["kind"]
+        detected = "closed, testing sphere" if kind == "sphere" else "boundary, testing ball"
+        return [f"detected: {detected}", f"stacked {kind}: {_yes(report['stacked'])}"]
+    if command == "check bounds4":
+        return [
+            f"euler characteristic: {report['euler']}",
+            *(
+                f"{b['name']}: {b['lhs']} >= {b['rhs']}"
+                f" ({'tight' if b['tight'] else 'strict' if b['holds'] else 'VIOLATED'})"
+                for b in report["bounds"]
+            ),
+            f"2-neighborly: {_yes(report['two_neighborly'])}",
+        ]
+    if command == "check tight":
+        return [
+            f"mode: {report['mode']}",
+            f"subsets checked: {report['checked']}",
+            f"subsets evaluated: {report['evaluated']}",
+            f"verdict: {report['verdict']}",
+            *(
+                f"first violation: subset {{{_words(v['subset'])}}} in degree {v['degree']}"
+                for v in report["violations"][:1]
+            ),
+        ]
+    if command == "decompose":
+        lines = [
+            f"handles: {report['handles']}",
+            f"base: stacked sphere with {report['base_vertices']} vertices, "
+            f"{report['base_facets']} facets",
+        ]
+        if report["ledger_file"]:
+            lines.append(f"ledger written to {report['ledger_file']}")
+        return lines
+    if command == "automorphisms":
+        gens = report["generators"] or ["() (trivial group)"]
+        return [f"group order: {report['order']}", *(f"generator: {g}" for g in gens)]
+    # fvector stacked | walkup | from-f1
+    return [_words(report["f_vector"])]
 
 
 # -------------------------------------------------------------------- parser
+
+def _file_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand that reads one complex from an optional file argument."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("file", nargs="?", default=None)
+    p.set_defaults(func=func)
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -364,31 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="f-vector, dimension, pseudomanifold status")
-    p.add_argument("file", nargs="?", default=None)
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("homology", help="mod-2 homology profile")
-    p.add_argument("file", nargs="?", default=None)
-    p.set_defaults(func=cmd_homology)
+    _file_command(sub, "info", cmd_info, "f-vector, dimension, pseudomanifold status")
+    _file_command(sub, "homology", cmd_homology, "mod-2 homology profile")
 
     check = sub.add_parser("check", help="predicates with 0/1 exit codes")
     csub = check.add_subparsers(dest="predicate", required=True)
-
-    p = csub.add_parser("walkup", help="every vertex link a stacked sphere")
-    p.add_argument("file", nargs="?", default=None)
-    p.set_defaults(func=cmd_check_walkup)
-
-    p = csub.add_parser("stacked", help="stacked ball/sphere (auto-detected)")
-    p.add_argument("file", nargs="?", default=None)
-    p.set_defaults(func=cmd_check_stacked)
-
-    p = csub.add_parser("bounds4", help="4-manifold lower bounds")
-    p.add_argument("file", nargs="?", default=None)
-    p.set_defaults(func=cmd_check_bounds4)
-
-    p = csub.add_parser("tight", help="mod-2 tightness scan")
-    p.add_argument("file", nargs="?", default=None)
+    _file_command(csub, "walkup", cmd_check_walkup, "every vertex link a stacked sphere")
+    _file_command(csub, "stacked", cmd_check_stacked, "stacked ball/sphere (auto-detected)")
+    _file_command(csub, "bounds4", cmd_check_bounds4, "4-manifold lower bounds")
+    p = _file_command(csub, "tight", cmd_check_tight, "mod-2 tightness scan")
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="check N randomly sampled subsets instead")
     p.add_argument("--seed", type=int, default=0)
@@ -396,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max vertex count for exhaustive scans")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, N >= 1 (default: available parallelism)")
-    p.set_defaults(func=cmd_check_tight)
 
     fv = sub.add_parser("fvector", help="closed-form face vectors")
     fsub = fv.add_subparsers(dest="kind", required=True)
@@ -424,32 +398,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("decompose", help="stacked-sphere base plus handles")
-    p.add_argument("file", nargs="?", default=None)
+    p = _file_command(sub, "decompose", cmd_decompose, "stacked-sphere base plus handles")
     p.add_argument("--ledger", default=None, metavar="OUT",
                    help="write the replayable ledger JSON here")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("replay", help="rebuild a complex from a ledger")
     p.add_argument("ledger")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("automorphisms", help="automorphism group order and generators")
-    p.add_argument("file", nargs="?", default=None)
-    p.set_defaults(func=cmd_automorphisms)
+    _file_command(sub, "automorphisms", cmd_automorphisms,
+                  "automorphism group order and generators")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except WalkupError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        if "file" in args:
+            result = args.func(_read_complex(args.file), args)
+        else:
+            result = args.func(args)
+        if isinstance(result, SimplicialComplex):
+            sys.stdout.write(cio.serialize(result))
+            return 0
+        code, report = result
+        print(json.dumps(report, sort_keys=True) if args.porcelain
+              else "\n".join(_text(report)))
+        return code
+    except (WalkupError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

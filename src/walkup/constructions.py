@@ -16,7 +16,7 @@ from .complex import Face, SimplicialComplex, from_facets
 from .errors import InvalidParameters
 from .rng import SplitMix64
 from .stacked import stack_star
-from .surgery import VertexBijection, handle_addition
+from .surgery import VertexBijection, bijection_from_map, handle_addition
 
 # The 25 facets of the stacked 5-ball, keyed by their conventional names.
 B5_30_NAMED_FACETS: dict[str, str] = {
@@ -95,17 +95,10 @@ def build_s4_30() -> SimplicialComplex:
 
 
 def _identification_bijections() -> list[VertexBijection]:
-    out = []
-    for x in "abc":
-        pairs = tuple((f"{x}{i}p", f"{x}{i}") for i in range(1, 6))
-        out.append(
-            VertexBijection(
-                source_facet=tuple(sorted(p[0] for p in pairs)),
-                target_facet=tuple(sorted(p[1] for p in pairs)),
-                pairs=pairs,
-            )
-        )
-    return out
+    return [
+        bijection_from_map({f"{x}{i}p": f"{x}{i}" for i in range(1, 6)})
+        for x in "abc"
+    ]
 
 
 def build_m4_15() -> SimplicialComplex:

@@ -15,19 +15,12 @@ from __future__ import annotations
 import json
 
 from .complex import CLONE_MARKER, SimplicialComplex, from_facets
-from .errors import (
-    DuplicateFacet,
-    DuplicateVertexInFacet,
-    EmptyInput,
-    MixedDimensions,
-    ParseError,
-)
+from .errors import ParseError
 
 
 def parse_facet_text(text: str) -> SimplicialComplex:
     """Parse the facet-list text format with line/column diagnostics."""
     rows: list[list[str]] = []
-    lines: list[int] = []
     expected_size: int | None = None
     seen: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -64,13 +57,9 @@ def parse_facet_text(text: str) -> SimplicialComplex:
             )
         seen[key] = lineno
         rows.append(tokens)
-        lines.append(lineno)
     if not rows:
         raise ParseError("no facets found", max(1, text.count("\n") + 1))
-    try:
-        return from_facets(rows)
-    except (DuplicateVertexInFacet, MixedDimensions, DuplicateFacet, EmptyInput) as e:
-        raise ParseError(str(e), lines[-1]) from e
+    return from_facets(rows)
 
 
 def decode_json(text: str):
@@ -115,8 +104,3 @@ def serialize(X: SimplicialComplex) -> str:
 
 def to_json(X: SimplicialComplex) -> str:
     return json.dumps({"facets": [list(f) for f in X.facets]})
-
-
-def dump(X: SimplicialComplex, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(X))

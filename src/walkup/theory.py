@@ -29,12 +29,18 @@ def _as_int(x: Fraction, what: str) -> int:
 
 
 def _check_f0_f1(d: int, f0: int, f1: int) -> None:
-    """Refuse vertex and edge counts no closed d-manifold can have."""
+    """Refuse vertex and edge counts no connected closed d-manifold can have."""
     if f0 < d + 2:
         raise InvalidParameters(f"need f0 >= d+2, got d={d}, f0={f0}")
     if f1 > comb(f0, 2):
         raise InvalidParameters(
             f"f1 = {f1} exceeds C(f0, 2) = {comb(f0, 2)}, the edges {f0} vertices span"
+        )
+    least = (d + 1) * f0 - comb(d + 2, 2)
+    if f1 < least:
+        raise InvalidParameters(
+            f"f1 = {f1} is below (d+1) f0 - C(d+2, 2) = {least},"
+            f" the edges of a stacked {d}-sphere on {f0} vertices"
         )
 
 
@@ -59,7 +65,8 @@ def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
     f_j = C(d+1, j) f0 - (j/2) C(d+2, j+1) chi for 1 <= j < d, and
     f_d = d f0 - (d+2)(d-1) chi / 2.  Stacked spheres are the chi = 2
     case and reproduce stacked_sphere_fvector.  Raises InvalidParameters
-    when f0 < d+2 or the resulting f1 exceeds C(f0, 2).
+    when f0 < d+2 or the resulting f1 lies outside
+    [(d+1) f0 - C(d+2, 2), C(f0, 2)], that is when chi > 2 or too negative.
     """
     if d < 2 or d % 2 != 0:
         raise OddDimension(f"need an even dimension >= 2, got {d}")
@@ -75,12 +82,12 @@ def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
 
 
 def fvector_from_f0_f1(d: int, f0: int, f1: int) -> tuple[int, ...]:
-    """Face vector of a Walkup-class member from its vertex and edge counts.
+    """Face vector of a connected Walkup-class member from f0 and f1.
 
     Valid in every dimension d >= 2:
     f_j = (2/(j+1)) C(d, j-1) f1 - ((j-1)/(j+1)) C(d+1, j) f0 for j < d,
     f_d = ((2d-2)/(d+1)) f1 - (d-2) f0.  Raises InvalidParameters when
-    f0 < d+2 or f1 > C(f0, 2).
+    f0 < d+2 or f1 lies outside [(d+1) f0 - C(d+2, 2), C(f0, 2)].
     """
     if d < 2:
         raise InvalidParameters(f"need d >= 2, got {d}")

@@ -148,6 +148,9 @@ def test_fvector_error_exit(capsys, monkeypatch):
     "fvector walkup --dim 4 --n 10 --chi -100",  # f1 = 800 > C(10, 2)
     "fvector from-f1 --dim 4 --n 5 --f1 1000",  # f0 < d + 2
     "fvector from-f1 --dim 4 --n 10 --f1 50",  # f1 > C(10, 2)
+    "fvector walkup --dim 4 --n 10 --chi 4",  # chi > 2: f1 = 20 < 5 * 10 - C(6, 2)
+    "fvector walkup --dim 4 --n 10 --chi 100",  # f1 = -700
+    "fvector from-f1 --dim 4 --n 10 --f1 20",  # f1 < 5 * 10 - C(6, 2)
 ])
 def test_fvector_refuses_impossible_counts(argv, capsys):
     code, out, err = run_cli(argv.split(), capsys=capsys)
@@ -396,13 +399,30 @@ def test_replay_accepts_clone_labels(tmp_path, capsys, monkeypatch):
 
 
 # Exact stdout and exit code of every report command, text and --porcelain,
-# on the tight m4-15 and on a non-tight stacked 4-sphere whose default-jobs
-# scan takes the pooled early-stop path on a multi-core host.  stderr must
-# stay empty.
+# on the tight m4-15, on a non-tight stacked 4-sphere whose default-jobs
+# scan takes the pooled early-stop path on a multi-core host, and on inputs
+# that reach the other text branches: with boundary (b5-30), not a weak
+# pseudomanifold (three triangles on one edge), disconnected (two circles).
+# Complex commands print the same bytes under --porcelain.  stderr must
+# stay empty.  Inputs are generator argv lists or literal facet text.
 GOLDEN_INPUTS = {
     "m4-15": ["generate", "m4-15"],
     "stacked": ["generate", "stacked", "--dim", "4", "--n", "15", "--seed", "1"],
+    "b5-30": ["generate", "b5-30"],
+    "sphere4": ["generate", "sphere", "--dim", "4"],
+    "tri": "1 2 3\n1 2 4\n1 2 5\n",
+    "circles": "a b\nb c\na c\nd e\ne f\nd f\n",
 }
+
+S2_TEXT = "v1 v2 v3\nv1 v2 v4\nv1 v3 v4\nv2 v3 v4\n"
+S4_TEXT = (
+    "v1 v2 v3 v4 v5\n"
+    "v1 v2 v3 v4 v6\n"
+    "v1 v2 v3 v5 v6\n"
+    "v1 v2 v4 v5 v6\n"
+    "v1 v3 v4 v5 v6\n"
+    "v2 v3 v4 v5 v6\n"
+)
 
 # (input, command) -> (exit code, text stdout, porcelain stdout)
 GOLDEN = {
@@ -662,13 +682,162 @@ GOLDEN = {
             "240, 96]}\n"
         ),
     ),
+    ("b5-30", "info"): (
+        0,
+        (
+            "dimension: 5\n"
+            "f-vector: 30 135 260 255 126 25\n"
+            "weak pseudomanifold: yes (with boundary)\n"
+            "pseudomanifold (connected dual graph): yes\n"
+            "euler characteristic: 1\n"
+        ),
+        (
+            '{"closed": false, "command": "info", "dimension": 5, '
+            '"euler": 1, "f_vector": [30, 135, 260, 255, 126, 25], '
+            '"pseudomanifold": true, "weak_pseudomanifold": true}\n'
+        ),
+    ),
+    ("b5-30", "homology"): (
+        0,
+        (
+            "betti (Z2): 1 0 0 0 0 0\n"
+            "euler characteristic: 1\n"
+            "connected: yes\n"
+            "orientable: not-applicable\n"
+        ),
+        (
+            '{"betti": [1, 0, 0, 0, 0, 0], "command": "homology", '
+            '"connected": true, "euler": 1, "orientable": null}\n'
+        ),
+    ),
+    ("b5-30", "check walkup"): (
+        1,
+        "walkup class member: no\n",
+        '{"command": "check walkup", "member": false}\n',
+    ),
+    ("b5-30", "check stacked"): (
+        0,
+        (
+            "detected: boundary, testing ball\n"
+            "stacked ball: yes\n"
+        ),
+        (
+            '{"command": "check stacked", "kind": "ball", '
+            '"stacked": true}\n'
+        ),
+    ),
+    ("tri", "info"): (
+        0,
+        (
+            "dimension: 2\n"
+            "f-vector: 5 7 3\n"
+            "weak pseudomanifold: no\n"
+            "pseudomanifold (connected dual graph): no\n"
+            "euler characteristic: 1\n"
+        ),
+        (
+            '{"closed": false, "command": "info", "dimension": 2, '
+            '"euler": 1, "f_vector": [5, 7, 3], '
+            '"pseudomanifold": false, "weak_pseudomanifold": false}\n'
+        ),
+    ),
+    ("tri", "check stacked"): (
+        1,
+        (
+            "detected: boundary, testing ball\n"
+            "stacked ball: no\n"
+        ),
+        (
+            '{"command": "check stacked", "kind": "ball", '
+            '"stacked": false}\n'
+        ),
+    ),
+    ("circles", "info"): (
+        0,
+        (
+            "dimension: 1\n"
+            "f-vector: 6 6\n"
+            "weak pseudomanifold: yes (closed)\n"
+            "pseudomanifold (connected dual graph): no\n"
+            "euler characteristic: 0\n"
+        ),
+        (
+            '{"closed": true, "command": "info", "dimension": 1, '
+            '"euler": 0, "f_vector": [6, 6], "pseudomanifold": false, '
+            '"weak_pseudomanifold": true}\n'
+        ),
+    ),
+    ("circles", "homology"): (
+        0,
+        (
+            "betti (Z2): 2 2\n"
+            "euler characteristic: 0\n"
+            "connected: no\n"
+            "orientable: orientable\n"
+        ),
+        (
+            '{"betti": [2, 2], "command": "homology", '
+            '"connected": false, "euler": 0, "orientable": true}\n'
+        ),
+    ),
+    ("circles", "automorphisms"): (
+        0,
+        (
+            "group order: 72\n"
+            "generator: (e f)\n"
+            "generator: (d e)\n"
+            "generator: (b c)\n"
+            "generator: (a b)\n"
+            "generator: (a d)(b e)(c f)\n"
+        ),
+        (
+            '{"command": "automorphisms", "generators": ["(e f)", '
+            '"(d e)", "(b c)", "(a b)", "(a d)(b e)(c f)"], '
+            '"order": 72}\n'
+        ),
+    ),
+    ("sphere4", "decompose --ledger l.json"): (
+        0,
+        (
+            "handles: 0\n"
+            "base: stacked sphere with 6 vertices, 6 facets\n"
+            "ledger written to l.json\n"
+        ),
+        (
+            '{"base_facets": 6, "base_vertices": 6, '
+            '"command": "decompose", "handles": 0, '
+            '"ledger_file": "l.json"}\n'
+        ),
+    ),
+    (None, "replay l.json"): (0, S4_TEXT, S4_TEXT),
+    (None, "fvector stacked --dim 4 --n 30"): (
+        0,
+        "30 135 260 255 102\n",
+        (
+            '{"command": "fvector stacked", "f_vector": [30, 135, 260, '
+            '255, 102]}\n'
+        ),
+    ),
+    (None, "fvector from-f1 --dim 4 --n 15 --f1 105"): (
+        0,
+        "15 105 230 240 96\n",
+        (
+            '{"command": "fvector from-f1", "f_vector": [15, 105, 230, '
+            '240, 96]}\n'
+        ),
+    ),
+    (None, "generate sphere --dim 2"): (0, S2_TEXT, S2_TEXT),
 }
 
 
-def test_golden_cli_outputs(capsys, monkeypatch):
+def test_golden_cli_outputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # decompose --ledger and replay use l.json here
     texts = {None: None}
     for name, argv in GOLDEN_INPUTS.items():
-        _, texts[name], _ = run_cli(argv, capsys=capsys)
+        if isinstance(argv, str):
+            texts[name] = argv
+        else:
+            _, texts[name], _ = run_cli(argv, capsys=capsys)
     for (name, command), (code, text_out, porcelain_out) in GOLDEN.items():
         for prefix, expected in (([], text_out), (["--porcelain"], porcelain_out)):
             got = run_cli(

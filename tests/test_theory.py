@@ -89,8 +89,14 @@ def test_walkup_fvector_refuses_impossible_counts():
         walkup_fvector_even(4, 10, -100)  # f1 = 800 > C(10, 2)
     with pytest.raises(InvalidParameters):
         walkup_fvector_even(4, 15, -6)  # f1 = 120 > C(15, 2), one step past m4-15
+    with pytest.raises(InvalidParameters):
+        walkup_fvector_even(4, 10, 4)  # chi > 2: f1 = 20 < 5 * 10 - C(6, 2)
+    with pytest.raises(InvalidParameters):
+        walkup_fvector_even(4, 10, 100)  # f1 = -700, negative counts
     # the 2-neighborly edge case f1 = C(f0, 2) is allowed
     assert walkup_fvector_even(2, 7, 0)[1] == comb(7, 2)
+    # and so is the stacked-sphere edge case chi = 2
+    assert walkup_fvector_even(4, 10, 2) == stacked_sphere_fvector(4, 10)
 
 
 # ----------------------------------------------------------------- from f0,f1
@@ -117,7 +123,13 @@ def test_fvector_from_f0_f1_refuses_impossible_counts():
         fvector_from_f0_f1(4, 5, 1000)  # fewer than d + 2 vertices
     with pytest.raises(InvalidParameters):
         fvector_from_f0_f1(4, 10, 50)  # integral, but f1 > C(10, 2)
+    with pytest.raises(InvalidParameters):
+        fvector_from_f0_f1(4, 10, 20)  # f1 < 5 * 10 - C(6, 2) = 35
+    with pytest.raises(InvalidParameters):
+        fvector_from_f0_f1(3, 10, 29)  # one below 4 * 10 - C(5, 2) = 30
+    # the lower bound itself is the stacked sphere
     assert fvector_from_f0_f1(4, 6, 15) == stacked_sphere_fvector(4, 6)
+    assert fvector_from_f0_f1(3, 10, 30) == stacked_sphere_fvector(3, 10)
 
 
 @settings(max_examples=15, deadline=None)
