@@ -12,7 +12,8 @@ reads the input file and prints.  It prints a report as JSON under
 
 Start-up is most of a short command's time, so this module imports only
 io, complex and errors at top level; each cmd_* imports the layers it
-calls, and no command loads a layer it does not run.
+calls, and no command loads a layer it does not run.  No layer imports
+dataclasses, and only fvector loads fractions (for its rational formulas).
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ def cmd_check_stacked(X: SimplicialComplex, args) -> tuple[int, dict]:
     if X.is_closed_pseudomanifold():
         ok = is_stacked_sphere(X) and is_stacked_sphere_by_reduction(X)
         kind = "sphere"
-    else:
+    elif X.dual_graph().is_weak_pseudomanifold:
         ok = is_stacked_ball(X)
         kind = "ball"
+    else:
+        ok, kind = False, "not-pseudomanifold"
     return (0 if ok else 1), {"command": "check stacked", "kind": kind, "stacked": ok}
 
 
@@ -293,6 +296,8 @@ def _text(report: dict) -> list[str]:
         return [f"walkup class member: {_yes(report['member'])}"]
     if command == "check stacked":
         kind = report["kind"]
+        if kind == "not-pseudomanifold":
+            return ["detected: not a weak pseudomanifold", "stacked: no"]
         detected = "closed, testing sphere" if kind == "sphere" else "boundary, testing ball"
         return [f"detected: {detected}", f"stacked {kind}: {_yes(report['stacked'])}"]
     if command == "check bounds4":

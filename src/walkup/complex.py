@@ -13,10 +13,9 @@ used everywhere (inside faces, between facets, for tie-breaking).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from itertools import combinations
 from math import inf
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFacet,
@@ -83,8 +82,7 @@ def spanning_forest(nodes: Iterable, adj) -> dict:
     return parent
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Facet-adjacency graph: facets are nodes, shared ridges are edges.
 
     ridge_incidence maps every co-dimension-one face to the tuple of

@@ -14,7 +14,7 @@ spanning forest of the dual graph, independently of the mod-2 machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complex import Face, SimplicialComplex, spanning_forest
 from .errors import NotClosedPseudomanifold
@@ -119,8 +119,7 @@ def betti_numbers(X: SimplicialComplex, top: int | None = None) -> tuple[int, ..
     return tuple(f[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Mod-2 Betti vector plus the cheap global invariants."""
 
     betti: tuple[int, ...]

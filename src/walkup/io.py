@@ -100,7 +100,3 @@ def load(path: str) -> SimplicialComplex:
 def serialize(X: SimplicialComplex) -> str:
     """Canonical text serialization (sorted facets, one per line)."""
     return "".join(" ".join(f) + "\n" for f in X.facets)
-
-
-def to_json(X: SimplicialComplex) -> str:
-    return json.dumps({"facets": [list(f) for f in X.facets]})

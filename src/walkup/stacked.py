@@ -10,7 +10,7 @@ residue).  They must agree; tests cross-check them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complex import Face, SimplicialComplex, is_standard_sphere
 from .errors import (
@@ -21,8 +21,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One unstacking move: removed vertex and the facet that replaced its star."""
 
     removed_vertex: str

@@ -18,9 +18,8 @@ the cuts in reverse never has to rename a pending handle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .complex import (
     CLONE_MARKER,
@@ -43,23 +42,28 @@ from .stacked import is_stacked_sphere
 from .theory import in_walkup_class
 
 
-@dataclass(frozen=True)
-class VertexBijection:
-    """A facet-to-facet vertex bijection (the gluing data of one handle)."""
-
+class _VertexBijectionFields(NamedTuple):
     source_facet: Face
     target_facet: Face
     pairs: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        srcs = tuple(sorted(p[0] for p in self.pairs))
-        tgts = tuple(sorted(p[1] for p in self.pairs))
-        if srcs != self.source_facet:
+
+class VertexBijection(_VertexBijectionFields):
+    """A facet-to-facet vertex bijection (the gluing data of one handle)."""
+
+    __slots__ = ()
+
+    def __new__(cls, source_facet: Face, target_facet: Face,
+                pairs: tuple[tuple[str, str], ...]) -> "VertexBijection":
+        srcs = tuple(sorted(p[0] for p in pairs))
+        tgts = tuple(sorted(p[1] for p in pairs))
+        if srcs != source_facet:
             raise ValueError("pair sources do not enumerate the source facet")
-        if tgts != self.target_facet:
+        if tgts != target_facet:
             raise ValueError("pair targets do not enumerate the target facet")
-        if set(self.source_facet) & set(self.target_facet):
+        if set(source_facet) & set(target_facet):
             raise ValueError("source and target facets must be disjoint")
+        return super().__new__(cls, source_facet, target_facet, pairs)
 
     @property
     def mapping(self) -> dict[str, str]:
@@ -393,8 +397,7 @@ def handle_deletion(
     return result, psi
 
 
-@dataclass(frozen=True)
-class HandleLedger:
+class HandleLedger(NamedTuple):
     """A stacked-sphere base plus an ordered, replayable handle list."""
 
     base: SimplicialComplex

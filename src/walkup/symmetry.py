@@ -142,22 +142,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return {v: q[p[v]] for v in p}
 
 
-def inverse(p: Permutation) -> Permutation:
-    return {w: v for v, w in p.items()}
-
-
-def is_group(perms: list[Permutation]) -> bool:
-    """Closure and inverse check for a list of permutations."""
-    keyed = {tuple(sorted(p.items())) for p in perms}
-    for p in perms:
-        if tuple(sorted(inverse(p).items())) not in keyed:
-            return False
-        for q in perms:
-            if tuple(sorted(compose(p, q).items())) not in keyed:
-                return False
-    return True
-
-
 def generating_set(perms: list[Permutation]) -> list[Permutation]:
     """Greedy small generating set of a permutation group given by its elements."""
     if not perms:

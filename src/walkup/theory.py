@@ -2,14 +2,14 @@
 
 All arithmetic is exact: intermediate values are rationals and any
 non-integral face count raises instead of rounding.  No floating point
-appears anywhere in this module.
+appears anywhere in this module.  The two rational formulas import
+fractions themselves, so the other checks do not pay for it at start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complex import SimplicialComplex
 from .errors import (
@@ -20,6 +20,9 @@ from .errors import (
 )
 from .homology import homology_profile
 from .stacked import is_stacked_sphere
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -68,6 +71,8 @@ def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
     when f0 < d+2 or the resulting f1 lies outside
     [(d+1) f0 - C(d+2, 2), C(f0, 2)], that is when chi > 2 or too negative.
     """
+    from fractions import Fraction
+
     if d < 2 or d % 2 != 0:
         raise OddDimension(f"need an even dimension >= 2, got {d}")
     counts = [Fraction(f0)]
@@ -89,6 +94,8 @@ def fvector_from_f0_f1(d: int, f0: int, f1: int) -> tuple[int, ...]:
     f_d = ((2d-2)/(d+1)) f1 - (d-2) f0.  Raises InvalidParameters when
     f0 < d+2 or f1 lies outside [(d+1) f0 - C(d+2, 2), C(f0, 2)].
     """
+    from fractions import Fraction
+
     if d < 2:
         raise InvalidParameters(f"need d >= 2, got {d}")
     _check_f0_f1(d, f0, f1)
@@ -145,8 +152,7 @@ def in_walkup_class(X: SimplicialComplex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     lhs: int
     rhs: int
@@ -160,8 +166,7 @@ class BoundCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Both 4-manifold lower bounds with tightness flags.
 
     edge_bound is 2 f1 >= 10 f0 - 15 chi (integer form of the edge lower

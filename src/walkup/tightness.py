@@ -54,9 +54,9 @@ pooled scans are cross-checked against both in the tests.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .complex import SimplicialComplex
 from .errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
@@ -130,8 +130,7 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
 
 # ------------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     mode: str  # "exhaustive" or "sampled"
     checked: int  # subsets covered
     evaluated: int  # subsets evaluated; below checked when duality applied

@@ -744,11 +744,11 @@ GOLDEN = {
     ("tri", "check stacked"): (
         1,
         (
-            "detected: boundary, testing ball\n"
-            "stacked ball: no\n"
+            "detected: not a weak pseudomanifold\n"
+            "stacked: no\n"
         ),
         (
-            '{"command": "check stacked", "kind": "ball", '
+            '{"command": "check stacked", "kind": "not-pseudomanifold", '
             '"stacked": false}\n'
         ),
     ),

@@ -1,5 +1,6 @@
 """Start-up cost: `import walkup` loads no layer, each CLI command loads
-only the layers it runs, and the lazy names are the submodules' own.
+only the layers it runs and none of the costly stdlib modules it does not
+need, and the lazy names are the submodules' own.
 
 The import-set checks run in fresh interpreters, because this test
 session has already imported every module.
@@ -7,7 +8,9 @@ session has already imported every module.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import subprocess
 import sys
 
@@ -54,6 +57,72 @@ def test_light_commands_skip_heavy_layers(command, tmp_path, m4_15):
     assert f"walkup.{'homology' if command == 'info' else 'symmetry'}" in loaded
     for layer in ("surgery", "constructions", "tightness"):
         assert f"walkup.{layer}" not in loaded
+
+
+# stdlib modules that cost start-up time and that no command needs:
+# dataclasses pulls in inspect, fractions pulls in decimal
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+
+LEAN_COMMANDS = [
+    (["info", "M"], 0),
+    (["homology", "M"], 0),
+    (["check", "walkup", "M"], 0),
+    (["check", "stacked", "M"], 1),
+    (["check", "bounds4", "M"], 0),
+    (["check", "tight", "--sample", "50", "M"], 0),
+    (["automorphisms", "M"], 0),
+    (["decompose", "M", "--ledger", "L"], 0),
+    (["replay", "L"], 0),
+    (["generate", "m4-15"], 0),
+]
+
+
+@pytest.fixture(scope="module")
+def m4_15_files(tmp_path_factory, m4_15):
+    """m4-15 as a facet file, and its decomposition ledger."""
+    from walkup.cli import main
+
+    root = tmp_path_factory.mktemp("lean")
+    paths = {"M": str(root / "m.txt"), "L": str(root / "l.json")}
+    with open(paths["M"], "w", encoding="utf-8") as fh:
+        fh.write(serialize(m4_15))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["decompose", paths["M"], "--ledger", paths["L"]]) == 0
+    return paths
+
+
+def _heavy_loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of `walkup argv` in a fresh interpreter, and the HEAVY
+    modules it loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from walkup.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    code = main({argv!r})\n"
+         f"print(code, *(m for m in {HEAVY!r} if m in sys.modules))\n"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, want", LEAN_COMMANDS, ids=[" ".join(a[:2]) for a, _ in LEAN_COMMANDS]
+)
+def test_commands_import_no_heavy_stdlib_module(argv, want, m4_15_files):
+    argv = [m4_15_files.get(a, a) for a in argv]
+    assert _heavy_loaded_by(argv) == (want, set())
+
+
+def test_fvector_loads_fractions_but_not_dataclasses():
+    code, loaded = _heavy_loaded_by(
+        ["fvector", "walkup", "--dim", "4", "--n", "15", "--chi", "-4"]
+    )
+    assert code == 0
+    assert "fractions" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_public_names_are_their_submodule_attributes():

@@ -14,13 +14,23 @@ from walkup import (
     random_stacked_sphere,
     standard_sphere,
 )
-from walkup.symmetry import (
-    compose,
-    cycle_notation,
-    generating_set,
-    inverse,
-    is_group,
-)
+from walkup.symmetry import compose, cycle_notation, generating_set
+
+
+def inverse(p):
+    return {w: v for v, w in p.items()}
+
+
+def is_group(perms):
+    """Closure and inverse check for a list of permutations."""
+    keyed = {tuple(sorted(p.items())) for p in perms}
+    for p in perms:
+        if tuple(sorted(inverse(p).items())) not in keyed:
+            return False
+        for q in perms:
+            if tuple(sorted(compose(p, q).items())) not in keyed:
+                return False
+    return True
 
 
 def _order3(m4_15):
