@@ -26,6 +26,7 @@ from .complex import (
     Face,
     SimplicialComplex,
     induces_standard_sphere,
+    spanning_forest,
 )
 from .errors import (
     CutValidationFailed,
@@ -291,39 +292,29 @@ def handle_deletion(
         raise NotInducedStandardSphere(f"{S} does not induce a standard sphere")
     s_set = set(S)
 
-    # Partition each vertex star by connectivity in the cut dual graph:
-    # the two facets of a ridge not inside S stay together in the star of
-    # every S-vertex of that ridge.  Y is closed, so each ridge has two.
-    parent: dict[str, dict[Face, Face]] = {
-        x: {f: f for f in Y.facets if x in f} for x in S
+    # Partition each vertex star into the components of the cut dual
+    # graph: the two facets of a ridge not inside S stay together in the
+    # star of every S-vertex of that ridge.  Y is closed, so each ridge has two.
+    stars: dict[str, dict[Face, list[Face]]] = {
+        x: {f: [] for f in Y.facets if x in f} for x in S
     }
-
-    def find(p: dict[Face, Face], f: Face) -> Face:
-        while p[f] != f:
-            p[f] = p[p[f]]
-            f = p[f]
-        return f
-
     for ridge, (fa, fb) in Y.dual_graph().ridge_incidence.items():
-        inside = [x for x in ridge if x in s_set]
-        if len(inside) == len(ridge):
-            continue
-        for x in inside:
-            p = parent[x]
-            ra, rb = find(p, fa), find(p, fb)
-            if ra != rb:
-                p[ra] = rb
+        if not s_set.issuperset(ridge):
+            for x in s_set.intersection(ridge):
+                stars[x][fa].append(fb)
+                stars[x][fb].append(fa)
     part_of: dict[str, dict[Face, int]] = {}
-    for x in S:
-        p = parent[x]
-        roots: dict[Face, int] = {}
+    for x, star in stars.items():
+        # trees grow from the star in facet order, so part ids are canonical
         labels: dict[Face, int] = {}
-        for f in p:  # the star in facet order, so part ids are canonical
-            labels[f] = roots.setdefault(find(p, f), len(roots))
+        parts = 0
+        for f, p in spanning_forest(star, star).items():
+            labels[f] = parts if p is None else labels[p]
+            parts += p is None
         part_of[x] = labels
-        if len(roots) != 2:
+        if parts != 2:
             raise CutValidationFailed(
-                f"star of {x!r} separates into {len(roots)} parts, expected 2"
+                f"star of {x!r} separates into {parts} parts, expected 2"
             )
 
     # Tentative clone names: part 0 keeps the label, part 1 gets a clone.

@@ -7,17 +7,20 @@ therefore injective iff
 
     dim(C_k(Y) ∩ B_k(X)) = dim B_k(Y).
 
-The left side is computed through the orthogonal complement of B_k(X):
-restricting the complement's basis matrix to the columns of Y's k-faces
-gives dim(C_k(Y) ∩ B_k(X)) = f_k(Y) - rank(restriction).  Both sides
-then grow monotonically as vertices are added to S, which the exhaustive
-scan exploits: subsets are enumerated depth-first by ascending vertex
-index, so each step adds a vertex v larger than every vertex of S and
-with it the faces of v's lower star (the faces whose largest vertex is v)
-that lie in S ∪ {v}.  Walking each lower star as a trie, only down the
-branches inside S, makes a subset cost only the faces it adds.  Face
-insertions feed append-only GF(2) pivot structures, and backtracking pops
-the pivots and restores the face counts.
+The left side is read off one vector per k-face f: its boundary ∂f above
+its column z(f) over a basis of the orthogonal complement of B_k(X).  On
+C_k(Y) the map c -> (∂c, z(c)) has kernel C_k(Y) ∩ B_k(X), and in degree
+k+1 the pivots among the boundary bits number dim B_k(Y).  So, with one
+GF(2) pivot space per degree, degree k is injective iff f_k(Y) plus the
+pivots of degree k+1 below the boundary bits equals the ranks of degrees
+k and k+1 together.  Both sides grow monotonically as vertices are added
+to S, which the exhaustive scan exploits: subsets are enumerated
+depth-first by ascending vertex index, so each step adds a vertex v
+larger than every vertex of S and with it the faces of v's lower star
+(the faces whose largest vertex is v) that lie in S ∪ {v}.  Walking each
+lower star as a trie, only down the branches inside S, makes a subset
+cost only the faces it adds.  Backtracking pops the pivots and restores
+the counts.
 
 Duality halves the exhaustive scan.  Let X be a connected closed
 Z2-homology d-manifold with vertex set V.  The complement of |X[S]|
@@ -202,8 +205,10 @@ class TightnessEngine:
 
     star[v] is the trie of v's lower star: the root is the face (v,), and
     a child adds one smaller vertex, larger than those already added.  A
-    node is [degree, complement column, boundary, child bitmask, children
-    keyed by their vertex bit].  The engine holds no complex, so it pickles.
+    node is [degree, vector, child bitmask, children keyed by their vertex
+    bit]; a k-face's vector is its boundary shifted past its zbits[k]
+    complement bits (zbits is 0 in degree 0, whose boundaries are 0, and in
+    degree d, which never fails).  The engine holds no complex, so it pickles.
     """
 
     def __init__(self, X: SimplicialComplex):
@@ -214,50 +219,45 @@ class TightnessEngine:
         faces = [X.faces_of_dim(k) for k in range(d + 1)]
         # boundary of each k-face over (k-1)-face indices
         bd = [[0] * self.n] + [boundary_columns(X, k) for k in range(1, d + 1)]
-        # orthogonal complements of the boundary spaces B_k(X), k < d,
-        # transposed into one column vector per k-face
-        colvec = [
-            transpose_gf2(nullspace_gf2(bd[k + 1], len(faces[k])), len(faces[k]))
-            if k < d else [0] * len(faces[k])
-            for k in range(d + 1)
-        ]
+        # bases of the orthogonal complements of the boundary spaces B_k(X)
+        comp = [nullspace_gf2(bd[k + 1], len(faces[k])) for k in range(d)]
+        self.zbits = [len(comp[k]) if 0 < k < d else 0 for k in range(d + 1)]
 
         nodes: dict[tuple[int, ...], list] = {}
         for k in range(d + 1):
+            z = transpose_gf2(comp[k], len(faces[k])) if k < d else [0] * len(faces[k])
             for i, f in enumerate(faces[k]):
                 ids = tuple(vidx[v] for v in f)
-                node = nodes[ids] = [k, colvec[k][i], bd[k][i], 0, {}]
+                node = nodes[ids] = [k, bd[k][i] << self.zbits[k] | z[i], 0, {}]
                 if k:
                     # the parent drops the largest vertex below the top one
                     parent = nodes[ids[:-2] + ids[-1:]]
                     bit = 1 << ids[-2]
-                    parent[3] |= bit
-                    parent[4][bit] = node
+                    parent[2] |= bit
+                    parent[3][bit] = node
         self.star: list[list] = [nodes[(v,)] for v in range(self.n)]
 
-    def _walk(self, stack: list, within: int, cnt, col, bdr, log) -> None:
+    def _walk(self, stack: list, within: int, cnt, spaces, log) -> None:
         """Insert the faces of the lower-star tries on stack whose other
         vertices all lie in the mask within.
 
         With the roots star[v] for v in S and within = S, that is every
-        face of X[S] once.  cnt[k] counts the k-faces, col[k] spans their
-        complement columns and bdr[k] their boundaries; with a log, each
-        new pivot is logged as (space, pivot) for undo.
+        face of X[S] once.  spaces[k] spans the k-faces' vectors, and
+        cnt[k] counts the k-faces plus the pivots of degree k+1 below
+        zbits[k+1], the (k+1)-cycles of Y that do not bound in X.  Each new
+        pivot is logged as (space, pivot) for undo.
         """
+        zbits = self.zbits
         pop, push = stack.pop, stack.append
         while stack:
-            k, cv, b, cm, kids = pop()
+            k, vec, cm, kids = pop()
             cnt[k] += 1
-            if cv:
-                space = col[k]
-                p = space.insert(cv)
-                if p is not None and log is not None:
-                    log.append((space, p))
-            if b:
-                space = bdr[k]
-                p = space.insert(b)
-                if p is not None and log is not None:
-                    log.append((space, p))
+            space = spaces[k]
+            p = space.insert(vec)
+            if p is not None:
+                if p < zbits[k]:
+                    cnt[k - 1] += 1
+                log.append((space, p))
             m = cm & within
             while m:
                 low = m & -m
@@ -265,14 +265,14 @@ class TightnessEngine:
                 m ^= low
 
     @staticmethod
-    def _bad_degrees(cnt, col, bdr) -> list[int]:
+    def _bad_degrees(cnt, spaces) -> list[int]:
         """Degrees k whose map H_k(Y) -> H_k(X) is not injective."""
         bad = []
-        for k, space in enumerate(col):
-            meet = cnt[k] - space.rank
+        for k in range(len(spaces) - 1):
+            ranks = spaces[k].rank + spaces[k + 1].rank
             # B_k(Y) always sits inside C_k(Y) ∩ B_k(X)
-            assert meet >= bdr[k + 1].rank
-            if meet != bdr[k + 1].rank:
+            assert cnt[k] >= ranks
+            if cnt[k] != ranks:
                 bad.append(k)
         return bad
 
@@ -301,8 +301,7 @@ class TightnessEngine:
         if len(root) > cap:
             return 0, 0, []
         cnt = [0] * (d + 1)
-        col = [PivotSpace() for _ in range(d)]
-        bdr = [PivotSpace() for _ in range(d + 1)]
+        spaces = [PivotSpace() for _ in range(d + 1)]
         star, walk = self.star, self._walk
         bad_degrees = self._bad_degrees
         violations: Violations = []
@@ -314,7 +313,7 @@ class TightnessEngine:
             evaluated += 1
             mirrored = dual and 2 * size != n
             covered += 2 if mirrored else 1
-            for k in bad_degrees(cnt, col, bdr):
+            for k in bad_degrees(cnt, spaces):
                 violations.append((self._subset_labels(mask), k))
                 if mirrored:
                     violations.append(
@@ -328,7 +327,7 @@ class TightnessEngine:
             for v in range(start, n):
                 saved = cnt[:]
                 log: list = []
-                walk([star[v]], mask, cnt, col, bdr, log)
+                walk([star[v]], mask, cnt, spaces, log)
                 child = mask | (1 << v)
                 visit(child, size + 1)
                 if size + 1 < cap:
@@ -338,7 +337,7 @@ class TightnessEngine:
                     space.remove(p)
 
         mask = sum(1 << v for v in root)
-        walk([star[v] for v in root], mask, cnt, col, bdr, None)
+        walk([star[v] for v in root], mask, cnt, spaces, [])
         try:
             if root:
                 visit(mask, len(root))

@@ -10,12 +10,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from conftest import kuhnel_manifold
+from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
 
 from walkup import (
     SimplicialComplex,
     disjoint_union,
     from_facets,
+    handle_addition,
     homology_map_injective,
     in_walkup_class,
     is_tight_z2,
@@ -24,12 +25,14 @@ from walkup import (
     standard_sphere,
 )
 from walkup.errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
+from walkup.homology import betti_numbers
 from walkup import tightness
 from walkup.tightness import (
     POOL_MIN_SUBSETS,
     TightnessEngine,
     _face_links_are_spheres,
     _run,
+    _samples,
     _subtrees,
     duality_applies,
 )
@@ -64,29 +67,76 @@ def test_unknown_vertex_rejected(m4_15):
         homology_map_injective(m4_15, ("zz",), 0)
 
 
+def _grid_torus():
+    """The 9-vertex 3x3 grid torus: Betti numbers (1, 2, 1)."""
+    def v(i, j):
+        return f"g{i % 3}{j % 3}"
+
+    return from_facets(
+        facet
+        for i in range(3)
+        for j in range(3)
+        for facet in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)])
+    )
+
+
+def _direct_violations(X, subsets):
+    return [
+        (sub, k)
+        for sub in subsets
+        for k in range(X.dimension)
+        if not homology_map_injective(X, sub, k)
+    ]
+
+
 def test_scan_agrees_with_direct_check_exhaustively():
     # the fast incremental scan and the direct rank computation must give
-    # identical verdicts on every subset and degree of small complexes
+    # identical verdicts on every subset and degree of small complexes;
+    # the grid torus and the union have middle homology, so cycles of Y
+    # that survive in X reach the scan's test (violation count, degrees)
     complexes = [
-        standard_sphere(2),
-        random_stacked_sphere(2, 7, seed=0),
-        random_stacked_sphere(3, 7, seed=5),
-        random_stacked_sphere(4, 8, seed=1),
+        (standard_sphere(2), None),
+        (random_stacked_sphere(2, 7, seed=0), None),
+        (random_stacked_sphere(3, 7, seed=5), None),
+        (random_stacked_sphere(4, 8, seed=1), None),
+        (_grid_torus(), (24, {0, 1})),
+        (disjoint_union(standard_sphere(2), random_stacked_sphere(2, 6, 3))[0],
+         (160, {0, 1})),
     ]
-    for X in complexes:
-        engine = TightnessEngine(X)
+    for X, expected in complexes:
         n = len(X.vertices)
-        scan_violations = set()
-        _, _, viols = engine.search(stop_on_first=False)
-        for s, k in viols:
-            scan_violations.add((s, k))
-        direct_violations = set()
-        for size in range(1, n):
-            for sub in combinations(X.vertices, size):
-                for k in range(X.dimension):
-                    if not homology_map_injective(X, sub, k):
-                        direct_violations.add((sub, k))
-        assert scan_violations == direct_violations
+        _, _, viols = TightnessEngine(X).search(stop_on_first=False)
+        subsets = [
+            sub for size in range(1, n) for sub in combinations(X.vertices, size)
+        ]
+        assert set(viols) == set(_direct_violations(X, subsets))
+        if expected is not None:
+            assert (len(viols), {k for _, k in viols}) == expected
+
+
+def test_sampled_scan_agrees_with_direct_check_with_middle_homology():
+    # a stacked 4-sphere with one handle: Betti numbers (1, 1, 0, 1, 1),
+    # so degrees 1 and 3 of the scan's test meet surviving cycles
+    seed = 0
+    while True:
+        X = tube_sphere(4, 26, seed=seed)
+        psi = find_handle_pair(X)
+        if psi is not None:
+            break
+        seed += 1
+    Y = handle_addition(X, psi)
+    assert betti_numbers(Y) == (1, 1, 0, 1, 1)
+    n = len(Y.vertices)
+    engine = TightnessEngine(Y)
+    found = []
+    for task in _samples(n, 200, 5):
+        _, _, bad = engine.search(*task)
+        sub = tuple(Y.vertices[v] for v in task[0])
+        assert bad == _direct_violations(Y, [sub])
+        found += bad
+    assert len(found) == 30
+    assert {k for _, k in found} == {0, 3}
 
 
 def test_standard_spheres_tight():
