@@ -37,8 +37,6 @@ def _read_complex(path: str | None) -> SimplicialComplex:
 # ------------------------------------------------------------------ commands
 
 def cmd_info(X: SimplicialComplex, args) -> tuple[int, dict]:
-    from .homology import homology_profile
-
     dg = X.dual_graph()
     return 0, {
         "command": "info",
@@ -47,7 +45,7 @@ def cmd_info(X: SimplicialComplex, args) -> tuple[int, dict]:
         "weak_pseudomanifold": dg.is_weak_pseudomanifold,
         "closed": dg.is_closed,
         "pseudomanifold": dg.is_weak_pseudomanifold and dg.is_connected(),
-        "euler": homology_profile(X).euler,
+        "euler": sum((-1) ** j * c for j, c in enumerate(X.f_vector())),
     }
 
 

@@ -247,18 +247,18 @@ class SimplicialComplex:
             edges = []
             weak = True
             closed = bool(self.facets)
+            # facets come in sorted order, and two share at most one ridge
             for ridge, fs in ridge_map.items():
                 if len(fs) == 2:
-                    a, b = sorted(fs)
-                    edges.append((a, b))
+                    edges.append((fs[0], fs[1]))
                 elif len(fs) == 1:
                     closed = False
                 else:
                     weak = closed = False
             return DualGraph(
                 nodes=self.facets,
-                edges=tuple(sorted(set(edges))),
-                ridge_incidence={r: tuple(sorted(fs)) for r, fs in ridge_map.items()},
+                edges=tuple(sorted(edges)),
+                ridge_incidence={r: tuple(fs) for r, fs in ridge_map.items()},
                 is_weak_pseudomanifold=weak,
                 is_closed=weak and closed,
             )
@@ -391,11 +391,14 @@ def from_facets(
     if not rows:
         raise EmptyInput("no facets given")
     faces = []
+    checked: set[str] = set()
     for row in rows:
         if not row:
             raise EmptyInput("empty facet")
         for label in row:
-            check_label(label, clones)
+            # check_label rejects non-strings, unhashable ones included
+            if not isinstance(label, str) or label not in checked:
+                checked.add(check_label(label, clones))
         faces.append(make_face(row))
     dims = {len(f) for f in faces}
     if len(dims) > 1:

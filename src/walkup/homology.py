@@ -4,9 +4,13 @@ A chain is a bitset (one Python int) over a face order, so additions are
 word-parallel and ranks are exact.  boundary_columns() builds the
 boundary of every j-face as one int over the (j-1)-faces, and every rank,
 kernel and injectivity test in the package runs on those columns through
-the one pivot structure, PivotSpace.  Face order is the lexicographic
-order on sorted label tuples, fixed per complex, which makes every
-column reproducible bit for bit.
+the one pivot structure, PivotSpace, with two exceptions that need no
+elimination: rank ∂_1 is f_0 minus the number of components of the edge
+graph, and when every ridge lies in exactly two facets rank ∂_d is f_d
+minus the number of components of the dual graph.  Both counts come from
+complex.spanning_forest.  Face order is the lexicographic order on sorted
+label tuples, fixed per complex, which makes every column reproducible
+bit for bit.
 
 Orientability is decided over the integers by sign propagation along a
 spanning forest of the dual graph, independently of the mod-2 machinery.
@@ -113,10 +117,28 @@ def betti_numbers(X: SimplicialComplex, top: int | None = None) -> tuple[int, ..
     f = X.f_vector()
     # ranks[j] = rank of boundary_j; boundary_0 and boundary_{d+1} are zero maps
     ranks = [
-        rank_gf2(boundary_columns(X, j)) if 1 <= j <= d else 0
-        for j in range(top + 2)
+        _boundary_rank(X, j) if 1 <= j <= d else 0 for j in range(top + 2)
     ]
     return tuple(f[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
+
+
+def _boundary_rank(X: SimplicialComplex, j: int) -> int:
+    """Rank of boundary_j over GF(2), 1 <= j <= dimension.
+
+    The image of boundary_1 is the 0-chains of even weight on each
+    component of the edge graph; when every ridge lies in two facets,
+    the d-cycles are the unions of dual-graph components.
+    """
+    if j == 1:
+        return len(X.vertices) - _components(X.vertices, X.adjacency())
+    if j == X.dimension and X.is_closed_pseudomanifold():
+        dg = X.dual_graph()
+        return len(X.facets) - _components(dg.nodes, dg.adjacency())
+    return rank_gf2(boundary_columns(X, j))
+
+
+def _components(nodes, adj) -> int:
+    return list(spanning_forest(nodes, adj).values()).count(None)
 
 
 class HomologyProfile(NamedTuple):
@@ -161,20 +183,17 @@ def is_orientable(X: SimplicialComplex) -> bool:
     if X.is_empty or not X.is_closed_pseudomanifold():
         raise NotClosedPseudomanifold("orientability needs a closed weak pseudomanifold")
     dg = X.dual_graph()
-    position = {
-        f: {v: i for i, v in enumerate(f)} for f in X.facets
-    }
-
-    def relative_sign(a: Face, b: Face) -> int:
-        # sign relation forced on neighbors sharing the ridge a ∩ b:
-        # sign(b) = -sign(a) * (-1)^(i_a + i_b) with i the omitted index
-        shared = set(a) & set(b)
-        va = next(v for v in a if v not in shared)
-        vb = next(v for v in b if v not in shared)
-        return -1 if (position[a][va] + position[b][vb]) % 2 == 0 else 1
-
+    # facets a, b whose ridge r omits index i_a of a and i_b of b need
+    # sign(b) = -sign(a) * (-1)^(i_a + i_b); odd[r] is that parity
+    odd = dict.fromkeys(dg.ridge_incidence, 0)
+    for f in X.facets:
+        for i in range(1, len(f), 2):
+            odd[f[:i] + f[i + 1:]] ^= 1
+    factor: dict[Face, dict[Face, int]] = {f: {} for f in X.facets}
+    for r, (a, b) in dg.ridge_incidence.items():
+        factor[a][b] = factor[b][a] = 1 if odd[r] else -1
     # a forest lists every facet after its parent
     sign: dict[Face, int] = {}
-    for f, parent in spanning_forest(X.facets, dg.adjacency()).items():
-        sign[f] = 1 if parent is None else sign[parent] * relative_sign(parent, f)
-    return all(sign[b] == sign[a] * relative_sign(a, b) for a, b in dg.edges)
+    for f, parent in spanning_forest(X.facets, factor).items():
+        sign[f] = 1 if parent is None else sign[parent] * factor[parent][f]
+    return all(sign[a] * sign[b] == factor[a][b] for a, b in dg.edges)

@@ -19,26 +19,28 @@ from .errors import ParseError
 
 
 def parse_facet_text(text: str) -> SimplicialComplex:
-    """Parse the facet-list text format with line/column diagnostics."""
-    rows: list[list[str]] = []
+    """Parse the facet-list text format with line/column diagnostics; it
+    makes every check from_facets makes, so it builds the complex directly."""
+    faces: list[tuple[str, ...]] = []
     expected_size: int | None = None
     seen: dict[tuple[str, ...], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         tokens = raw.split()
-        cursor = 0
-        for tok in tokens:
-            pos = raw.index(tok, cursor)
-            cursor = pos + len(tok)
-            for ch in tok:
-                if ch == "#" or ch == CLONE_MARKER:
-                    raise ParseError(
-                        f"label {tok!r} contains forbidden character {ch!r}",
-                        lineno,
-                        pos + 1,
-                    )
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if "#" in raw or CLONE_MARKER in raw:
+            # some label has a forbidden character: find it and its column
+            cursor = 0
+            for tok in tokens:
+                pos = raw.index(tok, cursor)
+                cursor = pos + len(tok)
+                for ch in tok:
+                    if ch == "#" or ch == CLONE_MARKER:
+                        raise ParseError(
+                            f"label {tok!r} contains forbidden character {ch!r}",
+                            lineno,
+                            pos + 1,
+                        )
         if len(set(tokens)) != len(tokens):
             dup = next(t for t in tokens if tokens.count(t) > 1)
             raise ParseError(f"vertex {dup!r} repeated in facet", lineno)
@@ -56,10 +58,10 @@ def parse_facet_text(text: str) -> SimplicialComplex:
                 f"facet duplicates line {seen[key]}", lineno
             )
         seen[key] = lineno
-        rows.append(tokens)
-    if not rows:
+        faces.append(key)
+    if not faces:
         raise ParseError("no facets found", max(1, text.count("\n") + 1))
-    return from_facets(rows)
+    return SimplicialComplex(faces)
 
 
 def decode_json(text: str):

@@ -75,10 +75,11 @@ from .rng import SplitMix64
 from .theory import in_walkup_class
 
 DEFAULT_EXHAUSTIVE_CEILING = 20
-# Exhaustive scans with fewer subsets to evaluate run serially.  On 2 vCPUs
-# starting a pool and feeding it costs about 40 ms, and a subset 5-30 us, so
-# the pool breaks even near 0.1 s of serial work: K5 (4095 subsets) ties,
-# m4-15 and K6 (16383 each) gain.
+# Exhaustive scans with fewer subsets to evaluate run serially, because
+# starting a pool and feeding it costs tens of ms.  Measured in process
+# (is_tight_z2, two sweeps of 15 alternating runs, 2-vCPU VM), medians
+# serial vs pooled: m4-15 261-263 vs 196 ms, K6 469-527 vs 296 ms (16383
+# subsets each), so the pool still pays above the threshold.
 POOL_MIN_SUBSETS = 8000
 
 

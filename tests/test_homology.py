@@ -9,20 +9,24 @@ from hypothesis import strategies as st
 from walkup import (
     SimplicialComplex,
     from_facets,
+    handle_addition,
     homology_profile,
     is_orientable,
     random_stacked_sphere,
     standard_sphere,
 )
-from walkup.complex import empty_complex
+from walkup.complex import empty_complex, spanning_forest
 from walkup.errors import NotClosedPseudomanifold
 from walkup.homology import (
     PivotSpace,
+    betti_numbers,
     boundary_columns,
     nullspace_gf2,
     rank_gf2,
     transpose_gf2,
 )
+
+from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
 
 
 def test_rank_gf2_basics():
@@ -186,3 +190,92 @@ def test_top_betti_of_closed_pseudomanifolds(m4_15, s4_30, rp2_6, torus_7):
     for X in (m4_15, s4_30, rp2_6, torus_7):
         prof = homology_profile(X)
         assert prof.betti[-1] == 1
+
+
+# ------------------------------------------------- twins of the shortcuts
+
+def betti_by_elimination(X, top=None):
+    """Reference Betti numbers: every boundary map ranked by elimination."""
+    d = X.dimension
+    top = d if top is None else min(top, d)
+    f = X.f_vector()
+    ranks = [
+        rank_gf2(boundary_columns(X, j)) if 1 <= j <= d else 0
+        for j in range(top + 2)
+    ]
+    return tuple(f[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
+
+
+def orientable_by_shared_vertices(X):
+    """Reference orientability: each edge's sign from the two facets'
+    omitted vertices, found through the set of shared vertices."""
+    dg = X.dual_graph()
+    position = {f: {v: i for i, v in enumerate(f)} for f in X.facets}
+
+    def relative_sign(a, b):
+        # sign(b) = -sign(a) * (-1)^(i_a + i_b) with i the omitted index
+        shared = set(a) & set(b)
+        va = next(v for v in a if v not in shared)
+        vb = next(v for v in b if v not in shared)
+        return -1 if (position[a][va] + position[b][vb]) % 2 == 0 else 1
+
+    sign = {}
+    for f, parent in spanning_forest(X.facets, dg.adjacency()).items():
+        sign[f] = 1 if parent is None else sign[parent] * relative_sign(parent, f)
+    return all(sign[b] == sign[a] * relative_sign(a, b) for a, b in dg.edges)
+
+
+def _two_spheres(wedged: bool) -> SimplicialComplex:
+    """Two boundaries of tetrahedra, disjoint or sharing the vertex v1."""
+    S = standard_sphere(2)
+    glue = {"v1x": "v1"} if wedged else {}
+    other = (tuple(sorted(glue.get(v + "x", v + "x") for v in f)) for f in S.facets)
+    return SimplicialComplex(S.facets + tuple(other))
+
+
+def _rank_corpus(m4_15, rp2_6, torus_7):
+    yield "wedge of two 2-spheres", _two_spheres(wedged=True)
+    yield "two disjoint 2-spheres", _two_spheres(wedged=False)
+    yield "2-ball", from_facets([["a", "b", "c"], ["a", "c", "d"], ["a", "d", "e"]])
+    yield "three triangles on an edge", from_facets(
+        [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
+    )
+    yield "rp2_6", rp2_6
+    yield "torus_7", torus_7
+    yield "cycle", from_facets([["1", "2"], ["2", "3"], ["1", "3"]])
+    yield "two cycles", from_facets(
+        [["1", "2"], ["2", "3"], ["1", "3"], ["4", "5"], ["5", "6"], ["4", "6"]]
+    )
+    yield "two points", from_facets([["p"], ["q"]])
+    yield "m4_15", m4_15
+    for d in (2, 3, 4, 5):
+        yield f"stacked {d}-sphere", random_stacked_sphere(d, d + 9, seed=d)
+
+
+def test_wedge_of_spheres_is_closed_with_two_dual_components():
+    X = _two_spheres(wedged=True)
+    assert X.is_connected() and X.is_closed_pseudomanifold()
+    assert not X.dual_graph().is_connected()
+    assert betti_numbers(X) == (1, 0, 2)
+
+
+@pytest.mark.parametrize("top", [None, 0, 1, 2])
+def test_betti_numbers_match_elimination(top, m4_15, rp2_6, torus_7):
+    for name, X in _rank_corpus(m4_15, rp2_6, torus_7):
+        assert betti_numbers(X, top) == betti_by_elimination(X, top), name
+
+
+def test_is_orientable_matches_shared_vertex_signs(m4_15, s4_30, rp2_6, torus_7):
+    corpus = [m4_15, s4_30, rp2_6, torus_7]
+    corpus += [kuhnel_manifold(d) for d in (4, 5, 6)]
+    for d, n in ((3, 30), (4, 26)):
+        for seed in range(4):
+            X = tube_sphere(d, n, seed=seed)
+            psi = find_handle_pair(X)
+            if psi is not None:
+                corpus.append(handle_addition(X, psi))
+    verdicts = [is_orientable(X) for X in corpus]
+    assert verdicts == [orientable_by_shared_vertices(X) for X in corpus]
+    assert verdicts[:7] == [False, True, False, True, True, False, True]
+    # six handles: S^2 x S^1 and the twisted bundle in dimension 3
+    assert len(corpus) == 13 and {True, False} <= set(verdicts[7:])

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from walkup import build_m4_15, from_facets, standard_sphere
-from walkup.errors import ParseError
+from walkup.errors import InvalidLabel, ParseError
 from walkup.io import loads, parse_facet_json, parse_facet_text, serialize
 
 
@@ -75,3 +75,48 @@ def test_json_errors():
         parse_facet_json('{"something": 1}')
     with pytest.raises(ParseError):
         parse_facet_json('{"facets": "nope"}')
+
+
+def _parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        parse_facet_text(text)
+    return str(exc.value), exc.value.line, exc.value.column
+
+
+def test_forbidden_character_after_clean_lines():
+    assert _parse_error("a b c\nb c d\nc x#y d\n") == (
+        "line 3, column 3: label 'x#y' contains forbidden character '#'", 3, 3,
+    )
+    assert _parse_error("a b c\n# note\n   d  e~2   f\n") == (
+        "line 3, column 7: label 'e~2' contains forbidden character '~'", 3, 7,
+    )
+
+
+def test_forbidden_label_twice_on_a_line_reports_the_first():
+    assert _parse_error("a b c\nb q~ c q~\n") == (
+        "line 2, column 3: label 'q~' contains forbidden character '~'", 2, 3,
+    )
+    assert _parse_error("b c x\nb x#y x# c~\n") == (
+        "line 2, column 3: label 'x#y' contains forbidden character '#'", 2, 3,
+    )
+
+
+def test_facet_errors_carry_their_line():
+    assert _parse_error("a b c\nb c b\n") == (
+        "line 2: vertex 'b' repeated in facet", 2, None,
+    )
+    assert _parse_error("a b c\n\nb c\n") == (
+        "line 3: facet has 2 vertices, previous facets have 3", 3, None,
+    )
+    assert _parse_error("a b c\nb c d\nc a b\n") == (
+        "line 3: facet duplicates line 1", 3, None,
+    )
+
+
+@pytest.mark.parametrize(
+    "label", [1, None, ["b"], {"b": 1}, "", "c~1", "c#"], ids=repr
+)
+def test_json_rejects_bad_labels(label):
+    text = json.dumps({"facets": [["a", "b"], ["b", label]]})
+    with pytest.raises(InvalidLabel):
+        loads(text)
