@@ -13,7 +13,7 @@ used everywhere (inside faces, between facets, for tie-breaking).
 from __future__ import annotations
 
 import threading
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import inf
 from typing import Iterable, NamedTuple, Sequence
 
@@ -86,8 +86,12 @@ class DualGraph(NamedTuple):
     """Facet-adjacency graph: facets are nodes, shared ridges are edges.
 
     ridge_incidence maps every co-dimension-one face to the tuple of
-    facets containing it.  The weak-pseudomanifold flags summarize the
-    ridge multiplicities (at most two / exactly two facets per ridge).
+    facets containing it, in facet order.  edges holds one pair (a, b),
+    a < b, per ridge of two facets: grouped by a in facet order, and
+    within a group in the order combinations() lists the ridges of a
+    (the one without a's last vertex first).  The weak-pseudomanifold
+    flags summarize the ridge multiplicities (at most two / exactly two
+    facets per ridge).
     """
 
     nodes: tuple[Face, ...]
@@ -185,11 +189,14 @@ class SimplicialComplex:
         """All faces grouped by dimension, each group lexicographically sorted."""
 
         def compute():
-            buckets: dict[int, set[Face]] = {j: set() for j in range(self.dimension + 1)}
-            for facet in self.facets:
-                for k in range(1, len(facet) + 1):
-                    buckets[k - 1].update(combinations(facet, k))
-            return {j: tuple(sorted(s)) for j, s in buckets.items()}
+            # top down: the j-faces of a pure complex are the (j+1)-subsets
+            # of its (j+1)-faces, fewer tuples than every subset of every facet
+            d = self.dimension
+            by_dim = {d: self.facets} if self.facets else {}
+            for j in range(d - 1, -1, -1):
+                by_dim[j] = tuple(sorted(set(chain.from_iterable(
+                    map(combinations, by_dim[j + 1], repeat(j + 1))))))
+            return by_dim
 
         return self._memo("faces_by_dim", compute)
 
@@ -239,28 +246,22 @@ class SimplicialComplex:
 
     def dual_graph(self) -> DualGraph:
         def compute():
-            ridge_map: dict[Face, list[Face]] = {}
+            d = self.dimension
+            ridges: dict[Face, tuple[Face, ...]] = {}
+            get = ridges.get
             for facet in self.facets:
-                for i in range(len(facet)):
-                    ridge = facet[:i] + facet[i + 1:]
-                    ridge_map.setdefault(ridge, []).append(facet)
-            edges = []
-            weak = True
-            closed = bool(self.facets)
+                for ridge in combinations(facet, d):
+                    ridges[ridge] = get(ridge, ()) + (facet,)
             # facets come in sorted order, and two share at most one ridge
-            for ridge, fs in ridge_map.items():
-                if len(fs) == 2:
-                    edges.append((fs[0], fs[1]))
-                elif len(fs) == 1:
-                    closed = False
-                else:
-                    weak = closed = False
+            edges = tuple(fs for fs in ridges.values() if len(fs) == 2)
+            incidences = len(self.facets) * (d + 1)
             return DualGraph(
                 nodes=self.facets,
-                edges=tuple(sorted(edges)),
-                ridge_incidence={r: tuple(fs) for r, fs in ridge_map.items()},
-                is_weak_pseudomanifold=weak,
-                is_closed=weak and closed,
+                edges=edges,
+                ridge_incidence=ridges,
+                # incidences = #ridges + #edges iff no ridge has three facets
+                is_weak_pseudomanifold=len(ridges) + len(edges) == incidences,
+                is_closed=bool(self.facets) and len(edges) == len(ridges),
             )
 
         return self._memo("dual_graph", compute)

@@ -7,13 +7,18 @@ kernel and injectivity test in the package runs on those columns through
 the one pivot structure, PivotSpace, with two exceptions that need no
 elimination: rank ∂_1 is f_0 minus the number of components of the edge
 graph, and when every ridge lies in exactly two facets rank ∂_d is f_d
-minus the number of components of the dual graph.  Both counts come from
-complex.spanning_forest.  Face order is the lexicographic order on sorted
-label tuples, fixed per complex, which makes every column reproducible
-bit for bit.
+minus the number of trees of a spanning forest of the dual graph.  Both
+counts come from complex.spanning_forest.  The ranks in between are
+eliminated from the top degree down with clearing: a j-face that was a
+pivot of ∂_{j+1}, and on a closed input a ridge crossed by the dual
+forest, has a boundary that is a sum of the boundaries kept, so its
+column is neither built nor inserted.  Face order is the lexicographic
+order on sorted label tuples, fixed per complex, which makes every
+column reproducible bit for bit.
 
-Orientability is decided over the integers by sign propagation along a
-spanning forest of the dual graph, independently of the mod-2 machinery.
+Orientability is decided over the integers by sign propagation along the
+same spanning forest of the dual graph, independently of the mod-2
+machinery.
 """
 
 from __future__ import annotations
@@ -50,11 +55,17 @@ class PivotSpace:
         self.rank -= 1
 
 
-def rank_gf2(rows: list[int]) -> int:
-    """Rank of a list of bitset row vectors over GF(2)."""
+def rank_gf2(rows: list[int], pivots: set[int] | None = None) -> int:
+    """Rank of a list of bitset row vectors over GF(2).
+
+    When pivots is given, the pivot bit of every independent row, after
+    reduction against the rows before it, is added to it.
+    """
     space = PivotSpace()
     for v in rows:
         space.insert(v)
+    if pivots is not None:
+        pivots.update(space.pivots)
     return space.rank
 
 
@@ -93,12 +104,17 @@ def transpose_gf2(rows: list[int], ncols: int) -> list[int]:
     return out
 
 
-def boundary_columns(X: SimplicialComplex, j: int) -> list[int]:
-    """Boundaries of the j-faces as bitsets over the (j-1)-face order."""
+def boundary_columns(
+    X: SimplicialComplex, j: int, skip: frozenset[Face] = frozenset()
+) -> list[int]:
+    """Boundaries of the j-faces not in skip, as bitsets over the (j-1)-face order."""
     low = X.faces_of_dim(j - 1)
     index = {f: i for i, f in enumerate(low)}
+    faces = X.faces_of_dim(j)
+    if skip:
+        faces = [f for f in faces if f not in skip]
     cols = []
-    for face in X.faces_of_dim(j):
+    for face in faces:
         v = 0
         for i in range(len(face)):
             v |= 1 << index[face[:i] + face[i + 1:]]
@@ -114,31 +130,87 @@ def betti_numbers(X: SimplicialComplex, top: int | None = None) -> tuple[int, ..
     """
     d = X.dimension
     top = d if top is None else min(top, d)
+    closed = top + 1 >= d and X.is_closed_pseudomanifold()
+    return _betti(X, top, _dual_forest(X) if closed else None)
+
+
+def _betti(X: SimplicialComplex, top: int, forest: _Forest | None) -> tuple[int, ...]:
+    """Betti numbers from the ranks of boundary_j, j = top + 1 down to 1.
+
+    Each elimination clears the next.  A pivot b of boundary_{j+1} is the
+    top bit of a boundary w, and boundary_j w = 0 makes column b of
+    boundary_j a sum of columns below it, so b is left out of the next
+    rank.  On a closed input (forest given) rank boundary_d is f_d minus
+    the number of trees, and the tree ridges are left out of
+    boundary_{d-1}: the ridge a facet shares with its parent has the
+    same boundary as the sum of the facet's other ridges, each of which
+    is kept or is shared with a child, so from the leaves up every tree
+    ridge is a sum of kept columns.
+    """
+    d = X.dimension
     f = X.f_vector()
     # ranks[j] = rank of boundary_j; boundary_0 and boundary_{d+1} are zero maps
-    ranks = [
-        _boundary_rank(X, j) if 1 <= j <= d else 0 for j in range(top + 2)
-    ]
+    ranks = [0] * (top + 2)
+    j = min(top + 1, d)
+    skip: frozenset[Face] = frozenset()
+    if forest is not None and j == d > 0:
+        ranks[d] = f[d] - forest.trees
+        skip = forest.tree_ridges
+        j -= 1
+    while j >= 2:
+        pivots: set[int] = set()
+        ranks[j] = rank_gf2(boundary_columns(X, j, skip), pivots)
+        low = X.faces_of_dim(j - 1)
+        skip = frozenset(low[b] for b in pivots)
+        j -= 1
+    if j == 1:
+        # boundary_1 maps onto the even 0-chains of each edge-graph component
+        parents = spanning_forest(X.vertices, X.adjacency()).values()
+        ranks[1] = len(X.vertices) - list(parents).count(None)
     return tuple(f[j] - ranks[j] - ranks[j + 1] for j in range(top + 1))
 
 
-def _boundary_rank(X: SimplicialComplex, j: int) -> int:
-    """Rank of boundary_j over GF(2), 1 <= j <= dimension.
+class _Forest(NamedTuple):
+    """One spanning forest of the dual graph of a closed complex."""
 
-    The image of boundary_1 is the 0-chains of even weight on each
-    component of the edge graph; when every ridge lies in two facets,
-    the d-cycles are the unions of dual-graph components.
+    trees: int
+    tree_ridges: frozenset[Face]
+    orientable: bool
+
+
+def _dual_forest(X: SimplicialComplex) -> _Forest:
+    """Spanning forest of the dual graph of a closed complex: its number
+    of trees, the ridges its edges cross, and whether the facets orient
+    coherently.
+
+    Signs are propagated down the forest and then checked on every
+    adjacency; facets inherit the reference orientation of their sorted
+    vertex tuple.
     """
-    if j == 1:
-        return len(X.vertices) - _components(X.vertices, X.adjacency())
-    if j == X.dimension and X.is_closed_pseudomanifold():
-        dg = X.dual_graph()
-        return len(X.facets) - _components(dg.nodes, dg.adjacency())
-    return rank_gf2(boundary_columns(X, j))
-
-
-def _components(nodes, adj) -> int:
-    return list(spanning_forest(nodes, adj).values()).count(None)
+    dg = X.dual_graph()
+    # facets a, b whose ridge r omits index i_a of a and i_b of b need
+    # sign(b) = -sign(a) * (-1)^(i_a + i_b); odd[r] is that parity
+    odd = dict.fromkeys(dg.ridge_incidence, False)
+    for f in X.facets:
+        for i in range(1, len(f), 2):
+            odd[f[:i] + f[i + 1:]] ^= True
+    across: dict[Face, dict[Face, Face]] = {f: {} for f in X.facets}
+    for r, (a, b) in dg.ridge_incidence.items():
+        across[a][b] = across[b][a] = r
+    # a forest lists every facet after its parent
+    sign: dict[Face, bool] = {}
+    tree_ridges = []
+    for f, parent in spanning_forest(X.facets, across).items():
+        if parent is None:
+            sign[f] = True
+        else:
+            r = across[f][parent]
+            tree_ridges.append(r)
+            sign[f] = sign[parent] == odd[r]
+    orientable = all(
+        (sign[a] == sign[b]) == odd[r] for r, (a, b) in dg.ridge_incidence.items()
+    )
+    return _Forest(len(X.facets) - len(tree_ridges), frozenset(tree_ridges), orientable)
 
 
 class HomologyProfile(NamedTuple):
@@ -160,40 +232,20 @@ def homology_profile(X: SimplicialComplex) -> HomologyProfile:
         return HomologyProfile(betti=(), euler=0, orientable=None, connected=False)
     d = X.dimension
     f = X.f_vector()
-    betti = betti_numbers(X)
+    forest = _dual_forest(X) if X.is_closed_pseudomanifold() else None
+    betti = _betti(X, d, forest)
     euler = sum(f[j] if j % 2 == 0 else -f[j] for j in range(d + 1))
-    orientable = None
-    if X.is_closed_pseudomanifold():
-        orientable = is_orientable(X)
     return HomologyProfile(
         betti=betti,
         euler=euler,
-        orientable=orientable,
+        orientable=None if forest is None else forest.orientable,
         connected=betti[0] == 1,
     )
 
 
 def is_orientable(X: SimplicialComplex) -> bool:
-    """Decide whether the facets admit a coherent orientation.
-
-    Signs are propagated down a spanning forest of the dual graph and
-    then checked on every adjacency; facets inherit the reference
-    orientation of their sorted vertex tuple.
-    """
+    """Decide whether the facets admit a coherent orientation, by sign
+    propagation along a spanning forest of the dual graph."""
     if X.is_empty or not X.is_closed_pseudomanifold():
         raise NotClosedPseudomanifold("orientability needs a closed weak pseudomanifold")
-    dg = X.dual_graph()
-    # facets a, b whose ridge r omits index i_a of a and i_b of b need
-    # sign(b) = -sign(a) * (-1)^(i_a + i_b); odd[r] is that parity
-    odd = dict.fromkeys(dg.ridge_incidence, 0)
-    for f in X.facets:
-        for i in range(1, len(f), 2):
-            odd[f[:i] + f[i + 1:]] ^= 1
-    factor: dict[Face, dict[Face, int]] = {f: {} for f in X.facets}
-    for r, (a, b) in dg.ridge_incidence.items():
-        factor[a][b] = factor[b][a] = 1 if odd[r] else -1
-    # a forest lists every facet after its parent
-    sign: dict[Face, int] = {}
-    for f, parent in spanning_forest(X.facets, factor).items():
-        sign[f] = 1 if parent is None else sign[parent] * factor[parent][f]
-    return all(sign[a] * sign[b] == factor[a][b] for a, b in dg.edges)
+    return _dual_forest(X).orientable

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb, inf
 
@@ -157,6 +158,87 @@ def test_dual_graph_tree_of_ball(b5_30):
     dg = b5_30.dual_graph()
     assert dg.is_tree()
     assert len(dg.nodes) == 25 and len(dg.edges) == 24
+
+
+# ------------------------------------------- face layer against the facets
+
+def faces_by_facet(X):
+    """Reference face enumeration: every subset of every facet."""
+    buckets = {j: set() for j in range(X.dimension + 1)}
+    for f in X.facets:
+        for k in range(1, len(f) + 1):
+            buckets[k - 1].update(combinations(f, k))
+    return {j: tuple(sorted(s)) for j, s in buckets.items()}
+
+
+def dual_graph_by_facet(X):
+    """Reference dual graph: ridge -> facet set, edges, flags, components."""
+    incidence = {}
+    for f in X.facets:
+        for i in range(len(f)):
+            incidence.setdefault(f[:i] + f[i + 1:], set()).add(f)
+    edges = {tuple(sorted(fs)) for fs in incidence.values() if len(fs) == 2}
+    sizes = {len(fs) for fs in incidence.values()}
+    weak = sizes <= {1, 2}
+    closed = bool(X.facets) and sizes == {2}
+    # components by merging the facet sets of each edge until nothing changes
+    parts = [{f} for f in X.facets]
+    for a, b in edges:
+        pa = next(p for p in parts if a in p)
+        pb = next(p for p in parts if b in p)
+        if pa is not pb:
+            pa |= pb
+            parts.remove(pb)
+    connected = len(parts) == 1
+    tree = connected and len(edges) == len(X.facets) - 1
+    return incidence, edges, weak, closed, connected, tree
+
+
+def _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+    yield "empty", SimplicialComplex(())
+    yield "single facet", from_facets([["a", "b", "c"]])
+    yield "three points", from_facets([["p"], ["q"], ["r"]])
+    yield "two points", from_facets([["p"], ["q"]])
+    yield "three triangles on an edge", from_facets(
+        [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
+    )
+    yield "b5_30", b5_30
+    yield "stacked 3-ball", SimplicialComplex(
+        random_stacked_sphere(2, 12, seed=4).clique_complex()
+    )
+    yield "cycle", from_facets([["1", "2"], ["2", "3"], ["1", "3"]])
+    yield "m4_15", m4_15
+    yield "torus_7", torus_7
+    yield "rp2_6", rp2_6
+    for d in (2, 3, 4, 5):
+        yield f"stacked {d}-sphere", random_stacked_sphere(d, 3 * d, seed=d)
+
+
+def test_face_layer_matches_per_facet_enumeration(m4_15, torus_7, rp2_6, b5_30):
+    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+        assert X.faces_by_dim() == faces_by_facet(X), name
+        dg = X.dual_graph()
+        incidence, edges, weak, closed, connected, tree = dual_graph_by_facet(X)
+        assert dg.nodes == X.facets, name
+        assert len(dg.edges) == len(edges) and set(dg.edges) == edges, name
+        assert all(a < b for a, b in dg.edges), name
+        assert {r: set(fs) for r, fs in dg.ridge_incidence.items()} == incidence, name
+        # each ridge's facets come in facet order
+        assert all(list(fs) == sorted(fs) for fs in dg.ridge_incidence.values()), name
+        assert (dg.is_weak_pseudomanifold, dg.is_closed) == (weak, closed), name
+        assert (dg.is_connected(), dg.is_tree()) == (connected, tree), name
+
+
+def test_dual_graph_ignores_facet_order(m4_15, torus_7, rp2_6, b5_30):
+    rng = random.Random(5)
+    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+        rows = [list(f) for f in X.facets]
+        for row in rows:
+            rng.shuffle(row)
+        rng.shuffle(rows)
+        Y = from_facets(rows) if rows else SimplicialComplex(())
+        assert Y.dual_graph() == X.dual_graph(), name
+        assert Y.faces_by_dim() == X.faces_by_dim(), name
 
 
 # ------------------------------------------------------------------- boundary

@@ -233,7 +233,7 @@ def _two_spheres(wedged: bool) -> SimplicialComplex:
     return SimplicialComplex(S.facets + tuple(other))
 
 
-def _rank_corpus(m4_15, rp2_6, torus_7):
+def _rank_corpus(m4_15, rp2_6, torus_7, b5_30):
     yield "wedge of two 2-spheres", _two_spheres(wedged=True)
     yield "two disjoint 2-spheres", _two_spheres(wedged=False)
     yield "2-ball", from_facets([["a", "b", "c"], ["a", "c", "d"], ["a", "d", "e"]])
@@ -250,6 +250,15 @@ def _rank_corpus(m4_15, rp2_6, torus_7):
     yield "m4_15", m4_15
     for d in (2, 3, 4, 5):
         yield f"stacked {d}-sphere", random_stacked_sphere(d, d + 9, seed=d)
+    # with boundary: ∂_d is eliminated and clears ∂_{d-1}
+    yield "b5_30", b5_30
+    yield "stacked 3-ball", SimplicialComplex(
+        random_stacked_sphere(2, 12, seed=4).clique_complex()
+    )
+    for d in (4, 5, 6):
+        yield f"K{d}", kuhnel_manifold(d)
+    for d in (2, 3, 4, 5, 6):
+        yield f"stacked {d}-sphere, n = 60", random_stacked_sphere(d, 60, seed=d)
 
 
 def test_wedge_of_spheres_is_closed_with_two_dual_components():
@@ -259,9 +268,9 @@ def test_wedge_of_spheres_is_closed_with_two_dual_components():
     assert betti_numbers(X) == (1, 0, 2)
 
 
-@pytest.mark.parametrize("top", [None, 0, 1, 2])
-def test_betti_numbers_match_elimination(top, m4_15, rp2_6, torus_7):
-    for name, X in _rank_corpus(m4_15, rp2_6, torus_7):
+@pytest.mark.parametrize("top", [None, 0, 1, 2, 3, 4, 5, 6])
+def test_betti_numbers_match_elimination(top, m4_15, rp2_6, torus_7, b5_30):
+    for name, X in _rank_corpus(m4_15, rp2_6, torus_7, b5_30):
         assert betti_numbers(X, top) == betti_by_elimination(X, top), name
 
 
