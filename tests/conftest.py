@@ -14,6 +14,7 @@ from walkup import (
     build_s4_30,
     find_admissible_bijection,
     from_facets,
+    handle_addition,
     standard_sphere,
 )
 from walkup.rng import SplitMix64
@@ -115,6 +116,16 @@ def tube_sphere(d: int, n: int, seed: int) -> SimplicialComplex:
         facets.remove(chosen)
         facets.update(pool)
     return SimplicialComplex(facets)
+
+
+@pytest.fixture(scope="session")
+def many_handles():
+    """tube_sphere(4, 180, 1) with 18 handles added greedily, each at the
+    first admissible pair: f0 = 90, beta_1 = 18."""
+    X = tube_sphere(4, 180, 1)
+    for _ in range(18):
+        X = handle_addition(X, find_handle_pair(X))
+    return X
 
 
 def find_handle_pair(X: SimplicialComplex):

@@ -115,6 +115,20 @@ def test_link_of_vertex_in_m4_15(m4_15):
     assert link.dimension == 3
 
 
+def test_vertex_link_matches_facet_scan(b5_30, m4_15):
+    # the one-pass links against link((v,)), which scans every facet;
+    # b5-30 has boundary, two points and a cycle sit below dimension 2
+    two_points = from_facets([["p"], ["q"]])
+    cycle = from_facets([[f"c{i}", f"c{(i + 1) % 5}"] for i in range(5)])
+    for X in (two_points, cycle, b5_30, m4_15):
+        for v in X.vertices:
+            assert X.vertex_link(v) == X.link((v,)), v
+    assert two_points.vertex_link("p").is_empty
+    assert cycle.vertex_link("c0").facets == (("c1",), ("c4",))
+    with pytest.raises(UnknownVertex):
+        cycle.vertex_link("nope")
+
+
 def test_link_of_non_face(m4_15):
     with pytest.raises(FaceNotPresent):
         m4_15.link(("a1", "a2", "a3", "a4", "a5"))
@@ -381,6 +395,8 @@ def test_concurrent_queries_share_one_complex():
             len(X.dual_graph().edges),
             X.graph_distance(X.vertices[0], X.vertices[-1]),
             len(X.clique_complex()),
+            X.vertex_link(X.vertices[0]).facets,
+            X.radius_two_balls()[X.vertices[-1]],
         )
 
     with ThreadPoolExecutor(max_workers=8) as pool:

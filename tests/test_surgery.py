@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from itertools import combinations
+
 import pytest
 
 from walkup import (
@@ -17,6 +21,7 @@ from walkup import (
     handle_deletion,
     homology_profile,
     in_walkup_class,
+    induces_standard_sphere,
     is_admissible,
     is_isomorphic,
     is_stacked_sphere,
@@ -35,7 +40,7 @@ from walkup.errors import (
 )
 from walkup.complex import CLONE_MARKER
 from walkup.rng import SplitMix64
-from walkup.surgery import HandleLedger, far_apart
+from walkup.surgery import HandleLedger, separates
 
 from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
 
@@ -141,17 +146,17 @@ def _disjoint_facet_pairs(X):
     ]
 
 
-def test_far_apart_matches_bfs(s4_30):
+def test_radius_two_balls_match_bfs(s4_30):
     kinds = set()
-    for X in _admissibility_corpus(s4_30):
-        adj = X.adjacency()
+    two_points = SimplicialComplex([("p",), ("q",)])
+    for X in _admissibility_corpus(s4_30) + [two_points]:
+        ball = X.radius_two_balls()
         for u in X.vertices:
             for v in X.vertices:
-                if u != v:
-                    dist = X.graph_distance(u, v)
-                    kinds.add(min(dist, 3))
-                    assert far_apart(adj, u, v) == (dist >= 3), (u, v, dist)
-    assert kinds == {1, 2, 3}  # adjacent, common neighbour and far pairs
+                dist = X.graph_distance(u, v)
+                kinds.add(min(dist, 3))
+                assert (v in ball[u]) == (dist <= 2), (u, v, dist)
+    assert kinds == {0, 1, 2, 3}  # itself, adjacent, common neighbour, far
 
 
 def test_is_admissible_matches_bfs(s4_30):
@@ -182,15 +187,15 @@ def test_find_admissible_bijection_matches_bfs_search(s4_30):
 
 def test_admissibility_negative_cases(s4_30):
     # a1 ~ a2 share an edge, a1 and a5 a neighbour; the union is disconnected
-    adj = s4_30.adjacency()
-    assert s4_30.graph_distance("a1", "a2") == 1 and not far_apart(adj, "a1", "a2")
-    two = next(
+    ball = s4_30.radius_two_balls()
+    assert s4_30.graph_distance("a1", "a2") == 1 and "a2" in ball["a1"]
+    u, v = next(
         (u, v)
         for u in s4_30.vertices
         for v in s4_30.vertices
         if s4_30.graph_distance(u, v) == 2
     )
-    assert not far_apart(adj, *two)
+    assert v in ball[u]
     union, rename = disjoint_union(standard_sphere(4), standard_sphere(4))
     f1 = union.facets[0]
     f2 = tuple(sorted(rename[v] for v in f1))
@@ -225,8 +230,6 @@ def test_m4_15_bookkeeping(s4_30):
 
 
 def test_handle_addition_scar_is_standard_sphere(s4_30):
-    from walkup import induces_standard_sphere
-
     X = handle_addition(s4_30, _identification("a"))
     assert induces_standard_sphere(X, tuple(f"a{i}" for i in range(1, 6)))
 
@@ -277,8 +280,6 @@ def test_induced_spheres_of_m4_15(m4_15):
 
 
 def test_induced_spheres_verified(m4_15):
-    from walkup import induces_standard_sphere
-
     for s in find_induced_standard_spheres(m4_15):
         assert induces_standard_sphere(m4_15, s)
 
@@ -290,6 +291,32 @@ def test_standard_sphere_has_none():
 
 def test_walkup_members_have_some():
     Y = handle_addition(build_s4_30(), _identification("a"))
+    assert find_induced_standard_spheres(Y)
+
+
+def _tube_with_handle():
+    """The first tube_sphere(4, 26, seed) with an admissible pair, plus
+    that handle: 21 vertices."""
+    seed = 0
+    while (psi := find_handle_pair(X := tube_sphere(4, 26, seed=seed))) is None:
+        seed += 1
+    return handle_addition(X, psi)
+
+
+def test_induced_spheres_match_brute_force(m4_15):
+    # the least-vertex search against every (d+1)-subset of the vertices;
+    # in the cone over a standard 2-sphere every vertex has degree d + 1
+    Y = _tube_with_handle()
+    assert len(Y.vertices) == 21
+    cone = SimplicialComplex(f + ("y",) for f in standard_sphere(2).facets)
+    assert find_induced_standard_spheres(cone) == [("v1", "v2", "v3", "v4")]
+    for X in (m4_15, kuhnel_manifold(4), Y, standard_sphere(4), cone):
+        d = X.dimension
+        brute = [
+            s for s in combinations(X.vertices, d + 1)
+            if induces_standard_sphere(X, s)
+        ]
+        assert find_induced_standard_spheres(X) == brute
     assert find_induced_standard_spheres(Y)
 
 
@@ -488,6 +515,36 @@ def test_kalai_decompose_glued_corpus(m4_15):
         _assert_decomposes(X, g)
     X = connected_sum(K4, m4_15, dict(zip(K4.facets[0], m4_15.facets[0])))
     _assert_decomposes(X, "K4 # m4-15")
+
+
+MANY_HANDLES_LEDGER = "728efeb5e661b89d255217f53d5e5acc1b4ea6cdefe235f7506e3bf8edcb4f14"
+
+
+def test_kalai_decompose_many_handles_pinned(many_handles):
+    # sha256 of the ledger that cut-and-test gives; any change in which
+    # spheres are cut, or in how, moves it
+    ledger = kalai_decompose(many_handles)
+    assert len(ledger.handles) == 18
+    doc = json.dumps([ledger.base.facets, [psi.pairs for psi in ledger.handles]])
+    assert hashlib.sha256(doc.encode()).hexdigest() == MANY_HANDLES_LEDGER
+    assert ledger.replay() == many_handles
+
+
+def test_separates_matches_cut(m4_15, many_handles):
+    # the dual-graph test against cutting and testing the cut
+    A = tube_sphere(4, 16, seed=1)
+    B = tube_sphere(4, 16, seed=2)
+    tube_sum = connected_sum(A, B, dict(zip(A.facets[0], B.facets[0])))
+    corpus = [m4_15, *map(kuhnel_manifold, (4, 5, 6)), _tube_with_handle(),
+              tube_sum, many_handles]
+    seen = set()
+    for Y in corpus:
+        adj = Y.dual_graph().adjacency()
+        for S in find_induced_standard_spheres(Y):
+            split = separates(Y, adj, S)
+            assert split == (not handle_deletion(Y, S)[0].is_connected()), S
+            seen.add(split)
+    assert seen == {True, False}
 
 
 # ------------------------------------------------- error handling in the cut

@@ -143,10 +143,12 @@ def test_generating_set_and_cycles(m4_15):
 def test_clique_and_automorphism_searches_leave_no_cycles(m4_15):
     # Recursive closures are reference cycles: their garbage waits for the
     # cyclic GC, so peak memory would depend on when it happens to run.
+    # A fresh copy: the clique complex is memoized on the shared fixture.
+    X = SimplicialComplex(m4_15.facets)
     gc.collect()
     gc.disable()
     try:
-        cliques = m4_15.clique_complex()
+        cliques = X.clique_complex()
         group = automorphism_group(m4_15)
         assert gc.collect() == 0
     finally:
