@@ -14,12 +14,11 @@ from types import ModuleType
 _LAYERS = {
     "complex": (
         "CLONE_MARKER", "DualGraph", "Face", "SimplicialComplex",
-        "empty_complex", "from_facets", "induces_standard_sphere",
-        "is_standard_sphere",
+        "from_facets", "induces_standard_sphere", "is_standard_sphere",
     ),
     "constructions": (
         "build_b5_30", "build_m4_15", "build_n5_15", "build_s4_30",
-        "random_stacked_sphere", "standard_ball", "standard_sphere",
+        "random_stacked_sphere", "standard_sphere",
     ),
     "homology": ("HomologyProfile", "homology_profile", "is_orientable"),
     "stacked": (

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from itertools import chain, combinations, repeat
 from math import inf
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFacet,
@@ -82,6 +82,40 @@ def spanning_forest(nodes: Iterable, adj) -> dict:
     return parent
 
 
+def injective_maps(slots: Sequence[tuple], fits) -> Iterator[dict]:
+    """Yield, depth first, each injective map of the slot vertices to
+    their candidates that fits accepts, as a new dict in slot order.
+
+    slots lists (vertex, candidates) pairs, and each vertex is tried
+    against its candidates in list order.  fits(v, w, mapping) says
+    whether v -> w may extend mapping, which maps the vertices of the
+    slots before v.  The search keeps a stack of candidate iterators, one
+    per mapped slot, so no recursion limit bounds the number of slots.
+    """
+    if not slots:
+        yield {}
+        return
+    mapping: dict = {}
+    used: set = set()
+    stack = [iter(slots[0][1])]
+    while stack:
+        v = slots[len(stack) - 1][0]
+        if v in mapping:
+            used.remove(mapping.pop(v))
+        for w in stack[-1]:
+            if w not in used and fits(v, w, mapping):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(stack) == len(slots):
+            yield dict(mapping)
+        else:
+            stack.append(iter(slots[len(stack)][1]))
+
+
 class DualGraph(NamedTuple):
     """Facet-adjacency graph: facets are nodes, shared ridges are edges.
 
@@ -99,10 +133,6 @@ class DualGraph(NamedTuple):
     ridge_incidence: dict[Face, tuple[Face, ...]]
     is_weak_pseudomanifold: bool
     is_closed: bool
-
-    @property
-    def has_boundary(self) -> bool:
-        return self.is_weak_pseudomanifold and not self.is_closed
 
     def adjacency(self) -> dict[Face, list[Face]]:
         adj: dict[Face, list[Face]] = {f: [] for f in self.nodes}
@@ -455,10 +485,6 @@ def from_facets(
                 raise DuplicateFacet(f"facet {f} repeated")
             seen.add(f)
     return SimplicialComplex(faces)
-
-
-def empty_complex() -> SimplicialComplex:
-    return SimplicialComplex(())
 
 
 def is_standard_sphere(X: SimplicialComplex) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from itertools import combinations
 
-from .complex import Face, SimplicialComplex, from_facets
+from .complex import SimplicialComplex, from_facets
 from .errors import InvalidParameters
 from .rng import SplitMix64
 from .stacked import stack_star
@@ -73,20 +73,9 @@ def standard_sphere(d: int) -> SimplicialComplex:
     return SimplicialComplex(combinations(labels, d + 1))
 
 
-def standard_ball(d: int) -> SimplicialComplex:
-    """A single d-facet."""
-    if d < 0:
-        raise InvalidParameters(f"need d >= 0, got {d}")
-    return SimplicialComplex([tuple(f"v{i}" for i in range(1, d + 2))])
-
-
 def build_b5_30() -> SimplicialComplex:
     """The 30-vertex stacked 5-ball with 25 facets."""
     return from_facets(f.split() for f in B5_30_NAMED_FACETS.values())
-
-
-def b5_30_facet(name: str) -> Face:
-    return tuple(sorted(B5_30_NAMED_FACETS[name].split()))
 
 
 def build_s4_30() -> SimplicialComplex:
@@ -123,10 +112,6 @@ def build_n5_15() -> SimplicialComplex:
         for f in B5_30_NAMED_FACETS.values()
     ]
     return SimplicialComplex(facets)
-
-
-def n5_15_facet(name: str) -> Face:
-    return tuple(sorted(_IDENTIFY.get(v, v) for v in B5_30_NAMED_FACETS[name].split()))
 
 
 def random_stacked_sphere(d: int, n: int, seed: int) -> SimplicialComplex:

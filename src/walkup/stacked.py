@@ -13,12 +13,7 @@ import heapq
 from typing import NamedTuple
 
 from .complex import Face, SimplicialComplex, is_standard_sphere
-from .errors import (
-    DegreeTooHigh,
-    TooFewVertices,
-    UnknownVertex,
-    WalkupError,
-)
+from .errors import DegreeTooHigh, TooFewVertices, UnknownVertex
 
 
 class ReductionStep(NamedTuple):
@@ -63,10 +58,7 @@ def is_stacked_sphere(X: SimplicialComplex) -> bool:
     ball = SimplicialComplex(cliques)
     if not is_stacked_ball(ball):
         return False
-    try:
-        return ball.boundary_complex() == X
-    except WalkupError:
-        return False
+    return ball.boundary_complex() == X
 
 
 def reduce_once(X: SimplicialComplex, x: str) -> SimplicialComplex:

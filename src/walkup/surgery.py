@@ -4,10 +4,15 @@ handles.
 
 Handle deletion is the inverse of handle addition.  Cutting along an
 induced standard sphere removes the dual-graph adjacencies across ridges
-inside the sphere, splits each affected vertex star into its cut
-components, clones the vertices one copy per component, and caps the two
-boundary spheres with fresh facets.  The reconstruction is validated by
-replaying the returned bijection and demanding the exact input back.
+inside the sphere, splits each affected vertex star into its two cut
+components and gives each component one copy of the vertex.  Which copy
+keeps the label is read off the two sides of the cut, the components of
+the 2(d+1) copies of the sphere's ridges, so every facet is renamed
+once; the two sides are then capped with fresh facets.  The
+reconstruction is validated by replaying the returned bijection and
+demanding the exact input back.  Admissible bijections are searched
+with complex.injective_maps, the backtracking the isomorphism search
+shares.
 
 The decomposition cuts only along spheres that leave the complex
 connected, so it follows one complex from the input down to its stacked
@@ -27,6 +32,7 @@ from .complex import (
     Face,
     SimplicialComplex,
     induces_standard_sphere,
+    injective_maps,
     spanning_forest,
 )
 from .errors import (
@@ -175,10 +181,10 @@ def find_admissible_bijection(
 ) -> VertexBijection | None:
     """Search for an admissible bijection between two disjoint facets.
 
-    Backtracking perfect matching on the pairs at distance >= 3, decided
-    by the radius-2 balls as in is_admissible; returns the first
-    matching found, or None.  Sources are tried fewest candidates first
-    (ties by label), each against its candidates in sigma2's order.
+    The first of complex.injective_maps over the pairs at distance >= 3,
+    decided by the radius-2 balls as in is_admissible, or None.  Sources
+    are tried fewest candidates first (ties by label), each against its
+    candidates in sigma2's order.
     """
     if sigma1 not in X.facet_set or sigma2 not in X.facet_set:
         raise NotAFacet("both endpoints must be facets")
@@ -192,31 +198,9 @@ def find_admissible_bijection(
         if not allowed[u]:
             return None
     order = sorted(sigma1, key=lambda u: (len(allowed[u]), u))
-    assignment = _first_matching(order, allowed, set())
+    slots = [(u, allowed[u]) for u in order]
+    assignment = next(injective_maps(slots, lambda u, v, mapping: True), None)
     return None if assignment is None else bijection_from_map(assignment)
-
-
-def _first_matching(
-    order: list[str], allowed: dict[str, list[str]], used: set[str]
-) -> dict[str, str] | None:
-    """Backtracking: the first assignment of order's vertices to distinct
-    allowed vertices, each tried against its candidates in list order.
-
-    Module-level rather than a recursive closure: a closure that calls
-    itself is a reference cycle, left for the cyclic GC to reclaim.
-    """
-    if not order:
-        return {}
-    u = order[0]
-    for v in allowed[u]:
-        if v not in used:
-            used.add(v)
-            rest = _first_matching(order[1:], allowed, used)
-            used.remove(v)
-            if rest is not None:
-                rest[u] = v
-                return rest
-    return None
 
 
 def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]:
@@ -260,11 +244,16 @@ def _fresh_clone(label: str, taken: set[str]) -> str:
 def handle_deletion(
     Y: SimplicialComplex, subset: Iterable[str]
 ) -> tuple[SimplicialComplex, VertexBijection]:
-    """Cut a closed manifold along an induced standard sphere.
+    """Cut a closed manifold along an induced standard sphere S.
 
-    Returns the cut complex together with the bijection whose handle
-    addition restores the input exactly; the round trip is validated
-    before returning.
+    Each S-vertex star splits into two parts across the severed ridges
+    inside S, and each part gets one copy of the vertex.  The two sides
+    of the cut are read off the small surface of the 2(d+1) ridge copies
+    (each ridge inside S, once from each of its two facets); the side
+    holding the least label keeps the original labels and the other
+    takes the clones, so each facet is renamed once.  Returns the cut
+    complex together with the bijection whose handle addition restores
+    the input exactly; the round trip is validated before returning.
     """
     d = Y.dimension
     if d < 3:
@@ -277,6 +266,7 @@ def handle_deletion(
     if not induces_standard_sphere(Y, S):
         raise NotInducedStandardSphere(f"{S} does not induce a standard sphere")
     s_set = set(S)
+    incidence = Y.dual_graph().ridge_incidence
 
     # Partition each vertex star into the components of the cut dual
     # graph: the two facets of a ridge not inside S stay together in the
@@ -284,7 +274,7 @@ def handle_deletion(
     stars: dict[str, dict[Face, list[Face]]] = {
         x: {f: [] for f in Y.facets if x in f} for x in S
     }
-    for ridge, (fa, fb) in Y.dual_graph().ridge_incidence.items():
+    for ridge, (fa, fb) in incidence.items():
         if not s_set.issuperset(ridge):
             for x in s_set.intersection(ridge):
                 stars[x][fa].append(fb)
@@ -303,59 +293,43 @@ def handle_deletion(
                 f"star of {x!r} separates into {parts} parts, expected 2"
             )
 
-    # Tentative clone names: part 0 keeps the label, part 1 gets a clone.
+    # Name part 0 of each star by the vertex and part 1 by a fresh clone.
     taken = set(Y.vertices)
-    clone: dict[str, str] = {}
+    copies: dict[str, tuple[str, str]] = {}
     for x in S:
-        clone[x] = _fresh_clone(x, taken)
-        taken.add(clone[x])
-
-    def tentative(f: Face) -> Face:
-        return tuple(
-            sorted(
-                clone[v] if v in s_set and part_of[v][f] == 1 else v for v in f
-            )
-        )
-
-    cut = SimplicialComplex({tentative(f) for f in Y.facets})
-    if len(cut.facets) != len(Y.facets):
-        raise CutValidationFailed("cut collapsed distinct facets")
+        copies[x] = (x, _fresh_clone(x, taken))
+        taken.add(copies[x][1])
 
     # The cut surface must consist of two standard spheres, one copy of
-    # each S-vertex on each; identify the two boundary components.
-    try:
-        boundary = cut.boundary_complex()
-    except WalkupError as e:
-        raise CutValidationFailed(f"cut has no clean boundary: {e}") from e
-    comps = boundary.connected_components()
+    # each S-vertex on each; the side with the least label keeps the
+    # originals (components come sorted by least vertex).
+    surface = SimplicialComplex({
+        tuple(sorted(copies[x][part_of[x][f]] for x in ridge))
+        for ridge in combinations(S, d)
+        for f in incidence[ridge]
+    })
+    comps = surface.connected_components()
     if len(comps) != 2:
         raise CutValidationFailed(
             f"cut boundary has {len(comps)} components, expected 2"
         )
-    copies = {x: {x, clone[x]} for x in S}
-    side_a, side_b = comps[0], comps[1]
+    sides = [set(c.vertices) for c in comps]
     for x in S:
-        in_a = copies[x] & set(side_a.vertices)
-        in_b = copies[x] & set(side_b.vertices)
-        if len(in_a) != 1 or len(in_b) != 1:
+        if any(len(side.intersection(copies[x])) != 1 for side in sides):
             raise CutValidationFailed(
                 f"copies of {x!r} are not split across the boundary spheres"
             )
+    # final[x][p] names x in part p of its star
+    final = {x: c if c[0] in sides[0] else c[::-1] for x, c in copies.items()}
 
-    # Canonical final names: the component containing the smallest label
-    # keeps the originals, the other one gets the clones.
-    keep = side_a if min(side_a.vertices) <= min(side_b.vertices) else side_b
-    keep_vs = set(keep.vertices)
-    final: dict[str, str] = {}
-    for x in S:
-        kept_copy = next(iter(copies[x] & keep_vs))
-        other_copy = next(iter(copies[x] - {kept_copy}))
-        final[kept_copy] = x
-        final[other_copy] = clone[x]
-
+    new_facets = {
+        tuple(sorted(final[v][part_of[v][f]] if v in s_set else v for v in f))
+        for f in Y.facets
+    }
+    if len(new_facets) != len(Y.facets):
+        raise CutValidationFailed("cut collapsed distinct facets")
     cap_keep = S
-    cap_clone = tuple(sorted(clone[x] for x in S))
-    new_facets = {tuple(sorted(final.get(v, v) for v in f)) for f in cut.facets}
+    cap_clone = tuple(sorted(c[1] for c in copies.values()))
     new_facets.add(cap_keep)
     new_facets.add(cap_clone)
     result = SimplicialComplex(new_facets)
@@ -363,7 +337,7 @@ def handle_deletion(
     psi = VertexBijection(
         source_facet=cap_clone,
         target_facet=cap_keep,
-        pairs=tuple(sorted((clone[x], x) for x in S)),
+        pairs=tuple(sorted((c[1], x) for x, c in copies.items())),
     )
     try:
         restored = handle_addition(result, psi)

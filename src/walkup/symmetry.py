@@ -1,17 +1,20 @@
 """Automorphisms and isomorphisms of small complexes.
 
-Plain backtracking over vertex images, pruned by an iterated partition
-refinement on (vertex degree, incident edge degrees).  The edge degree
-of uv is the number of vertices in the link of uv, which any
-facet-preserving map must conserve; on 2-neighborly complexes this is
-the prune that matters, since adjacency alone says nothing there.
+Backtracking over vertex images with complex.injective_maps, pruned by
+an iterated partition refinement on (vertex degree, incident edge
+degrees) and by adjacency and edge degree to the vertices already
+mapped; a complete map is kept iff it carries the facets of X onto
+those of Y.  The edge degree of uv is the number of vertices in the
+link of uv, which any facet-preserving map must conserve; on
+2-neighborly complexes this is the prune that matters, since adjacency
+alone says nothing there.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, islice
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, injective_maps
 
 Permutation = dict[str, str]
 
@@ -72,54 +75,26 @@ def _search(
     if any(len(cells_x[c]) != len(cells_y[c]) for c in cells_x):
         return []
 
-    graphs = (X.adjacency(), Y.adjacency(), edeg_x, edeg_y)
+    adj_x, adj_y = X.adjacency(), Y.adjacency()
+
+    def fits(v: str, w: str, mapping: Permutation) -> bool:
+        """Does v -> w keep adjacency and edge degrees to every mapped vertex?"""
+        for u, m in mapping.items():
+            adjacent = u in adj_x[v]
+            if adjacent != (m in adj_y[w]):
+                return False
+            if adjacent and edeg_x(v, u) != edeg_y(w, m):
+                return False
+        return True
+
     # most constrained cells first, labels for determinism
     order = sorted(X.vertices, key=lambda v: (len(cells_x[colors_x[v]]), v))
     slots = [(v, cells_y[colors_x[v]]) for v in order]
-    found = _extensions(X, Y, slots, graphs, {}, set())
+    found = (
+        m for m in injective_maps(slots, fits)
+        if {tuple(sorted(m[v] for v in f)) for f in X.facets} == Y.facet_set
+    )
     return list(found if find_all else islice(found, 1))
-
-
-def _feasible(v: str, w: str, mapping: Permutation, graphs) -> bool:
-    """Does v -> w keep adjacency and edge degrees to every mapped vertex?"""
-    adj_x, adj_y, edeg_x, edeg_y = graphs
-    for u, m in mapping.items():
-        adjacent = u in adj_x[v]
-        if adjacent != (m in adj_y[w]):
-            return False
-        if adjacent and edeg_x(v, u) != edeg_y(w, m):
-            return False
-    return True
-
-
-def _extensions(
-    X: SimplicialComplex,
-    Y: SimplicialComplex,
-    slots: list[tuple[str, list[str]]],
-    graphs,
-    mapping: Permutation,
-    used: set[str],
-):
-    """Yield, as new dicts, the facet-preserving maps X -> Y that extend
-    mapping, which maps the first len(mapping) vertices of slots; each
-    slot is a vertex and its candidate images, tried in list order.
-
-    Module-level rather than a recursive closure: a closure that calls
-    itself is a reference cycle, left for the cyclic GC to reclaim.
-    """
-    i = len(mapping)
-    if i == len(slots):
-        if {tuple(sorted(mapping[v] for v in f)) for f in X.facets} == Y.facet_set:
-            yield dict(mapping)
-        return
-    v, candidates = slots[i]
-    for w in candidates:
-        if w not in used and _feasible(v, w, mapping, graphs):
-            mapping[v] = w
-            used.add(w)
-            yield from _extensions(X, Y, slots, graphs, mapping, used)
-            used.discard(w)
-            del mapping[v]
 
 
 def automorphism_group(X: SimplicialComplex) -> list[Permutation]:

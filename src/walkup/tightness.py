@@ -346,6 +346,8 @@ class TightnessEngine:
                 dfs(root[-1] + 1 if root else 0, mask, len(root))
         except _Stop:
             pass
+        finally:
+            dfs = None  # a closure that calls itself is a reference cycle
         return evaluated, covered, violations
 
     def _subset_labels(self, mask: int) -> tuple[str, ...]:

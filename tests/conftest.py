@@ -17,6 +17,7 @@ from walkup import (
     handle_addition,
     standard_sphere,
 )
+from walkup.constructions import B5_30_NAMED_FACETS
 from walkup.rng import SplitMix64
 from walkup.stacked import stack_star
 
@@ -97,6 +98,17 @@ def kuhnel_manifold(d: int) -> SimplicialComplex:
         [f"k{(i + j) % m}" for j in range(d + 2)] for i in range(m)
     )
     return ball.boundary_complex()
+
+
+def b5_30_facet(name: str) -> tuple[str, ...]:
+    """The named facet of b5-30."""
+    return tuple(sorted(B5_30_NAMED_FACETS[name].split()))
+
+
+def n5_15_facet(name: str) -> tuple[str, ...]:
+    """The named facet of b5-30 with each primed vertex identified with
+    its unprimed one, as in n5-15."""
+    return tuple(sorted(v.removesuffix("p") for v in B5_30_NAMED_FACETS[name].split()))
 
 
 def tube_sphere(d: int, n: int, seed: int) -> SimplicialComplex:

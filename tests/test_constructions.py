@@ -18,30 +18,20 @@ from walkup import (
     is_stacked_sphere,
     is_two_neighborly,
     random_stacked_sphere,
-    standard_ball,
     standard_sphere,
     stacked_sphere_fvector,
 )
-from walkup.constructions import (
-    B5_30_DUAL_TREE_EDGES,
-    N5_15_EXTRA_DUAL_EDGES,
-    b5_30_facet,
-    n5_15_facet,
-)
+from walkup.constructions import B5_30_DUAL_TREE_EDGES, N5_15_EXTRA_DUAL_EDGES
 from walkup.errors import InvalidParameters
 from walkup.fixtures import M4_15_FACETS
 from walkup.io import serialize
-from walkup.io import serialize
+
+from conftest import b5_30_facet, n5_15_facet
 
 
 def test_standard_sphere_1_is_triangle():
     X = standard_sphere(1)
     assert X.f_vector() == (3, 3)
-
-
-def test_standard_ball_boundary():
-    for d in (1, 2, 3, 4, 5):
-        assert standard_ball(d + 1).boundary_complex() == standard_sphere(d)
 
 
 def test_standard_sphere_4_fvector():

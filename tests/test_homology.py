@@ -15,7 +15,7 @@ from walkup import (
     random_stacked_sphere,
     standard_sphere,
 )
-from walkup.complex import empty_complex, spanning_forest
+from walkup.complex import spanning_forest
 from walkup.errors import NotClosedPseudomanifold
 from walkup.homology import (
     PivotSpace,
@@ -136,7 +136,7 @@ def test_profile_torus(torus_7):
 
 
 def test_profile_empty():
-    prof = homology_profile(empty_complex())
+    prof = homology_profile(SimplicialComplex(()))
     assert prof.betti == ()
     assert prof.euler == 0
     assert prof.orientable is None

@@ -127,7 +127,7 @@ def test_fvector_loads_fractions_but_not_dataclasses():
 
 
 def test_public_names_are_their_submodule_attributes():
-    assert len(walkup.__all__) == len(set(walkup.__all__)) == 50
+    assert len(walkup.__all__) == len(set(walkup.__all__)) == 48
     assert dir(walkup) == walkup.__all__
     for layer, names in walkup._LAYERS.items():
         module = importlib.import_module(f"walkup.{layer}")

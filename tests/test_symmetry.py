@@ -9,12 +9,17 @@ from math import factorial
 from walkup import (
     SimplicialComplex,
     automorphism_group,
+    find_admissible_bijection,
+    handle_deletion,
     homology_profile,
     is_isomorphic,
+    is_tight_z2,
     random_stacked_sphere,
     standard_sphere,
 )
 from walkup.symmetry import compose, cycle_notation, generating_set
+
+from conftest import find_handle_pair, tube_sphere
 
 
 def inverse(p):
@@ -155,3 +160,26 @@ def test_clique_and_automorphism_searches_leave_no_cycles(m4_15):
         gc.enable()
     assert cliques == (m4_15.vertices,)  # 2-neighborly
     assert len(group) == 3
+
+
+def test_scans_and_cuts_leave_no_cycles(m4_15):
+    # the same check on the tightness scan's depth-first search (whole,
+    # stopped at a first violation, sampled), the matching search and the cut
+    tube = tube_sphere(4, 26, seed=1)
+    psi = find_handle_pair(tube)
+    not_tight = random_stacked_sphere(4, 8, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        whole = is_tight_z2(m4_15)
+        first = is_tight_z2(not_tight)
+        sampled = is_tight_z2(m4_15, mode="sampled", sample_count=300)
+        found = find_admissible_bijection(tube, psi.source_facet, psi.target_facet)
+        cut, _ = handle_deletion(m4_15, ("c1", "c2", "c3", "c4", "c5"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert (whole.verdict, first.verdict, sampled.verdict) == (
+        "tight", "not-tight", "tight-on-sample")
+    assert found == psi
+    assert cut.is_connected()
