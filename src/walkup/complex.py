@@ -398,15 +398,21 @@ class SimplicialComplex:
         """Clique complex of the 1-skeleton: its maximal cliques, sorted.
 
         The cliques may differ in size (the complex need not be pure).
+        The search runs on int bitmasks, bit i standing for the i-th
+        vertex in label order; the masks are read off the memoized
+        adjacency(), which the reduction recognizer shares on a whole
+        sphere.
         """
 
         def compute():
+            vs = self.vertices
+            bit = {v: 1 << i for i, v in enumerate(vs)}
             adj = self.adjacency()
-            order = {v: i for i, v in enumerate(self.vertices)}
-            nbrs = {v: set(adj[v]) for v in self.vertices}
-            cliques: list[Face] = []
-            _expand_cliques(set(), set(self.vertices), set(), nbrs, order, cliques)
-            return tuple(sorted(cliques))
+            nbr = [sum(map(bit.__getitem__, adj[v])) for v in vs]
+            cliques: list[tuple[int, ...]] = []
+            _expand_cliques((), (1 << len(vs)) - 1, 0, nbr, cliques)
+            return tuple(sorted(
+                tuple(map(vs.__getitem__, sorted(c))) for c in cliques))
 
         return self._memo("clique_complex", compute)
 
@@ -434,22 +440,45 @@ class _Balls(dict):
 
 
 def _expand_cliques(
-    r: set[str], p: set[str], x: set[str], nbrs, order, cliques
+    r: tuple[int, ...], p: int, x: int, nbr: list[int], cliques: list
 ) -> None:
-    """Bron-Kerbosch with pivoting: append to cliques each maximal clique C
-    with r <= C <= r | p; x holds the candidates already explored.
+    """Bron-Kerbosch with pivoting on vertex bitmasks: append to cliques
+    each maximal clique C with r <= C <= r | p, as a tuple of vertex
+    indices; p and x are masks, x holding the candidates already
+    explored, and nbr[i] is the neighbour mask of vertex i.
 
+    The pivot is the vertex of p | x with the most neighbours in p (the
+    lowest such bit on ties); the branches are the vertices of p outside
+    its neighbourhood, lowest bit first.  A vertex of x that sees all of
+    p leaves no branch, so the scan for the pivot stops there.
     Module-level rather than a recursive closure: a closure that calls
     itself is a reference cycle, left for the cyclic GC to reclaim.
     """
-    if not p and not x:
-        cliques.append(tuple(sorted(r)))
+    if not p:
+        if not x:
+            cliques.append(r)
         return
-    pivot = max(p | x, key=lambda v: len(p & nbrs[v]))
-    for v in sorted(p - nbrs[pivot], key=order.get):
-        _expand_cliques(r | {v}, p & nbrs[v], x & nbrs[v], nbrs, order, cliques)
-        p.remove(v)
-        x.add(v)
+    size = p.bit_count()
+    most = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        count = (p & nbr[u]).bit_count()
+        if count > most:
+            if count == size:
+                return  # u is in x and extends every clique here
+            most, pivot = count, u
+        rest ^= low
+    branches = p & ~nbr[pivot]
+    while branches:
+        low = branches & -branches
+        v = low.bit_length() - 1
+        nv = nbr[v]
+        _expand_cliques(r + (v,), p & nv, x & nv, nbr, cliques)
+        p ^= low
+        x |= low
+        branches ^= low
 
 
 def from_facets(

@@ -39,8 +39,14 @@ def is_stacked_sphere(X: SimplicialComplex) -> bool:
     For d >= 2 the 1-skeleton determines the sphere: the clique complex
     must be a stacked (d+1)-ball whose boundary is exactly X.  For d = 1
     every single cycle qualifies.  Arbitrary pure complexes simply return
-    False.
+    False.  The verdict is memoized on X, like its vertex links, so a
+    second membership test of one complex reads one cached verdict per
+    link instead of rebuilding each ball.
     """
+    return X._memo("stacked_sphere", lambda: _stacked_sphere(X))
+
+
+def _stacked_sphere(X: SimplicialComplex) -> bool:
     if X.is_empty:
         return False
     d = X.dimension

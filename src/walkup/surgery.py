@@ -182,21 +182,22 @@ def find_admissible_bijection(
     """Search for an admissible bijection between two disjoint facets.
 
     The first of complex.injective_maps over the pairs at distance >= 3,
-    decided by the radius-2 balls as in is_admissible, or None.  Sources
-    are tried fewest candidates first (ties by label), each against its
-    candidates in sigma2's order.
+    decided by the radius-2 balls as in is_admissible, or None.  Most
+    facet pairs are refused before any list is built: when the facets
+    meet, or when some source's ball holds all of sigma2, one set test
+    decides.  Sources are tried fewest candidates first (ties by label),
+    each against its candidates in sigma2's order.
     """
     if sigma1 not in X.facet_set or sigma2 not in X.facet_set:
         raise NotAFacet("both endpoints must be facets")
-    if set(sigma1) & set(sigma2):
+    s2 = set(sigma2)
+    if not s2.isdisjoint(sigma1):
         return None
     ball = X.radius_two_balls()
-    allowed: dict[str, list[str]] = {}
     for u in sigma1:
-        near = ball[u]
-        allowed[u] = [v for v in sigma2 if v not in near]
-        if not allowed[u]:
+        if s2 <= ball[u]:
             return None
+    allowed = {u: [v for v in sigma2 if v not in ball[u]] for u in sigma1}
     order = sorted(sigma1, key=lambda u: (len(allowed[u]), u))
     slots = [(u, allowed[u]) for u in order]
     assignment = next(injective_maps(slots, lambda u, v, mapping: True), None)

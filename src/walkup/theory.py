@@ -133,7 +133,9 @@ def in_walkup_class(X: SimplicialComplex) -> bool:
 
     For d <= 2 the class consists of all closed triangulated d-manifolds,
     so the test degenerates to every link being a single cycle (d = 2) or
-    a point pair (d = 1).
+    a point pair (d = 1).  The links are memoized on X and each link's
+    verdict on the link, so testing one complex again, as kalai_decompose
+    does with its input, builds no complex.
     """
     if X.is_empty:
         return False

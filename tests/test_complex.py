@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import combinations
 from math import comb, inf
@@ -14,6 +16,7 @@ from walkup import (
     SimplicialComplex,
     from_facets,
     induces_standard_sphere,
+    is_stacked_sphere,
     is_standard_sphere,
     random_stacked_sphere,
     standard_sphere,
@@ -29,6 +32,9 @@ from walkup.errors import (
     NotPseudomanifoldWithBoundary,
     UnknownVertex,
 )
+from walkup.surgery import disjoint_union
+
+from conftest import kuhnel_manifold
 
 
 # ------------------------------------------------------------- construction
@@ -298,6 +304,62 @@ def test_clique_complex_of_stacked_sphere_is_ball():
     assert SimplicialComplex(cliques).boundary_complex() == X
 
 
+def _clique_corpus(m4_15, rp2_6, torus_7):
+    """(name, complex): stacked spheres, every vertex link of m4-15 and
+    of K4-K6, surfaces, a cycle, points and a disconnected union whose
+    clique complex is not pure."""
+    for d in (3, 4):
+        for n in (40, 320, 1000):
+            yield f"stacked {d} {n}", random_stacked_sphere(d, n, seed=n + d)
+    for name, X in [("m4-15", m4_15)] + [(f"K{d}", kuhnel_manifold(d)) for d in (4, 5, 6)]:
+        for v in X.vertices:
+            yield f"{name} lk {v}", X.vertex_link(v)
+    yield "rp2_6", rp2_6
+    yield "torus_7", torus_7
+    four = from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["4", "1"]])
+    yield "four-cycle", four
+    yield "points", SimplicialComplex([("a",), ("b",), ("c",)])
+    yield "union", disjoint_union(standard_sphere(1), four)[0]
+
+
+# sha256 of the maximal cliques of the corpus, computed with the set-based
+# Bron-Kerbosch search that the bitmask search replaced
+CLIQUE_COMPLEXES = "c11e83b2a47059f30c534d9f8818ced0b0ab9c7bf96385c5ebfb09e3b5b97f0a"
+
+
+def test_clique_complex_pinned(m4_15, rp2_6, torus_7):
+    doc = [(name, X.clique_complex()) for name, X in _clique_corpus(m4_15, rp2_6, torus_7)]
+    assert len(doc) == 65
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == CLIQUE_COMPLEXES
+
+
+def _maximal_cliques_by_subsets(X):
+    """Every vertex subset that spans a clique of the edge faces and that
+    no outside vertex extends, sorted."""
+    edges = set(X.faces_of_dim(1))
+    n = len(X.vertices)
+    cliques = [
+        s
+        for k in range(1, n + 1)
+        for s in combinations(X.vertices, k)
+        if all(e in edges for e in combinations(s, 2))
+    ]
+    extends = lambda s, w: w not in s and all(tuple(sorted((u, w))) in edges for u in s)
+    return tuple(sorted(s for s in cliques if not any(extends(s, w) for w in X.vertices)))
+
+
+def test_clique_complex_matches_subset_twin(m4_15, rp2_6, torus_7):
+    small = [(name, X) for name, X in _clique_corpus(m4_15, rp2_6, torus_7)
+             if len(X.vertices) <= 12]
+    assert len(small) == 11 + 13 + 5  # the links of K4 and K5, then the rest
+    impure = 0
+    for name, X in small:
+        want = _maximal_cliques_by_subsets(X)
+        assert SimplicialComplex(X.facets).clique_complex() == want, name
+        impure += len({len(c) for c in want}) > 1
+    assert impure >= 1
+
+
 # ---------------------------------------------------------------- 1-skeleton
 
 def test_adjacency_matches_edge_faces(m4_15, b5_30):
@@ -394,6 +456,7 @@ def test_concurrent_queries_share_one_complex():
             len(X.dual_graph().edges),
             X.graph_distance(X.vertices[0], X.vertices[-1]),
             len(X.clique_complex()),
+            is_stacked_sphere(X),
             X.vertex_link(X.vertices[0]).facets,
             X.radius_two_balls()[X.vertices[-1]],
         )

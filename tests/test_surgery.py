@@ -222,6 +222,24 @@ def test_is_admissible_requires_facets(s4_30):
         is_admissible(s4_30, psi)
 
 
+def test_find_admissible_bijection_requires_facets(s4_30):
+    # the facet checks come before any early answer of None: a non-facet
+    # that meets the other endpoint, or that lies within its balls, raises
+    F = s4_30.facets[0]
+    ball = s4_30.radius_two_balls()
+    G = next(g for g in s4_30.facets if not set(g) & set(F))
+    meets = tuple(sorted(F[:4] + (G[0],)))
+    near = tuple(sorted(ball[F[0]].difference(F)))[:5]
+    for sigma in (meets, near):
+        assert sigma not in s4_30.facet_set and len(sigma) == 5
+    assert not set(near) & set(F)
+    for sigma in (meets, near):
+        with pytest.raises(NotAFacet):
+            find_admissible_bijection(s4_30, F, sigma)
+        with pytest.raises(NotAFacet):
+            find_admissible_bijection(s4_30, sigma, F)
+
+
 def test_bijection_validation():
     with pytest.raises(ValueError):
         VertexBijection(("a",), ("a",), (("a", "a"),))

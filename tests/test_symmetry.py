@@ -12,6 +12,7 @@ from walkup import (
     find_admissible_bijection,
     handle_deletion,
     homology_profile,
+    in_walkup_class,
     is_isomorphic,
     is_tight_z2,
     random_stacked_sphere,
@@ -163,14 +164,18 @@ def test_clique_and_automorphism_searches_leave_no_cycles(m4_15):
 
 
 def test_scans_and_cuts_leave_no_cycles(m4_15):
-    # the same check on the tightness scan's depth-first search (whole,
+    # the same check on the clique search and the membership test of a
+    # fresh complex, the tightness scan's depth-first search (whole,
     # stopped at a first violation, sampled), the matching search and the cut
     tube = tube_sphere(4, 26, seed=1)
     psi = find_handle_pair(tube)
     not_tight = random_stacked_sphere(4, 8, seed=1)
+    fresh = SimplicialComplex(tube.facets)
     gc.collect()
     gc.disable()
     try:
+        cliques = fresh.clique_complex()
+        member = in_walkup_class(fresh)
         whole = is_tight_z2(m4_15)
         first = is_tight_z2(not_tight)
         sampled = is_tight_z2(m4_15, mode="sampled", sample_count=300)
@@ -183,3 +188,4 @@ def test_scans_and_cuts_leave_no_cycles(m4_15):
         "tight", "not-tight", "tight-on-sample")
     assert found == psi
     assert cut.is_connected()
+    assert member and len(cliques) == len(fresh.vertices) - 5  # a stacked 4-sphere

@@ -188,6 +188,42 @@ def test_torus_in_walkup_class(torus_7):
     assert in_walkup_class(torus_7)
 
 
+def _count_constructions(monkeypatch) -> list:
+    built: list = []
+    init = SimplicialComplex.__init__
+
+    def counting(self, facets):
+        built.append(self)
+        init(self, facets)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    return built
+
+
+def test_second_membership_test_builds_no_complex(monkeypatch):
+    # the link verdicts are memoized with the links, so the repeat reads them
+    X = SimplicialComplex(random_stacked_sphere(4, 40, seed=3).facets)
+    assert in_walkup_class(X)
+    built = _count_constructions(monkeypatch)
+    assert in_walkup_class(X)
+    assert built == []
+
+
+def test_equal_complexes_do_not_share_verdicts(monkeypatch):
+    # memos hang off the object: an equal copy decides everything afresh
+    X = SimplicialComplex(random_stacked_sphere(4, 40, seed=3).facets)
+    assert in_walkup_class(X)
+    built = _count_constructions(monkeypatch)
+    Y = SimplicialComplex(X.facets)
+    assert Y == X and Y is not X
+    assert in_walkup_class(Y)
+    # Y itself, its 40 links, and a ball for each link
+    assert len(built) > 1 + 2 * len(Y.vertices)
+    built.clear()
+    assert in_walkup_class(Y) and in_walkup_class(X)
+    assert built == []
+
+
 def test_suspension_of_nonstacked_sphere_not_in_class():
     C = cyclic_polytope_boundary(4, 7)
     facets = [f + ("north",) for f in C.facets] + [f + ("south",) for f in C.facets]
