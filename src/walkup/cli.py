@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from . import io as cio
@@ -230,8 +231,15 @@ def cmd_decompose(X: SimplicialComplex, args) -> tuple[int, dict]:
 
     ledger = kalai_decompose(X)
     if args.ledger:
-        with open(args.ledger, "w", encoding="utf-8") as fh:
+        # Write over an old ledger and cut it to length afterwards: on ext4,
+        # truncating a recently written file on open (O_TRUNC, or a rename
+        # over it) blocks for tens of ms.  Only a regular file is cut, so
+        # --ledger /dev/null still works.
+        fd = os.open(args.ledger, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             json.dump(_ledger_to_json(ledger), fh, indent=2)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     return 0, {
         "command": "decompose",
         "handles": len(ledger.handles),

@@ -22,6 +22,15 @@ lower star as a trie, only down the branches inside S, makes a subset
 cost only the faces it adds.  Backtracking pops the pivots and restores
 the counts.
 
+The order in which a walk inserts its faces changes no report: the
+pivot keys of a GF(2) span are the leading bits of its nonzero
+elements, so the rank and the pivots below the boundary bits are the
+same for every insertion order.  The walk therefore takes each trie's
+lowest child first: a vertex's first edge then reaches min S, and its
+later edges reduce against that pivot in a step or two instead of
+running down a chain (on the duality scan of m4-15, 313,629 XOR steps
+instead of 448,207).
+
 Duality halves the exhaustive scan.  Let X be a connected closed
 Z2-homology d-manifold with vertex set V.  The complement of |X[S]|
 deformation-retracts onto |X[V∖S]|, so the exact sequence of the pair
@@ -41,17 +50,22 @@ K(d)) do.  Every other input (with boundary, disconnected, a singular
 link) gets the full scan.  Either way a report's `checked` counts the
 subsets covered and `evaluated` the subsets actually evaluated.
 
-Every scan is an ordered list of TightnessEngine.search tasks: the
-subtrees of the serial order ({v1}, then the subsets extending each
-(v1, v2)), or one task per sampled subset.  One loop reads their results
-in list order, in process or over a worker pool (exhaustive scans of at
-least POOL_MIN_SUBSETS subsets to evaluate), so a report depends on the
-input alone, not on the number of workers or their scheduling.
+An exhaustive scan is an ordered list of TightnessEngine.search tasks,
+the subtrees of the serial order ({v1}, then the subsets extending each
+(v1, v2)).  One loop reads their results in list order, in process or
+over a worker pool (scans of at least POOL_MIN_SUBSETS subsets to
+evaluate), so a report depends on the input alone, not on the number of
+workers or their scheduling.  A sampled scan runs in process as one
+walk over the prefix trie of its draws (TightnessEngine.search_draws):
+each distinct draw is evaluated once, keeping the state of the prefix
+it shares with the draw walked before, and the report is read in draw
+order.
 
 homology_map_injective is the independent, direct implementation of the
 same test (kernel and image bases stacked and ranked), and the
 whole-tree search(()) without duality is the full scan; the capped and
-pooled scans are cross-checked against both in the tests.
+pooled scans are cross-checked against both in the tests, and the
+sampled trie walk against one search(draw, descend=False) per draw.
 """
 
 from __future__ import annotations
@@ -77,10 +91,15 @@ from .theory import in_walkup_class
 DEFAULT_EXHAUSTIVE_CEILING = 20
 # Exhaustive scans with fewer subsets to evaluate run serially, because
 # starting a pool and feeding it costs tens of ms.  Measured in process
-# (is_tight_z2, two sweeps of 15 alternating runs, 2-vCPU VM), medians
-# serial vs pooled: m4-15 261-263 vs 196 ms, K6 469-527 vs 296 ms (16383
-# subsets each), so the pool still pays above the threshold.
+# (is_tight_z2, two sweeps of 15 alternating runs, Python 3.11, 2-vCPU
+# AMD EPYC VM), medians serial vs pooled: m4-15 82 vs 63-71 ms, K6
+# 126-127 vs 96-98 ms (16383 subsets each), so the pool still pays above
+# the threshold.
 POOL_MIN_SUBSETS = 8000
+# A sampled scan that stops at its first violation walks its first
+# SAMPLE_HEAD draws alone before drawing the rest: an input that fails
+# often stops there, and a tight one walks those draws twice.
+SAMPLE_HEAD = 16
 
 
 # --------------------------------------------------------------- direct test
@@ -259,11 +278,12 @@ class TightnessEngine:
                 if p < zbits[k]:
                     cnt[k - 1] += 1
                 log.append((space, p))
+            # push the highest child first, so the lowest is walked first
             m = cm & within
             while m:
-                low = m & -m
-                push(kids[low])
-                m ^= low
+                top = 1 << (m.bit_length() - 1)
+                push(kids[top])
+                m ^= top
 
     @staticmethod
     def _bad_degrees(cnt, spaces) -> list[int]:
@@ -350,6 +370,66 @@ class TightnessEngine:
             dfs = None  # a closure that calls itself is a reference cycle
         return evaluated, covered, violations
 
+    def search_draws(
+        self, draws: list[int], stop_on_first: bool = True
+    ) -> tuple[int, int, Violations]:
+        """Evaluate the vertex masks draws (repeats allowed) and report
+        them in draw order, as one search(draw, descend=False) per draw
+        would, without dual: evaluated and covered count every draw.
+
+        Each distinct draw is evaluated once, in one depth-first walk over
+        the prefix trie of the draws as ascending index tuples.  The draws
+        are sorted by their bits from the least vertex up, so draws that
+        share their least vertices are adjacent; each keeps the faces of
+        the prefix it shares with the draw before and walks only its
+        larger vertices.  With stop_on_first the report ends at the first
+        violating draw, and draws after the earliest violating draw found
+        so far are skipped.
+        """
+        first: dict[int, int] = {}
+        for i, m in enumerate(draws):
+            first.setdefault(m, i)
+        width = f"0{self.n}b"
+        d = self.d
+        cnt = [0] * (d + 1)
+        spaces = [PivotSpace() for _ in range(d + 1)]
+        star, walk, bad_degrees = self.star, self._walk, self._bad_degrees
+        levels: list[tuple[int, list, list]] = []  # (vertex bit, saved cnt, log)
+        bad: dict[int, list[int]] = {}
+        current = 0
+        stop = len(draws)  # first index of the earliest violating draw
+        for m in sorted(first, key=lambda m: format(m, width)[::-1]):
+            if first[m] > stop:
+                continue
+            diff = current ^ m
+            low = diff & -diff  # the least vertex not shared with current
+            while levels and levels[-1][0] >= low:
+                _, saved, log = levels.pop()
+                cnt[:] = saved
+                for space, p in log:
+                    space.remove(p)
+            mask = m & (low - 1)
+            rest = m ^ mask
+            while rest:
+                bit = rest & -rest
+                log = []
+                levels.append((bit, cnt[:], log))
+                walk([star[bit.bit_length() - 1]], mask, cnt, spaces, log)
+                mask |= bit
+                rest ^= bit
+            current = m
+            bad[m] = bad_degrees(cnt, spaces)
+            if bad[m] and stop_on_first:
+                stop = min(stop, first[m])
+        evaluated = 0
+        violations: Violations = []
+        for m in draws:
+            evaluated += 1
+            violations.extend((self._subset_labels(m), k) for k in bad[m])
+            if violations and stop_on_first:
+                break
+        return evaluated, evaluated, violations
+
     def _subset_labels(self, mask: int) -> tuple[str, ...]:
         return tuple(
             self.labels[v] for v in range(self.n) if (mask >> v) & 1
@@ -367,13 +447,11 @@ def _subtrees(n: int, dual: bool, stop_on_first: bool):
             yield (v1, v2), stop_on_first, dual, True
 
 
-def _samples(n: int, sample_count: int, seed: int):
-    """Sampled-scan tasks, one per seeded draw, each reporting every bad degree."""
-    rng = SplitMix64(seed)
+def _draws(rng: SplitMix64, n: int, count: int) -> list[int]:
+    """The next count draws of a sampled scan, as vertex masks, uniform
+    over the non-empty proper subsets."""
     space = (1 << n) - 2
-    for _ in range(sample_count):
-        mask = rng.next_below(space) + 1  # uniform over non-empty proper subsets
-        yield tuple(v for v in range(n) if (mask >> v) & 1), False, False, False
+    return [rng.next_below(space) + 1 for _ in range(count)]
 
 
 _WORKER_ENGINE: TightnessEngine | None = None
@@ -463,7 +541,10 @@ def is_tight_z2(
         cap = n // 2 if dual else n - 1
         if sum(comb(n, s) for s in range(1, cap + 1)) < POOL_MIN_SUBSETS:
             jobs = 1
-        tasks = _subtrees(n, dual, stop_on_first)
+        evaluated, checked, violations = _run(
+            TightnessEngine(X), _subtrees(n, dual, stop_on_first), jobs,
+            stop_on_first,
+        )
     elif mode == "sampled":
         if sample_count < 1:
             raise InvalidParameters(
@@ -473,13 +554,18 @@ def is_tight_z2(
             raise InvalidParameters(
                 f"need at least 2 vertices to sample a proper subset, got {n}"
             )
-        jobs = 1
-        tasks = _samples(n, sample_count, seed)
+        engine = TightnessEngine(X)
+        rng = SplitMix64(seed)
+        head = SAMPLE_HEAD if stop_on_first else sample_count
+        draws = _draws(rng, n, min(head, sample_count))
+        evaluated, checked, violations = engine.search_draws(draws, stop_on_first)
+        if not violations and len(draws) < sample_count:
+            draws += _draws(rng, n, sample_count - len(draws))
+            evaluated, checked, violations = engine.search_draws(
+                draws, stop_on_first
+            )
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    evaluated, checked, violations = _run(
-        TightnessEngine(X), tasks, jobs, stop_on_first
-    )
     sampled = mode == "sampled"
     return TightnessReport(
         mode=mode,

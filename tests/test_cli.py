@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -219,6 +220,45 @@ def test_decompose_replay_reversed_labels(tmp_path, capsys):
     code, out, _ = run_cli(["replay", str(ledger)], capsys=capsys)
     assert code == 0
     assert out == serialize(loads(src.read_text()))
+
+
+def test_decompose_writes_over_a_longer_ledger(tmp_path, capsys):
+    # the ledger is written in place and cut to length: the old file's
+    # tail must not survive
+    _, m_text, _ = run_cli(["generate", "m4-15"], capsys=capsys)
+    src = tmp_path / "m.txt"
+    src.write_text(m_text)
+    fresh, ledger = tmp_path / "fresh.json", tmp_path / "l.json"
+    ledger.write_text("x" * 200_000)
+    for path in (fresh, ledger):
+        code, _, err = run_cli(
+            ["decompose", str(src), "--ledger", str(path)], capsys=capsys
+        )
+        assert (code, err) == (0, "")
+    assert ledger.read_bytes() == fresh.read_bytes()
+    code, out, _ = run_cli(["replay", str(ledger)], capsys=capsys)
+    assert (code, out) == (0, m_text)
+
+
+def test_decompose_ledger_to_devnull(tmp_path, capsys):
+    # a device is written through, never truncated
+    src = tmp_path / "m.txt"
+    src.write_text(serialize(build_m4_15()))
+    code, _, err = run_cli(
+        ["decompose", str(src), "--ledger", os.devnull], capsys=capsys
+    )
+    assert (code, err) == (0, "")
+
+
+def test_decompose_ledger_in_missing_directory(tmp_path, capsys):
+    src = tmp_path / "m.txt"
+    src.write_text(serialize(build_m4_15()))
+    code, out, err = run_cli(
+        ["decompose", str(src), "--ledger", str(tmp_path / "no" / "l.json")],
+        capsys=capsys,
+    )
+    assert (code, out) == (2, "")
+    assert _one_error_line(err)
 
 
 def test_automorphisms_command(capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,30 @@ def test_pivot_space_insert_and_remove():
     assert space.rank == 2
     assert space.pivots == {2: 0b0110, 1: 0b0011}
     assert space.insert(0b1000) == 3  # independent again after the undo
+
+
+def test_pivot_keys_do_not_depend_on_insertion_order():
+    # the pivot keys are the leading bits of the span's elements, so any
+    # order of one list gives the same keys and rank (the tightness walk
+    # may add a vertex's faces in any order)
+    rng = random.Random(7)
+    lists = [boundary_columns(kuhnel_manifold(4), k) for k in (1, 2, 3)]
+    for _ in range(40):
+        width = rng.randrange(1, 48)
+        basis = [rng.getrandbits(width) for _ in range(rng.randrange(1, 12))]
+        # dependent rows too: sums of basis rows, repeats and zeros
+        sums = [rng.choice(basis) ^ rng.choice(basis) for _ in range(8)]
+        lists.append(basis + sums + basis[:3] + [0])
+    for vectors in lists:
+        spaces = []
+        for _ in range(8):
+            rng.shuffle(vectors)
+            space = PivotSpace()
+            for v in vectors:
+                space.insert(v)
+            spaces.append(space)
+        assert len({(frozenset(s.pivots), s.rank) for s in spaces}) == 1
+        assert spaces[0].rank == rank_gf2(vectors) == len(spaces[0].pivots)
 
 
 def test_transpose_gf2():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import pickle
 import subprocess
@@ -24,15 +26,19 @@ from walkup import (
     random_stacked_sphere,
     standard_sphere,
 )
+from walkup.cli import main
 from walkup.errors import InvalidParameters, SubsetSpaceTooLarge, UnknownVertex
 from walkup.homology import betti_numbers
+from walkup.io import serialize
+from walkup.rng import SplitMix64
 from walkup import tightness
 from walkup.tightness import (
     POOL_MIN_SUBSETS,
+    SAMPLE_HEAD,
     TightnessEngine,
+    _draws,
     _face_links_are_spheres,
     _run,
-    _samples,
     _subtrees,
     duality_applies,
 )
@@ -115,24 +121,30 @@ def test_scan_agrees_with_direct_check_exhaustively():
             assert (len(viols), {k for _, k in viols}) == expected
 
 
-def test_sampled_scan_agrees_with_direct_check_with_middle_homology():
-    # a stacked 4-sphere with one handle: Betti numbers (1, 1, 0, 1, 1),
-    # so degrees 1 and 3 of the scan's test meet surviving cycles
+def _tube_with_one_handle() -> SimplicialComplex:
+    """A stacked 4-sphere grown along a path, with its first admissible
+    handle added: 21 vertices, Betti numbers (1, 1, 0, 1, 1)."""
     seed = 0
     while True:
         X = tube_sphere(4, 26, seed=seed)
         psi = find_handle_pair(X)
         if psi is not None:
-            break
+            return handle_addition(X, psi)
         seed += 1
-    Y = handle_addition(X, psi)
+
+
+def test_sampled_scan_agrees_with_direct_check_with_middle_homology():
+    # a stacked 4-sphere with one handle: Betti numbers (1, 1, 0, 1, 1),
+    # so degrees 1 and 3 of the scan's test meet surviving cycles
+    Y = _tube_with_one_handle()
     assert betti_numbers(Y) == (1, 1, 0, 1, 1)
     n = len(Y.vertices)
     engine = TightnessEngine(Y)
     found = []
-    for task in _samples(n, 200, 5):
-        _, _, bad = engine.search(*task)
-        sub = tuple(Y.vertices[v] for v in task[0])
+    for mask in _draws(SplitMix64(5), n, 200):
+        root = tuple(v for v in range(n) if (mask >> v) & 1)
+        _, _, bad = engine.search(root, stop_on_first=False, descend=False)
+        sub = tuple(Y.vertices[v] for v in root)
         assert bad == _direct_violations(Y, [sub])
         found += bad
     assert len(found) == 30
@@ -403,6 +415,65 @@ def test_full_scan_matches_check_subset_on_every_mask():
     assert found
 
 
+def _per_draw_report(engine, draws, stop_on_first):
+    """The sampled scan's report from one search(draw, descend=False)
+    per draw, in draw order."""
+    evaluated, violations = 0, []
+    for mask in draws:
+        root = tuple(v for v in range(engine.n) if (mask >> v) & 1)
+        evaluated += 1
+        violations += engine.search(root, stop_on_first=False, descend=False)[2]
+        if violations and stop_on_first:
+            break
+    return evaluated, evaluated, violations
+
+
+def _draw_twin_corpus():
+    yield from _walk_twin_corpus()
+    yield from (random_stacked_sphere(*a) for a in NON_TIGHT_STACKED)
+    yield _tube_with_one_handle()
+
+
+def test_trie_scan_matches_one_search_per_draw():
+    for X in _draw_twin_corpus():
+        engine = TightnessEngine(X)
+        n = engine.n
+        draws = _draws(SplitMix64(n), n, 300)
+        draws += draws[::7]  # repeats, some far from their first draw
+        for stop in (True, False):
+            got = engine.search_draws(draws, stop)
+            assert got == _per_draw_report(engine, draws, stop)
+        # stop-on-first where the first violating draw comes late in draw
+        # order, behind clean draws and ahead of other violating ones
+        clean = [m for m in draws if not engine.search_draws([m])[2]]
+        dirty = [m for m in draws if engine.search_draws([m])[2]]
+        if clean and dirty:
+            late = clean[:40] + dirty[::-1] + clean
+            got = engine.search_draws(late, True)
+            assert got == _per_draw_report(engine, late, True)
+            assert got[0] == min(len(clean), 40) + 1
+
+
+def test_sampled_scan_matches_one_search_per_draw():
+    # through is_tight_z2, whose stop-on-first scan walks SAMPLE_HEAD draws
+    # before drawing the rest: first violations on both sides of it
+    early = late = 0
+    for X in (random_stacked_sphere(4, 11, 4), _tube_with_one_handle()):
+        engine = TightnessEngine(X)
+        n = engine.n
+        for seed in range(20):
+            draws = _draws(SplitMix64(seed), n, 300)
+            for stop in (False, True):
+                rep = is_tight_z2(X, mode="sampled", sample_count=300, seed=seed,
+                                  stop_on_first=stop)
+                assert (rep.evaluated, rep.checked, list(rep.violations)) == (
+                    _per_draw_report(engine, draws, stop)
+                )
+            early += rep.evaluated <= SAMPLE_HEAD
+            late += rep.evaluated > SAMPLE_HEAD
+    assert early and late
+
+
 def test_engine_pickles():
     X = random_stacked_sphere(4, 9, seed=3)
     engine = TightnessEngine(X)
@@ -480,3 +551,59 @@ def test_pool_early_stop_exits_cleanly_direct():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# ---------------------------------------------------------------- report pin
+
+def _report_pin_corpus(m4_15, rp2_6, torus_7):
+    yield "m4-15", m4_15
+    yield from ((f"K{d}", kuhnel_manifold(d)) for d in (4, 5, 6))
+    yield "rp2_6", rp2_6
+    yield "torus_7", torus_7
+    # two non-tight stacked 4-spheres
+    yield from ((f"ns12-{s}", random_stacked_sphere(4, 12, s)) for s in (1, 2))
+    yield "tube+1", _tube_with_one_handle()
+
+
+PIN_CLI_ARGS = [["--jobs", "1"], ["--jobs", "2"]] + [
+    ["--sample", str(count), "--seed", str(seed)]
+    for count in (50, 3000)
+    for seed in (0, 1, 7)
+]
+
+# sha256 of each input's tightness reports: `--porcelain check tight` under
+# PIN_CLI_ARGS (code, stdout and stderr), then is_tight_z2 with every
+# violation, exhaustive when f0 <= 20 and sampled for 3000 draws of seeds
+# 0, 1 and 7.  Computed with one search per sampled draw and the lower-star
+# tries walked highest child first.
+TIGHTNESS_REPORTS = {
+    "m4-15": "cc4b16993823d27c41671d5213a087a683c07a4d1ebbf66650d42456973b27f1",
+    "K4": "736af7b7304fff0ab92dfff940c4e2f5b77572fc98970856cb3d7082967016e7",
+    "K5": "778a64a69baa032a5b64ed802ddca0d0139a5f54c3cbefc354e6506e69a18f5c",
+    # a tight report names no subset, so it equals m4-15's (also 15 vertices)
+    "K6": "cc4b16993823d27c41671d5213a087a683c07a4d1ebbf66650d42456973b27f1",
+    "rp2_6": "d72c24492a1d79596f937bed6e3d2f34bc1077aa373863b1171b09fe0aaa233d",
+    "torus_7": "3125be7a1a448846c37ae74cdf9deb9fdbeb4b587c4e5d45b4e4983c52c4a88e",
+    "ns12-1": "2fa60fe03d197edad8cec96ebd5e70604c827ee2756b1d5ad6b68527358cf377",
+    "ns12-2": "9a2194f2bb975c5a93420e7cf395061a2fd105911d4175f0f2f2e6c598faffd6",
+    "tube+1": "5454d7d08e18605d8ede55782c94c584345bed846cd5aa89cc6f9b504f192b5c",
+}
+
+
+def test_tightness_reports_pinned(tmp_path, capsys, m4_15, rp2_6, torus_7):
+    got = {}
+    for name, X in _report_pin_corpus(m4_15, rp2_6, torus_7):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(serialize(X))
+        doc = []
+        for args in PIN_CLI_ARGS:
+            code = main(["--porcelain", "check", "tight", *args, str(path)])
+            doc.append([args, code, *capsys.readouterr()])
+        if len(X.vertices) <= 20:
+            doc.append(list(is_tight_z2(X, stop_on_first=False)))
+        for seed in (0, 1, 7):
+            doc.append(list(is_tight_z2(
+                X, mode="sampled", sample_count=3000, seed=seed, stop_on_first=False
+            )))
+        got[name] = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert got == TIGHTNESS_REPORTS
