@@ -1,115 +1,113 @@
 #!/usr/bin/env python3
 """End-to-end verification of the 15-vertex tight 4-manifold triangulation.
 
-Builds the 30-vertex stacked 5-ball, takes its boundary sphere, performs
-the three admissible handle additions, and then re-derives every claimed
-property of the resulting complex: face vector, lower-bound equalities,
-class membership, mod-2 homology, symmetry, decomposition, and (with
---tight) the exhaustive tightness scan.
-
-Usage: python scripts/verify_minimal_triangulation.py [--tight] [--jobs N]
+Runs one `walkup` command per claim of the paper on b5-30, its boundary
+s4-30, m4-15 and n5-15, and prints each report as the CLI renders it;
+claims with no command print one `label: yes/no` line.  Exit codes: 0 every
+check holds, 1 some check fails (each named on stderr), 2 a command exited 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import os
-import time
+import sys
+import tempfile
+from pathlib import Path
 
-from walkup import (
-    build_b5_30,
-    build_m4_15,
-    build_n5_15,
-    check_bounds_4manifold,
-    dehn_sommerville_4,
-    homology_profile,
-    in_walkup_class,
-    is_orientable,
-    is_stacked_ball,
-    is_stacked_sphere,
-    is_tight_z2,
-    is_two_neighborly,
-    kalai_decompose,
-    walkup_fvector_even,
-)
-from walkup.symmetry import automorphism_group, cycle_notation, generating_set
+from walkup import build_s4_30, dehn_sommerville_4
+from walkup import io as cio
+from walkup.cli import _text, main as walkup_main
+
+B, S, M, N = "b5-30.txt", "s4-30.txt", "m4-15.txt", "n5-15.txt"
+F = [15, 105, 230, 240, 96]
 
 
-def step(label: str):
-    print(f"\n== {label}")
+def walkup(*argv: str) -> tuple[int, str]:
+    """Exit code and stdout of one in-process `walkup` command (exit 2 with it)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = walkup_main(list(argv))
+    if code == 2:
+        raise SystemExit(2)
+    return code, out.getvalue()
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser()
+# A step is a command with the report fields it must show (and exit 0), or
+# a label with a check that has no command.
+STEPS = [
+    (["info", B], {"f_vector": [30, 135, 260, 255, 126, 25]}),
+    (["check", "stacked", B], {"kind": "ball", "stacked": True}),
+    (["info", S], {"f_vector": [30, 135, 260, 255, 102]}),
+    (["check", "stacked", S], {"kind": "sphere", "stacked": True}),
+    (["homology", S], {"betti": [1, 0, 0, 0, 1], "orientable": True}),
+    (["info", M], {"f_vector": F, "euler": -4}),
+    (["fvector", "walkup", "--dim", "4", "--n", "15", "--chi", "-4"], {"f_vector": F}),
+    ("f-vector of m4-15 is the 4-manifold completion of f0 = 15, f1 = 105, chi = -4",
+     lambda: dehn_sommerville_4(15, 105, -4) == cio.load(M).f_vector()),
+    (["check", "walkup", M], {"member": True}),
+    (["check", "bounds4", M], {"euler": -4, "two_neighborly": True, "overall_equality": True}),
+    (["homology", M], {"betti": [1, 3, 0, 3, 1], "euler": -4, "connected": True,
+                       "orientable": False}),
+    ("boundary of n5-15 is m4-15", lambda: cio.load(N).boundary_complex() == cio.load(M)),
+    ("dual graph of n5-15 has 27 edges (a tree plus 3)",
+     lambda: len(cio.load(N).dual_graph().edges) == 27),
+    (["automorphisms", M], {"order": 3}),
+    (["decompose", M, "--ledger", "ledger.json"], {"handles": 3, "base_vertices": 30}),
+    ("walkup replay ledger.json prints walkup generate m4-15 byte for byte",
+     lambda: walkup("replay", "ledger.json")[1] == Path(M).read_text(encoding="utf-8")),
+]
+SAMPLED = {"mode": "sampled", "checked": 2000, "verdict": "tight-on-sample"}
+EXHAUSTIVE = {"mode": "exhaustive", "checked": 32766, "verdict": "tight"}
+
+
+def run(steps) -> list[str]:
+    """Print every step, in the working directory, and return the failures."""
+    for name in ("b5-30", "m4-15", "n5-15"):
+        Path(f"{name}.txt").write_text(walkup("generate", name)[1], encoding="utf-8")
+    Path(S).write_text(cio.serialize(build_s4_30()), encoding="utf-8")
+    failures = []
+    for what, expected in steps:
+        if callable(expected):
+            ok = expected()
+            print(f"\n{what}: {'yes' if ok else 'no'}")
+            failures += [] if ok else [what]
+            continue
+        command = "walkup " + " ".join(what)
+        code, out = walkup("--porcelain", *what)
+        report = json.loads(out)
+        print(f"\n== {command}", *_text(report), sep="\n")
+        failures += [f"{command}: exited {code}"] if code else []
+        failures += [
+            f"{command}: {key} is {report[key]!r}, expected {value!r}"
+            for key, value in expected.items() if report[key] != value
+        ]
+    return failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Verify the paper's claims on m4-15.")
     ap.add_argument("--tight", action="store_true",
-                    help="run the exhaustive 2^15 tightness scan")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    args = ap.parse_args()
-
-    step("stacked 5-ball on 30 vertices")
-    B = build_b5_30()
-    print(f"f = {B.f_vector()}")
-    print(f"stacked ball: {is_stacked_ball(B)}")
-    dg = B.dual_graph()
-    print(f"dual graph: {len(dg.nodes)} nodes, {len(dg.edges)} edges, tree={dg.is_tree()}")
-
-    step("boundary 4-sphere")
-    S = B.boundary_complex()
-    print(f"f = {S.f_vector()}")
-    print(f"stacked sphere: {is_stacked_sphere(S)}")
-    print(f"orientable: {is_orientable(S)}")
-
-    step("three handle additions -> 15-vertex 4-manifold")
-    M = build_m4_15()
-    print(f"f = {M.f_vector()}")
-    print(f"matches closed form at chi=-4: {M.f_vector() == walkup_fvector_even(4, 15, -4)}")
-    print(f"matches 4-manifold completion: {M.f_vector() == dehn_sommerville_4(15, 105, -4)}")
-    print(f"2-neighborly: {is_two_neighborly(M)}")
-    print(f"in the Walkup class: {in_walkup_class(M)}")
-
-    step("lower bounds")
-    rep = check_bounds_4manifold(M)
-    for b in (rep.edge_bound, rep.vertex_bound):
-        print(f"{b.name}: {b.lhs} >= {b.rhs}  tight={b.tight}")
-
-    step("mod-2 homology")
-    prof = homology_profile(M)
-    print(f"betti = {prof.betti}, chi = {prof.euler}, "
-          f"orientable = {prof.orientable}, connected = {prof.connected}")
-
-    step("quotient 5-ball")
-    N = build_n5_15()
-    print(f"boundary equals the 4-manifold: {N.boundary_complex() == M}")
-    print(f"dual graph edges: {len(N.dual_graph().edges)} (tree + 3)")
-
-    step("automorphisms")
-    group = automorphism_group(M)
-    print(f"order {len(group)}")
-    for g in generating_set(group):
-        print(f"generator {cycle_notation(g)}")
-
-    step("decomposition into base + handles")
-    t0 = time.time()
-    ledger = kalai_decompose(M)
-    print(f"handles: {len(ledger.handles)}")
-    print(f"base: {len(ledger.base.vertices)}-vertex stacked sphere "
-          f"({is_stacked_sphere(ledger.base)})")
-    print(f"replay reproduces the manifold: {ledger.replay() == M} "
-          f"[{time.time() - t0:.2f}s]")
-
-    if args.tight:
-        step(f"exhaustive tightness scan (jobs={args.jobs})")
-        t0 = time.time()
-        rep = is_tight_z2(M, mode="exhaustive", jobs=args.jobs)
-        print(f"checked {rep.checked} subsets, verdict: {rep.verdict} "
-              f"[{time.time() - t0:.1f}s]")
-    else:
-        step("tightness (sampled; use --tight for the full scan)")
-        rep = is_tight_z2(M, mode="sampled", sample_count=2000, seed=0)
-        print(f"checked {rep.checked} sampled subsets, verdict: {rep.verdict}")
-
-    print("\nall checks done")
-    return 0
+                    help="scan all 2^15 subsets instead of 2000 sampled ones")
+    ap.add_argument("--jobs", type=int, default=None,
+                    help="worker processes for the exhaustive scan")
+    args = ap.parse_args(argv)
+    scan = [] if args.tight else ["--sample", "2000", "--seed", "0"]
+    jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
+    tight = (["check", "tight", *scan, *jobs, M], EXHAUSTIVE if args.tight else SAMPLED)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            failures = run([*STEPS, tight])
+        finally:
+            os.chdir(cwd)
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -377,11 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _file_command(csub, "tight", cmd_check_tight, "mod-2 tightness scan")
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="check N randomly sampled subsets instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (with --sample)")
     p.add_argument("--ceiling", type=int, default=None,
-                   help="max vertex count for exhaustive scans")
+                   help="max vertex count (exhaustive scans only)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes, N >= 1 (default: available parallelism)")
+                   help="worker processes for exhaustive scans, N >= 1 "
+                   "(default: available parallelism)")
 
     fv = sub.add_parser("fvector", help="closed-form face vectors")
     fsub = fv.add_subparsers(dest="kind", required=True)

@@ -530,12 +530,10 @@ def induces_standard_sphere(X: SimplicialComplex, subset: Iterable[str]) -> bool
 
     The subset must have d+2 vertices for a (d)-sphere check relative to
     its own size: every proper subset a face of X, the whole set not.
+    Faces are closed under subsets, so the (|S|-1)-subsets decide every
+    proper one; a set of at most one vertex has no nonempty proper subset.
     """
     s = tuple(sorted(set(subset)))
     if X.has_face(s):
         return False
-    for k in range(1, len(s)):
-        for sub in combinations(s, k):
-            if not X.has_face(sub):
-                return False
-    return True
+    return len(s) < 2 or all(X.has_face(t) for t in combinations(s, len(s) - 1))

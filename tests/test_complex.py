@@ -154,6 +154,29 @@ def test_induced_handle_scar(m4_15):
     assert induces_standard_sphere(m4_15, scar)
 
 
+def induces_standard_sphere_by_definition(X, subset) -> bool:
+    """The set is not a face of X and every nonempty proper subset is."""
+    s = tuple(sorted(set(subset)))
+    return not X.has_face(s) and all(
+        X.has_face(t) for k in range(1, len(s)) for t in combinations(s, k)
+    )
+
+
+def test_induces_standard_sphere_matches_definition():
+    """Twin: testing the (|S|-1)-subsets gives the answer of testing every
+    proper subset, on all small and sphere-sized subsets and unknown labels."""
+    for X in (kuhnel_manifold(4), random_stacked_sphere(4, 10, 1)):
+        V = sorted(X.vertices)
+        subsets = [s for k in (0, 1, 2, 5, 6) for s in combinations(V, k)]
+        subsets += [("zz",), ("zz", "zy"), ("zz", V[0]), (*V[:4], "zz"), (*V[:5], "zz")]
+        spheres = 0
+        for s in subsets:
+            want = induces_standard_sphere_by_definition(X, s)
+            assert induces_standard_sphere(X, s) == want, s
+            spheres += want
+        assert spheres > 0
+
+
 # ----------------------------------------------------------------- dual graph
 
 def test_dual_graph_standard_sphere_complete():
