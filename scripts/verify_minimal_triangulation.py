@@ -93,8 +93,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--tight", action="store_true",
                     help="scan all 2^15 subsets instead of 2000 sampled ones")
     ap.add_argument("--jobs", type=int, default=None,
-                    help="worker processes for the exhaustive scan")
+                    help="worker processes for the exhaustive scan (with --tight)")
     args = ap.parse_args(argv)
+    if args.jobs is not None and not args.tight:
+        ap.error("--jobs needs --tight")
     scan = [] if args.tight else ["--sample", "2000", "--seed", "0"]
     jobs = [] if args.jobs is None else ["--jobs", str(args.jobs)]
     tight = (["check", "tight", *scan, *jobs, M], EXHAUSTIVE if args.tight else SAMPLED)

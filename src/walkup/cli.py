@@ -114,13 +114,15 @@ def cmd_check_bounds4(X: SimplicialComplex, args) -> tuple[int, dict]:
 def cmd_check_tight(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .tightness import DEFAULT_EXHAUSTIVE_CEILING, is_tight_z2
 
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     if args.sample is not None:
-        report = is_tight_z2(
-            X, mode="sampled", sample_count=args.sample, seed=args.seed,
-            jobs=jobs,
-        )
+        if args.jobs is not None or args.ceiling is not None:
+            raise WalkupError("--jobs and --ceiling apply only without --sample")
+        seed = 0 if args.seed is None else args.seed
+        report = is_tight_z2(X, mode="sampled", sample_count=args.sample, seed=seed)
     else:
+        if args.seed is not None:
+            raise WalkupError("--seed applies only with --sample")
+        jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
         ceiling = DEFAULT_EXHAUSTIVE_CEILING if args.ceiling is None else args.ceiling
         report = is_tight_z2(X, mode="exhaustive", ceiling=ceiling, jobs=jobs)
     return (0 if not report.violations else 1), {
@@ -160,21 +162,11 @@ def cmd_generate(args) -> SimplicialComplex:
         standard_sphere,
     )
 
-    if args.what == "m4-15":
-        X = build_m4_15()
-    elif args.what == "b5-30":
-        X = build_b5_30()
-    elif args.what == "n5-15":
-        X = build_n5_15()
-    elif args.what == "sphere":
-        if args.dim is None:
-            raise WalkupError("generate sphere requires --dim")
-        X = standard_sphere(args.dim)
-    else:  # stacked
-        if args.dim is None or args.n is None:
-            raise WalkupError("generate stacked requires --dim and --n")
-        X = random_stacked_sphere(args.dim, args.n, args.seed)
-    return X
+    if args.what == "sphere":
+        return standard_sphere(args.dim)
+    if args.what == "stacked":
+        return random_stacked_sphere(args.dim, args.n, args.seed)
+    return {"m4-15": build_m4_15, "b5-30": build_b5_30, "n5-15": build_n5_15}[args.what]()
 
 
 def _ledger_to_json(ledger) -> dict:
@@ -376,12 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     _file_command(csub, "bounds4", cmd_check_bounds4, "4-manifold lower bounds")
     p = _file_command(csub, "tight", cmd_check_tight, "mod-2 tightness scan")
     p.add_argument("--sample", type=int, default=None, metavar="N",
-                   help="check N randomly sampled subsets instead")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (with --sample)")
+                   help="check N randomly sampled subsets instead of all")
+    p.add_argument("--seed", type=int, default=None,
+                   help="sampling seed, only with --sample (default 0)")
     p.add_argument("--ceiling", type=int, default=None,
-                   help="max vertex count (exhaustive scans only)")
+                   help="max vertex count, only without --sample (default 20)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for exhaustive scans, N >= 1 "
+                   help="worker processes, N >= 1, only without --sample "
                    "(default: available parallelism)")
 
     fv = sub.add_parser("fvector", help="closed-form face vectors")
@@ -401,14 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", type=int, required=True)
     p.set_defaults(func=cmd_fvector, kind="from-f1")
 
-    p = sub.add_parser("generate", help="built-in complexes to stdout")
-    p.add_argument(
-        "what", choices=["m4-15", "b5-30", "n5-15", "sphere", "stacked"]
-    )
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    gen = sub.add_parser("generate", help="built-in complexes to stdout")
+    gen.set_defaults(func=cmd_generate)
+    gsub = gen.add_subparsers(dest="what", required=True)
+    for name in ("m4-15", "b5-30", "n5-15"):
+        gsub.add_parser(name)
+    gsub.add_parser("sphere").add_argument("--dim", type=int, required=True)
+    p = gsub.add_parser("stacked")
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_generate)
 
     p = _file_command(sub, "decompose", cmd_decompose, "stacked-sphere base plus handles")
     p.add_argument("--ledger", default=None, metavar="OUT",

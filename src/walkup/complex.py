@@ -531,9 +531,10 @@ def induces_standard_sphere(X: SimplicialComplex, subset: Iterable[str]) -> bool
     The subset must have d+2 vertices for a (d)-sphere check relative to
     its own size: every proper subset a face of X, the whole set not.
     Faces are closed under subsets, so the (|S|-1)-subsets decide every
-    proper one; a set of at most one vertex has no nonempty proper subset.
+    proper one.  A set of fewer than two vertices bounds no simplex of
+    dimension 1 or more, so it is never a sphere.
     """
     s = tuple(sorted(set(subset)))
-    if X.has_face(s):
+    if len(s) < 2 or X.has_face(s):
         return False
-    return len(s) < 2 or all(X.has_face(t) for t in combinations(s, len(s) - 1))
+    return all(X.has_face(t) for t in combinations(s, len(s) - 1))

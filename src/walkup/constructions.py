@@ -47,21 +47,6 @@ B5_30_NAMED_FACETS: dict[str, str] = {
     "gamma8": "a1p a2p a3p a4p a5p b3",
 }
 
-# Tree edges of the dual graph: three facet paths hanging off delta.
-B5_30_DUAL_TREE_EDGES: tuple[tuple[str, str], ...] = tuple(
-    [("delta", "alpha1"), ("delta", "lambda1"), ("delta", "gamma1")]
-    + [(f"alpha{i}", f"alpha{i+1}") for i in range(1, 8)]
-    + [(f"lambda{i}", f"lambda{i+1}") for i in range(1, 8)]
-    + [(f"gamma{i}", f"gamma{i+1}") for i in range(1, 8)]
-)
-
-# Extra dual adjacencies created by identifying the primed vertices.
-N5_15_EXTRA_DUAL_EDGES: tuple[tuple[str, str], ...] = (
-    ("alpha8", "lambda3"),
-    ("lambda8", "gamma3"),
-    ("gamma8", "alpha3"),
-)
-
 _IDENTIFY = {f"{x}{i}p": f"{x}{i}" for x in "abc" for i in range(1, 6)}
 
 

@@ -213,10 +213,6 @@ def _face_links_are_spheres(X: SimplicialComplex) -> bool:
 
 # ----------------------------------------------------------- incremental scan
 
-class _Stop(Exception):
-    pass
-
-
 Violations = list[tuple[tuple[str, ...], int]]
 
 
@@ -314,6 +310,12 @@ class TightnessEngine:
         unless 2|S| = n, and each violation (S, k) is reported again as
         (V∖S, d - 1 - k).
 
+        One loop over a stack of (vertex, saved counts, pivot log) frames,
+        the layout of search_draws' levels: each turn adds the next vertex
+        and evaluates the new subset, or pops the top frame and moves on to
+        the popped vertex's successor.  With stop_on_first the scan ends at
+        the first bad degree of the first violating subset (and its mirror).
+
         Returns (subsets evaluated, subsets covered, violations).
         """
         d = self.d
@@ -323,52 +325,47 @@ class TightnessEngine:
             return 0, 0, []
         cnt = [0] * (d + 1)
         spaces = [PivotSpace() for _ in range(d + 1)]
-        star, walk = self.star, self._walk
-        bad_degrees = self._bad_degrees
+        star, walk, bad_degrees = self.star, self._walk, self._bad_degrees
         violations: Violations = []
         evaluated = covered = 0
         full = (1 << n) - 1
-
-        def visit(mask: int, size: int) -> None:
-            nonlocal evaluated, covered
-            evaluated += 1
-            mirrored = dual and 2 * size != n
-            covered += 2 if mirrored else 1
-            for k in bad_degrees(cnt, spaces):
-                violations.append((self._subset_labels(mask), k))
-                if mirrored:
-                    violations.append(
-                        (self._subset_labels(full ^ mask), d - 1 - k)
-                    )
-                if stop_on_first:
-                    raise _Stop
-
-        def dfs(start: int, mask: int, size: int) -> None:
-            # called with size < cap, so every child fits under the cap
-            for v in range(start, n):
-                saved = cnt[:]
+        mask, size = sum(1 << v for v in root), len(root)
+        walk([star[v] for v in root], mask, cnt, spaces, [])
+        frames: list[tuple[int, list, list]] = []  # (vertex, saved cnt, log)
+        v = (root[-1] + 1 if root else 0) if descend else n  # next to add
+        fresh = bool(root)  # mask is a subset not yet evaluated
+        while True:
+            if fresh:
+                evaluated += 1
+                mirrored = dual and 2 * size != n
+                covered += 2 if mirrored else 1
+                for k in bad_degrees(cnt, spaces):
+                    violations.append((self._subset_labels(mask), k))
+                    if mirrored:
+                        violations.append(
+                            (self._subset_labels(full ^ mask), d - 1 - k)
+                        )
+                    if stop_on_first:
+                        return evaluated, covered, violations
+            if v < n and size < cap:
                 log: list = []
+                frames.append((v, cnt[:], log))
                 walk([star[v]], mask, cnt, spaces, log)
-                child = mask | (1 << v)
-                visit(child, size + 1)
-                if size + 1 < cap:
-                    dfs(v + 1, child, size + 1)
+                mask |= 1 << v
+                size += 1
+                v += 1
+                fresh = True
+            elif frames:
+                u, saved, log = frames.pop()
                 cnt[:] = saved
                 for space, p in log:
                     space.remove(p)
-
-        mask = sum(1 << v for v in root)
-        walk([star[v] for v in root], mask, cnt, spaces, [])
-        try:
-            if root:
-                visit(mask, len(root))
-            if descend and len(root) < cap:
-                dfs(root[-1] + 1 if root else 0, mask, len(root))
-        except _Stop:
-            pass
-        finally:
-            dfs = None  # a closure that calls itself is a reference cycle
-        return evaluated, covered, violations
+                mask ^= 1 << u
+                size -= 1
+                v = u + 1
+                fresh = False
+            else:
+                return evaluated, covered, violations
 
     def search_draws(
         self, draws: list[int], stop_on_first: bool = True

@@ -1,4 +1,5 @@
-"""Shared fixtures: the named complexes plus small test-corpus generators."""
+"""Shared fixtures: the named complexes, reference data read by the
+construction checks, and small test-corpus generators."""
 
 from __future__ import annotations
 
@@ -20,6 +21,62 @@ from walkup import (
 from walkup.constructions import B5_30_NAMED_FACETS
 from walkup.rng import SplitMix64
 from walkup.stacked import stack_star
+
+
+# ------------------------------------------------------------ reference data
+
+# Frozen facet list of m4-15, kept apart from the generative construction
+# in constructions.build_m4_15 so that transcription and construction check
+# each other: the generated facet set must equal this one exactly.
+M4_15_FACETS: tuple[str, ...] = (
+    "a1 a2 b1 b2 c1", "a1 b1 b2 c1 c2", "a1 a2 b1 c1 c2",
+    "a1 a2 a4 b1 c2", "a2 b1 b2 b4 c1", "a1 b2 c1 c2 c4",
+    "a1 a2 a4 b2 c2", "a2 b1 b2 b4 c2", "a2 b2 c1 c2 c4",
+    "a1 a4 b1 b2 c2", "a2 b1 b4 c1 c2", "a1 a2 b2 c1 c4",
+    "a1 a2 b2 c2 c4", "a2 a4 b1 b2 c2", "a2 b2 b4 c1 c2",
+    "a1 a2 a3 a4 b2", "b1 b2 b3 b4 c2", "a2 c1 c2 c3 c4",
+    "a1 a2 a3 b1 b2", "b1 b2 b3 c1 c2", "a1 a2 c1 c2 c3",
+    "a1 a2 c1 c3 c4", "a1 a3 a4 b1 b2", "b1 b3 b4 c1 c2",
+    "a1 a2 c2 c3 c4", "a2 a3 a4 b1 b2", "b2 b3 b4 c1 c2",
+    "a1 a2 a3 a5 b1", "b1 b2 b3 b5 c1", "a1 c1 c2 c3 c5",
+    "a1 a2 a4 a5 b1", "b1 b2 b4 b5 c1", "a1 c1 c2 c4 c5",
+    "a1 a3 a4 a5 b1", "b1 b3 b4 b5 c1", "a1 c1 c3 c4 c5",
+    "a2 a3 a4 a5 c5", "a5 b2 b3 b4 b5", "b5 c2 c3 c4 c5",
+    "a2 a3 a4 b1 c5", "a5 b2 b3 b4 c1", "a1 b5 c2 c3 c4",
+    "a2 a3 a5 b1 c5", "a5 b2 b3 b5 c1", "a1 b5 c2 c3 c5",
+    "a2 a4 a5 b1 c5", "a5 b2 b4 b5 c1", "a1 b5 c2 c4 c5",
+    "a3 a4 a5 b1 c4", "a4 b3 b4 b5 c1", "a1 b4 c3 c4 c5",
+    "a3 a4 b1 c4 c5", "a4 a5 b3 b4 c1", "a1 b4 b5 c3 c4",
+    "a3 a5 b1 c4 c5", "a4 a5 b3 b5 c1", "a1 b4 b5 c3 c5",
+    "a4 a5 b1 c4 c5", "a4 a5 b4 b5 c1", "a1 b4 b5 c4 c5",
+    "a3 a4 a5 c3 c4", "a3 a4 b3 b4 b5", "b3 b4 c3 c4 c5",
+    "a3 a4 a5 c3 c5", "a3 a5 b3 b4 b5", "b3 b5 c3 c4 c5",
+    "a3 a4 c3 c4 c5", "a3 a4 a5 b3 b4", "b3 b4 b5 c3 c4",
+    "a4 a5 c3 c4 c5", "a3 a4 a5 b4 b5", "b3 b4 b5 c4 c5",
+    "a3 a5 c2 c3 c4", "a2 a3 a4 b3 b5", "b2 b3 b4 c3 c5",
+    "a3 a5 c2 c3 c5", "a2 a3 a5 b3 b5", "b2 b3 b5 c3 c5",
+    "a3 a5 c2 c4 c5", "a2 a4 a5 b3 b5", "b2 b4 b5 c3 c5",
+    "a2 a3 a4 a5 b5", "b2 b3 b4 b5 c5", "a5 c2 c3 c4 c5",
+    "a1 a2 a3 a4 b3", "b1 b2 b3 b4 c3", "a3 c1 c2 c3 c4",
+    "a1 a2 a3 a5 b3", "b1 b2 b3 b5 c3", "a3 c1 c2 c3 c5",
+    "a1 a2 a4 a5 b3", "b1 b2 b4 b5 c3", "a3 c1 c2 c4 c5",
+    "a1 a3 a4 a5 b3", "b1 b3 b4 b5 c3", "a3 c1 c3 c4 c5",
+)
+
+# Tree edges of the dual graph: three facet paths hanging off delta.
+B5_30_DUAL_TREE_EDGES: tuple[tuple[str, str], ...] = tuple(
+    [("delta", "alpha1"), ("delta", "lambda1"), ("delta", "gamma1")]
+    + [(f"alpha{i}", f"alpha{i+1}") for i in range(1, 8)]
+    + [(f"lambda{i}", f"lambda{i+1}") for i in range(1, 8)]
+    + [(f"gamma{i}", f"gamma{i+1}") for i in range(1, 8)]
+)
+
+# Extra dual adjacencies created by identifying the primed vertices.
+N5_15_EXTRA_DUAL_EDGES: tuple[tuple[str, str], ...] = (
+    ("alpha8", "lambda3"),
+    ("lambda8", "gamma3"),
+    ("gamma8", "alpha3"),
+)
 
 
 @pytest.fixture(scope="session")

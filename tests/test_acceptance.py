@@ -31,12 +31,18 @@ from walkup import (
     stacked_sphere_fvector,
     walkup_fvector_even,
 )
-from walkup.constructions import B5_30_DUAL_TREE_EDGES, N5_15_EXTRA_DUAL_EDGES
-from walkup.fixtures import M4_15_FACETS
 from walkup.rng import SplitMix64
 from walkup.symmetry import automorphism_group
 
-from conftest import b5_30_facet, find_handle_pair, n5_15_facet, tube_sphere
+from conftest import (
+    B5_30_DUAL_TREE_EDGES,
+    M4_15_FACETS,
+    N5_15_EXTRA_DUAL_EDGES,
+    b5_30_facet,
+    find_handle_pair,
+    n5_15_facet,
+    tube_sphere,
+)
 
 
 def _report(num: int, started: float, budget: float, detail: str) -> None:

@@ -364,6 +364,60 @@ def test_check_tight_has_no_exhaustive_flag(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
+def test_check_tight_refuses_flags_of_the_other_mode(capsys, monkeypatch):
+    # --seed drives only sampled scans, --jobs and --ceiling only
+    # exhaustive ones: a mix is refused before any scan
+    from walkup import tightness
+
+    monkeypatch.setattr(tightness, "is_tight_z2", lambda *a, **k: pytest.fail("scanned"))
+    m_text = serialize(build_m4_15())
+    for flags in (
+        ["--seed", "1"],
+        ["--sample", "5", "--jobs", "2"],
+        ["--sample", "5", "--ceiling", "20"],
+    ):
+        code, out, err = run_cli(
+            ["check", "tight", *flags], stdin_text=m_text,
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2, flags
+        assert out == ""
+        assert _one_error_line(err), err
+
+
+def test_check_tight_ceiling(capsys, monkeypatch):
+    m_text = serialize(build_m4_15())
+    code, out, err = run_cli(
+        ["check", "tight", "--ceiling", "14"], stdin_text=m_text,
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert _one_error_line(err), err
+    code, out, err = run_cli(
+        ["--porcelain", "check", "tight", "--ceiling", "15", "--jobs", "1"],
+        stdin_text=m_text, monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert (report["checked"], report["verdict"]) == (32766, "tight")
+
+
+def test_generate_takes_only_its_targets_flags(capsys):
+    for argv in (
+        ["generate", "m4-15", "--dim", "3"],
+        ["generate", "b5-30", "--seed", "1"],
+        ["generate", "sphere", "--n", "5"],
+        ["generate", "sphere"],
+        ["generate", "stacked", "--dim", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+
+
 def test_replay_rejects_bad_ledgers(tmp_path, capsys, monkeypatch):
     bad = {
         "invalid.json": '{"base": {"facets": [["a", "b"]]',

@@ -155,9 +155,10 @@ def test_induced_handle_scar(m4_15):
 
 
 def induces_standard_sphere_by_definition(X, subset) -> bool:
-    """The set is not a face of X and every nonempty proper subset is."""
+    """The set has at least two vertices, is not a face of X, and every
+    nonempty proper subset is."""
     s = tuple(sorted(set(subset)))
-    return not X.has_face(s) and all(
+    return len(s) >= 2 and not X.has_face(s) and all(
         X.has_face(t) for k in range(1, len(s)) for t in combinations(s, k)
     )
 
@@ -175,6 +176,8 @@ def test_induces_standard_sphere_matches_definition():
             assert induces_standard_sphere(X, s) == want, s
             spheres += want
         assert spheres > 0
+        # fewer than two vertices, known or not, are no sphere
+        assert not any(induces_standard_sphere(X, s) for s in ((), ("zz",), V[:1]))
 
 
 # ----------------------------------------------------------------- dual graph

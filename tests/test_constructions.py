@@ -21,12 +21,16 @@ from walkup import (
     standard_sphere,
     stacked_sphere_fvector,
 )
-from walkup.constructions import B5_30_DUAL_TREE_EDGES, N5_15_EXTRA_DUAL_EDGES
 from walkup.errors import InvalidParameters
-from walkup.fixtures import M4_15_FACETS
 from walkup.io import serialize
 
-from conftest import b5_30_facet, n5_15_facet
+from conftest import (
+    B5_30_DUAL_TREE_EDGES,
+    M4_15_FACETS,
+    N5_15_EXTRA_DUAL_EDGES,
+    b5_30_facet,
+    n5_15_facet,
+)
 
 
 def test_standard_sphere_1_is_triangle():

@@ -290,6 +290,22 @@ def test_dual_scan_stops_at_first_serial_violation():
     assert rep.violations == ((("v1", "v2", "v3", "v4"), 2),)
 
 
+def test_stop_on_first_reports_only_the_first_bad_degree():
+    # {v1, v2, v4, v7} fails in degrees 0 and 1: a scan that stops on its
+    # first violation reports degree 0 (and, with dual, its mirror) alone
+    engine = TightnessEngine(random_stacked_sphere(2, 9, 2))
+    root = (0, 1, 3, 6)
+    s, rest = ("v1", "v2", "v4", "v7"), ("v3", "v5", "v6", "v8", "v9")
+    assert engine.search(root, stop_on_first=True, descend=False) == (1, 1, [(s, 0)])
+    assert engine.search(root, stop_on_first=False, descend=False) == (
+        1, 1, [(s, 0), (s, 1)]
+    )
+    assert engine.search(root, stop_on_first=True, dual=True, descend=False) == (
+        1, 2, [(s, 0), (rest, 1)]
+    )
+    assert engine.search(root, stop_on_first=True) == (1, 1, [(s, 0)])
+
+
 def _fallback_corpus(rp2_6):
     sphere = random_stacked_sphere(3, 8, seed=1)
     with_boundary = SimplicialComplex(sphere.facets[1:])

@@ -96,3 +96,12 @@ def test_script_exits_2_with_one_error_line():
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: need at least 1 job, got 0\n"
+
+
+def test_script_refuses_jobs_without_tight(script, capsys):
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--jobs", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: --jobs needs --tight\n")
