@@ -111,17 +111,22 @@ def cmd_check_bounds4(X: SimplicialComplex, args) -> tuple[int, dict]:
     }
 
 
+def _check_tight_flags(args) -> None:
+    """Refuse a flag mix of check tight; main() calls it before reading input."""
+    if args.sample is not None:
+        if args.jobs is not None or args.ceiling is not None:
+            raise WalkupError("--jobs and --ceiling apply only without --sample")
+    elif args.seed is not None:
+        raise WalkupError("--seed applies only with --sample")
+
+
 def cmd_check_tight(X: SimplicialComplex, args) -> tuple[int, dict]:
     from .tightness import DEFAULT_EXHAUSTIVE_CEILING, is_tight_z2
 
     if args.sample is not None:
-        if args.jobs is not None or args.ceiling is not None:
-            raise WalkupError("--jobs and --ceiling apply only without --sample")
         seed = 0 if args.seed is None else args.seed
         report = is_tight_z2(X, mode="sampled", sample_count=args.sample, seed=seed)
     else:
-        if args.seed is not None:
-            raise WalkupError("--seed applies only with --sample")
         jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
         ceiling = DEFAULT_EXHAUSTIVE_CEILING if args.ceiling is None else args.ceiling
         report = is_tight_z2(X, mode="exhaustive", ceiling=ceiling, jobs=jobs)
@@ -367,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _file_command(csub, "stacked", cmd_check_stacked, "stacked ball/sphere (auto-detected)")
     _file_command(csub, "bounds4", cmd_check_bounds4, "4-manifold lower bounds")
     p = _file_command(csub, "tight", cmd_check_tight, "mod-2 tightness scan")
+    p.set_defaults(check_flags=_check_tight_flags)
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="check N randomly sampled subsets instead of all")
     p.add_argument("--seed", type=int, default=None,
@@ -423,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "file" in args:
+            if "check_flags" in args:
+                args.check_flags(args)
             result = args.func(_read_complex(args.file), args)
         else:
             result = args.func(args)

@@ -1,13 +1,14 @@
 """Pure simplicial complexes represented by their facet lists.
 
 A complex is stored as the sorted tuple of its facets; faces of lower
-dimension are enumerated on demand and memoized.  Complexes are immutable
-after construction, all queries are pure functions, and the memoized
-caches are filled under a lock, so instances can be shared freely across
-threads.
+dimension are enumerated once, on demand, into one memoized face index
+that numbers each dimension's faces in the order they are first met.
+Complexes are immutable after construction, all queries are pure
+functions, and the memoized caches are filled under a lock, so instances
+can be shared freely across threads.
 
 Vertex labels are plain strings ordered lexicographically; that order is
-used everywhere (inside faces, between facets, for tie-breaking).
+used inside faces, between facets and for tie-breaking.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import threading
 from itertools import chain, combinations, repeat
 from math import inf
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFacet,
@@ -215,38 +216,55 @@ class SimplicialComplex:
 
     # -- face enumeration ---------------------------------------------------
 
-    def faces_by_dim(self) -> dict[int, tuple[Face, ...]]:
-        """All faces grouped by dimension, each group lexicographically sorted."""
+    def _face_index(self) -> tuple[dict[Face, int], ...]:
+        """Per dimension j = 0..d, each j-face mapped to its position.
+
+        The facets keep their sorted order.  The ridges come in the order
+        dual_graph() first meets them, and the j-faces below in the order
+        combinations() first meets them in the (j+1)-faces: top down, the
+        j-faces of a pure complex are the (j+1)-subsets of its
+        (j+1)-faces, fewer tuples than every subset of every facet.
+        Positions depend only on the facets, never on hash order, and
+        nothing is sorted.
+        """
 
         def compute():
-            # top down: the j-faces of a pure complex are the (j+1)-subsets
-            # of its (j+1)-faces, fewer tuples than every subset of every facet
             d = self.dimension
-            by_dim = {d: self.facets} if self.facets else {}
+            index = [dict(zip(self.facets, range(len(self.facets))))] if d >= 0 else []
+            faces = self.dual_graph().ridge_incidence if d > 0 else ()
             for j in range(d - 1, -1, -1):
-                by_dim[j] = tuple(sorted(set(chain.from_iterable(
-                    map(combinations, by_dim[j + 1], repeat(j + 1))))))
-            return by_dim
+                index.append(dict(zip(faces, range(len(faces)))))
+                if j:
+                    faces = dict.fromkeys(chain.from_iterable(
+                        map(combinations, faces, repeat(j))))
+            return tuple(reversed(index))
 
-        return self._memo("faces_by_dim", compute)
+        return self._memo("face_index", compute)
 
-    def _face_sets(self) -> dict[int, frozenset[Face]]:
-        return self._memo(
-            "face_sets",
-            lambda: {j: frozenset(fs) for j, fs in self.faces_by_dim().items()},
-        )
+    def face_index(self, j: int) -> dict[Face, int]:
+        """The j-faces, each mapped to its position in the one face order
+        shared by f_vector, has_face, faces_of_dim and every boundary
+        bitset; empty outside 0..d."""
+        index = self._face_index()
+        return index[j] if 0 <= j < len(index) else {}
 
-    def faces_of_dim(self, j: int) -> tuple[Face, ...]:
-        return self.faces_by_dim().get(j, ())
+    def faces_of_dim(self, j: int) -> KeysView[Face]:
+        """The j-faces in face_index order (first met, not sorted)."""
+        return self.face_index(j).keys()
+
+    def faces_by_dim(self) -> dict[int, tuple[Face, ...]]:
+        """All faces grouped by dimension, each group lexicographically
+        sorted.  A view for readers that want that order, built on each
+        call; the library itself reads face_index."""
+        return {j: tuple(sorted(ix)) for j, ix in enumerate(self._face_index())}
 
     def has_face(self, face: Sequence[str]) -> bool:
         f = tuple(sorted(face))
-        return f in self._face_sets().get(len(f) - 1, frozenset())
+        return f in self.face_index(len(f) - 1)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f0, ..., fd); the empty complex gives ()."""
-        fb = self.faces_by_dim()
-        return tuple(len(fb[j]) for j in range(self.dimension + 1))
+        return tuple(map(len, self._face_index()))
 
     # -- links ---------------------------------------------------------------
 

@@ -12,9 +12,11 @@ counts come from complex.spanning_forest.  The ranks in between are
 eliminated from the top degree down with clearing: a j-face that was a
 pivot of ∂_{j+1}, and on a closed input a ridge crossed by the dual
 forest, has a boundary that is a sum of the boundaries kept, so its
-column is neither built nor inserted.  Face order is the lexicographic
-order on sorted label tuples, fixed per complex, which makes every
-column reproducible bit for bit.
+column is neither built nor inserted.  Bit i of a column is the face at
+position i of SimplicialComplex.face_index, the order in which the faces
+are first met, fixed by the facets alone, which makes every column
+reproducible bit for bit.  No rank, and so no Betti number, depends on
+that order, so no face list is sorted.
 
 Orientability is decided over the integers by sign propagation along the
 same spanning forest of the dual graph, independently of the mod-2
@@ -23,6 +25,7 @@ machinery.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .complex import Face, SimplicialComplex, spanning_forest
@@ -70,27 +73,37 @@ def rank_gf2(rows: list[int], pivots: set[int] | None = None) -> int:
 
 
 def nullspace_gf2(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {x : row . x = 0 for every row}, vectors as ncols-bit ints."""
+    """Basis of {x : row . x = 0 for every row}, vectors as ncols-bit ints.
+
+    The rows are brought to reduced row echelon form in ascending pivot
+    order: a row's pivot is its top bit, so only the pivots below it can
+    occur in it, and each is cleared by the row of that pivot, already
+    reduced.  Basis vector j, for each free column j in ascending order,
+    is bit j plus the pivot of every reduced row that holds bit j.
+    """
     space = PivotSpace()
     for v in rows:
         space.insert(v)
-    # back-substitute into reduced row echelon form: pivot bit -> row
-    pivots = space.pivots
-    for b in sorted(pivots, reverse=True):
-        pb = pivots[b]
-        for b2, r in pivots.items():
-            if b2 != b and (r >> b) & 1:
-                pivots[b2] = r ^ pb
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        u = 1 << j
-        for b, row in pivots.items():
-            if (row >> j) & 1:
-                u |= 1 << b
-        basis.append(u)
-    return basis
+    reduced: dict[int, int] = {}
+    below = 0  # the pivot bits reduced so far
+    for b in sorted(space.pivots):
+        r = space.pivots[b]
+        m = r & below
+        while m:
+            q = m.bit_length() - 1
+            r ^= reduced[q]
+            m ^= 1 << q
+        reduced[b] = r
+        below |= 1 << b
+    free = ((1 << ncols) - 1) & ~below
+    basis = {j: 1 << j for j in range(ncols) if (free >> j) & 1}
+    for b, r in reduced.items():
+        m = r & free
+        while m:
+            low = m & -m
+            basis[low.bit_length() - 1] |= 1 << b
+            m ^= low
+    return list(basis.values())
 
 
 def transpose_gf2(rows: list[int], ncols: int) -> list[int]:
@@ -105,19 +118,20 @@ def transpose_gf2(rows: list[int], ncols: int) -> list[int]:
 
 
 def boundary_columns(
-    X: SimplicialComplex, j: int, skip: frozenset[Face] = frozenset()
+    X: SimplicialComplex, j: int, skip: set[int] | frozenset[int] = frozenset()
 ) -> list[int]:
-    """Boundaries of the j-faces not in skip, as bitsets over the (j-1)-face order."""
-    low = X.faces_of_dim(j - 1)
-    index = {f: i for i, f in enumerate(low)}
-    faces = X.faces_of_dim(j)
+    """Boundaries of the j-faces, in face_index order, as bitsets whose
+    bit i is the (j-1)-face at position i; the j-faces at the positions
+    in skip are left out."""
+    index = X.face_index(j - 1)
+    faces = X.face_index(j)
     if skip:
-        faces = [f for f in faces if f not in skip]
+        faces = [f for f, i in faces.items() if i not in skip]
     cols = []
     for face in faces:
         v = 0
-        for i in range(len(face)):
-            v |= 1 << index[face[:i] + face[i + 1:]]
+        for i in map(index.__getitem__, combinations(face, j)):
+            v |= 1 << i
         cols.append(v)
     return cols
 
@@ -152,16 +166,16 @@ def _betti(X: SimplicialComplex, top: int, forest: _Forest | None) -> tuple[int,
     # ranks[j] = rank of boundary_j; boundary_0 and boundary_{d+1} are zero maps
     ranks = [0] * (top + 2)
     j = min(top + 1, d)
-    skip: frozenset[Face] = frozenset()
+    skip: set[int] = set()  # positions of the j-faces cleared
     if forest is not None and j == d > 0:
         ranks[d] = f[d] - forest.trees
-        skip = forest.tree_ridges
+        skip = set(map(X.face_index(d - 1).__getitem__, forest.tree_ridges))
         j -= 1
     while j >= 2:
+        # a pivot of boundary_j is the position of a (j-1)-face
         pivots: set[int] = set()
         ranks[j] = rank_gf2(boundary_columns(X, j, skip), pivots)
-        low = X.faces_of_dim(j - 1)
-        skip = frozenset(low[b] for b in pivots)
+        skip = pivots
         j -= 1
     if j == 1:
         # boundary_1 maps onto the even 0-chains of each edge-graph component

@@ -64,7 +64,10 @@ def _stacked_sphere(X: SimplicialComplex) -> bool:
     ball = SimplicialComplex(cliques)
     if not is_stacked_ball(ball):
         return False
-    return ball.boundary_complex() == X
+    # X is the ball's boundary iff its facets are the ridges in one facet
+    ridges = ball.dual_graph().ridge_incidence
+    boundary = [r for r, fs in ridges.items() if len(fs) == 1]
+    return len(boundary) == len(X.facets) and X.facet_set.issuperset(boundary)
 
 
 def reduce_once(X: SimplicialComplex, x: str) -> SimplicialComplex:

@@ -20,7 +20,7 @@ Permutation = dict[str, str]
 
 
 def _edge_degrees(X: SimplicialComplex) -> dict[tuple[str, str], int]:
-    deg: dict[tuple[str, str], int] = {e: 0 for e in X.faces_of_dim(1)}
+    deg: dict[tuple[str, str], int] = dict.fromkeys(X.faces_of_dim(1), 0)
     for tri in X.faces_of_dim(2):
         for e in combinations(tri, 2):
             deg[e] += 1

@@ -59,7 +59,9 @@ workers or their scheduling.  A sampled scan runs in process as one
 walk over the prefix trie of its draws (TightnessEngine.search_draws):
 each distinct draw is evaluated once, keeping the state of the prefix
 it shares with the draw walked before, and the report is read in draw
-order.
+order.  When duality applies, a draw of more than n/2 vertices is
+evaluated as its complement, which has fewer faces to walk, and its
+violations are read off the complement's by k -> d-1-k.
 
 homology_map_injective is the independent, direct implementation of the
 same test (kernel and image bases stacked and ranked), and the
@@ -118,9 +120,8 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
         raise UnknownVertex(f"unknown vertices {sorted(unknown)}")
     if not 0 <= k <= X.dimension:
         return True
-    faces_k_all = X.faces_of_dim(k)
-    index_k = {f: i for i, f in enumerate(faces_k_all)}
-    y_k = [f for f in faces_k_all if set(f) <= s]
+    index_k = X.face_index(k)
+    y_k = [f for f in index_k if s.issuperset(f)]
     if not y_k:
         return True
 
@@ -131,7 +132,7 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
         bd_k = boundary_columns(X, k)
         rows = [bd_k[index_k[f]] for f in y_k]
         # kernel over the y_k columns: transpose to (lower x y_k) and solve
-        mat = transpose_gf2(rows, len(X.faces_of_dim(k - 1)))
+        mat = transpose_gf2(rows, len(X.face_index(k - 1)))
         kernel = nullspace_gf2(mat, len(y_k))
         cycles_y = []
         for u in kernel:
@@ -143,7 +144,7 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
 
     # B_k(X): boundaries of all (k+1)-faces; B_k(Y): those of Y's.
     bx = boundary_columns(X, k + 1)
-    by = [v for f, v in zip(X.faces_of_dim(k + 1), bx) if set(f) <= s]
+    by = [v for f, v in zip(X.faces_of_dim(k + 1), bx) if s.issuperset(f)]
     dim_z = len(cycles_y)
     dim_bx = rank_gf2(bx)
     dim_sum = rank_gf2(bx + cycles_y)
@@ -233,7 +234,7 @@ class TightnessEngine:
         self.d = d = X.dimension
         vidx = {v: i for i, v in enumerate(X.vertices)}
         faces = [X.faces_of_dim(k) for k in range(d + 1)]
-        # boundary of each k-face over (k-1)-face indices
+        # boundary of each k-face over (k-1)-face positions
         bd = [[0] * self.n] + [boundary_columns(X, k) for k in range(1, d + 1)]
         # bases of the orthogonal complements of the boundary spaces B_k(X)
         comp = [nullspace_gf2(bd[k + 1], len(faces[k])) for k in range(d)]
@@ -368,26 +369,35 @@ class TightnessEngine:
                 return evaluated, covered, violations
 
     def search_draws(
-        self, draws: list[int], stop_on_first: bool = True
+        self, draws: list[int], stop_on_first: bool = True, dual: bool = False
     ) -> tuple[int, int, Violations]:
         """Evaluate the vertex masks draws (repeats allowed) and report
         them in draw order, as one search(draw, descend=False) per draw
         would, without dual: evaluated and covered count every draw.
 
-        Each distinct draw is evaluated once, in one depth-first walk over
-        the prefix trie of the draws as ascending index tuples.  The draws
-        are sorted by their bits from the least vertex up, so draws that
-        share their least vertices are adjacent; each keeps the faces of
-        the prefix it shares with the draw before and walks only its
-        larger vertices.  With stop_on_first the report ends at the first
-        violating draw, and draws after the earliest violating draw found
-        so far are skipped.
+        With dual (sound only when duality_applies(X)) a draw S with
+        2|S| > n is evaluated as V∖S, and each bad degree k found there is
+        reported as d - 1 - k on S, in ascending order.
+
+        Each distinct evaluated mask is evaluated once, in one depth-first
+        walk over the prefix trie of the masks as ascending index tuples.
+        The masks are sorted by their bits from the least vertex up, so
+        masks that share their least vertices are adjacent; each keeps the
+        faces of the prefix it shares with the mask before and walks only
+        its larger vertices.  With stop_on_first the report ends at the
+        first violating draw, and masks first drawn after the earliest
+        violating draw found so far are skipped.
         """
-        first: dict[int, int] = {}
+        n, d = self.n, self.d
+        full = (1 << n) - 1
+        # each distinct draw -> the mask it is evaluated as
+        evaluate_as = {
+            m: full ^ m if dual and 2 * m.bit_count() > n else m for m in draws
+        }
+        first: dict[int, int] = {}  # evaluated mask -> index of its first draw
         for i, m in enumerate(draws):
-            first.setdefault(m, i)
-        width = f"0{self.n}b"
-        d = self.d
+            first.setdefault(evaluate_as[m], i)
+        width = f"0{n}b"
         cnt = [0] * (d + 1)
         spaces = [PivotSpace() for _ in range(d + 1)]
         star, walk, bad_degrees = self.star, self._walk, self._bad_degrees
@@ -422,7 +432,9 @@ class TightnessEngine:
         violations: Violations = []
         for m in draws:
             evaluated += 1
-            violations.extend((self._subset_labels(m), k) for k in bad[m])
+            e = evaluate_as[m]
+            ks = bad[e] if e == m else [d - 1 - k for k in reversed(bad[e])]
+            violations.extend((self._subset_labels(m), k) for k in ks)
             if violations and stop_on_first:
                 break
         return evaluated, evaluated, violations
@@ -552,14 +564,17 @@ def is_tight_z2(
                 f"need at least 2 vertices to sample a proper subset, got {n}"
             )
         engine = TightnessEngine(X)
+        dual = duality_applies(X)
         rng = SplitMix64(seed)
         head = SAMPLE_HEAD if stop_on_first else sample_count
         draws = _draws(rng, n, min(head, sample_count))
-        evaluated, checked, violations = engine.search_draws(draws, stop_on_first)
+        evaluated, checked, violations = engine.search_draws(
+            draws, stop_on_first, dual
+        )
         if not violations and len(draws) < sample_count:
             draws += _draws(rng, n, sample_count - len(draws))
             evaluated, checked, violations = engine.search_draws(
-                draws, stop_on_first
+                draws, stop_on_first, dual
             )
     else:
         raise ValueError(f"unknown mode {mode!r}")

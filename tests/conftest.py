@@ -16,6 +16,7 @@ from walkup import (
     find_admissible_bijection,
     from_facets,
     handle_addition,
+    random_stacked_sphere,
     standard_sphere,
 )
 from walkup.constructions import B5_30_NAMED_FACETS
@@ -155,6 +156,28 @@ def kuhnel_manifold(d: int) -> SimplicialComplex:
         [f"k{(i + j) % m}" for j in range(d + 2)] for i in range(m)
     )
     return ball.boundary_complex()
+
+
+def face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+    """(name, complex): empty, points, a singular edge, balls, a cycle,
+    the named manifolds and stacked spheres of dimensions 2 to 5."""
+    yield "empty", SimplicialComplex(())
+    yield "single facet", from_facets([["a", "b", "c"]])
+    yield "three points", from_facets([["p"], ["q"], ["r"]])
+    yield "two points", from_facets([["p"], ["q"]])
+    yield "three triangles on an edge", from_facets(
+        [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
+    )
+    yield "b5_30", b5_30
+    yield "stacked 3-ball", SimplicialComplex(
+        random_stacked_sphere(2, 12, seed=4).clique_complex()
+    )
+    yield "cycle", from_facets([["1", "2"], ["2", "3"], ["1", "3"]])
+    yield "m4_15", m4_15
+    yield "torus_7", torus_7
+    yield "rp2_6", rp2_6
+    for d in (2, 3, 4, 5):
+        yield f"stacked {d}-sphere", random_stacked_sphere(d, 3 * d, seed=d)
 
 
 def b5_30_facet(name: str) -> tuple[str, ...]:

@@ -385,6 +385,32 @@ def test_check_tight_refuses_flags_of_the_other_mode(capsys, monkeypatch):
         assert _one_error_line(err), err
 
 
+def test_check_tight_refuses_a_flag_mix_before_reading_input(capsys, monkeypatch):
+    # the flag error wins over the parse error of a malformed stdin, and
+    # the input is not parsed at all
+    from walkup import io as cio
+
+    monkeypatch.setattr(cio, "loads", lambda text: pytest.fail("parsed"))
+    for flags, message in (
+        (["--seed", "1"], "--seed"),
+        (["--sample", "5", "--jobs", "2"], "--jobs"),
+        (["--sample", "5", "--ceiling", "20"], "--ceiling"),
+    ):
+        code, out, err = run_cli(
+            ["check", "tight", *flags], stdin_text="a b\nb\n",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 2, flags
+        assert out == ""
+        assert _one_error_line(err) and message in err, err
+    monkeypatch.undo()
+    code, out, err = run_cli(
+        ["check", "tight", "--sample", "5"], stdin_text="a b\nb\n",
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 2 and "line 2" in err, err
+
+
 def test_check_tight_ceiling(capsys, monkeypatch):
     m_text = serialize(build_m4_15())
     code, out, err = run_cli(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb, inf
 
@@ -34,7 +37,7 @@ from walkup.errors import (
 )
 from walkup.surgery import disjoint_union
 
-from conftest import kuhnel_manifold
+from conftest import face_layer_corpus as _face_layer_corpus, kuhnel_manifold
 
 
 # ------------------------------------------------------------- construction
@@ -239,26 +242,6 @@ def dual_graph_by_facet(X):
     return incidence, edges, weak, closed, connected, tree
 
 
-def _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
-    yield "empty", SimplicialComplex(())
-    yield "single facet", from_facets([["a", "b", "c"]])
-    yield "three points", from_facets([["p"], ["q"], ["r"]])
-    yield "two points", from_facets([["p"], ["q"]])
-    yield "three triangles on an edge", from_facets(
-        [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
-    )
-    yield "b5_30", b5_30
-    yield "stacked 3-ball", SimplicialComplex(
-        random_stacked_sphere(2, 12, seed=4).clique_complex()
-    )
-    yield "cycle", from_facets([["1", "2"], ["2", "3"], ["1", "3"]])
-    yield "m4_15", m4_15
-    yield "torus_7", torus_7
-    yield "rp2_6", rp2_6
-    for d in (2, 3, 4, 5):
-        yield f"stacked {d}-sphere", random_stacked_sphere(d, 3 * d, seed=d)
-
-
 def test_face_layer_matches_per_facet_enumeration(m4_15, torus_7, rp2_6, b5_30):
     for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
         assert X.faces_by_dim() == faces_by_facet(X), name
@@ -284,6 +267,79 @@ def test_dual_graph_ignores_facet_order(m4_15, torus_7, rp2_6, b5_30):
         Y = from_facets(rows) if rows else SimplicialComplex(())
         assert Y.dual_graph() == X.dual_graph(), name
         assert Y.faces_by_dim() == X.faces_by_dim(), name
+
+
+def faces_in_first_met_order(X):
+    """Reference face numbering: the facets in sorted order, then the
+    faces of each lower dimension in the order they are met by dropping
+    one vertex, the last first, from each face of the dimension above."""
+    layers = [list(X.facets)] if X.facets else []
+    for _ in range(X.dimension):
+        met = {}
+        for f in layers[-1]:
+            for i in reversed(range(len(f))):
+                met.setdefault(f[:i] + f[i + 1:], len(met))
+        layers.append(list(met))
+    return layers[::-1]
+
+
+def test_face_index_is_the_first_met_order(m4_15, torus_7, rp2_6, b5_30):
+    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+        layers = faces_in_first_met_order(X)
+        assert len(layers) == X.dimension + 1, name
+        for j, faces in enumerate(layers):
+            assert X.face_index(j) == {f: i for i, f in enumerate(faces)}, name
+            assert list(X.faces_of_dim(j)) == faces, name
+        if X.dimension > 0:
+            # the ridges come in the order the dual graph meets them
+            ridges = X.dual_graph().ridge_incidence
+            assert list(X.faces_of_dim(X.dimension - 1)) == list(ridges), name
+        for j in (-1, X.dimension + 1):
+            assert X.face_index(j) == {} and not X.faces_of_dim(j), name
+
+
+def test_face_queries_agree_with_the_sorted_view(m4_15, torus_7, rp2_6, b5_30):
+    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+        by_dim = X.faces_by_dim()
+        assert sorted(by_dim) == list(range(X.dimension + 1)), name
+        assert X.f_vector() == tuple(len(by_dim[j]) for j in sorted(by_dim)), name
+        for j, faces in by_dim.items():
+            assert tuple(sorted(X.faces_of_dim(j))) == faces, name
+            assert all(X.has_face(f) for f in faces), name
+            # every other (j+1)-subset of the vertices, up to a few hundred
+            present = set(faces)
+            others = [
+                s for s in combinations(X.vertices, j + 1) if s not in present
+            ][:300]
+            assert not any(X.has_face(s) for s in others), name
+            # has_face sorts its argument
+            assert all(X.has_face(f[::-1]) for f in faces[:50]), name
+        assert not X.has_face(()), name
+
+
+FACE_ORDER_SCRIPT = """
+import hashlib, json
+from walkup import build_m4_15, random_stacked_sphere
+from walkup.homology import boundary_columns
+out = []
+for X in (build_m4_15(), random_stacked_sphere(4, 40, 3)):
+    out.append([list(X.face_index(j).items()) for j in range(X.dimension + 1)])
+    out.append([boundary_columns(X, j) for j in range(1, X.dimension + 1)])
+print(hashlib.sha256(json.dumps(out).encode()).hexdigest())
+"""
+
+
+def test_face_order_does_not_depend_on_hash_order():
+    digests = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", FACE_ORDER_SCRIPT], capture_output=True,
+            text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 # ------------------------------------------------------------------- boundary

@@ -28,7 +28,7 @@ from walkup.homology import (
     transpose_gf2,
 )
 
-from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
+from conftest import face_layer_corpus, find_handle_pair, kuhnel_manifold, tube_sphere
 
 
 def test_rank_gf2_basics():
@@ -45,6 +45,56 @@ def test_nullspace_gf2():
     v = basis[0]
     for r in rows:
         assert bin(r & v).count("1") % 2 == 0
+
+
+def nullspace_by_full_back_substitution(rows, ncols):
+    """The kernel spelled out: every pivot row cleared of every other
+    pivot bit, then each free column's vector read off all pivot rows."""
+    space = PivotSpace()
+    for v in rows:
+        space.insert(v)
+    pivots = space.pivots
+    for b in sorted(pivots, reverse=True):
+        pb = pivots[b]
+        for b2, r in pivots.items():
+            if b2 != b and (r >> b) & 1:
+                pivots[b2] = r ^ pb
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        u = 1 << j
+        for b, row in pivots.items():
+            if (row >> j) & 1:
+                u |= 1 << b
+        basis.append(u)
+    return basis
+
+
+def test_nullspace_matches_full_back_substitution(m4_15, torus_7, rp2_6, b5_30):
+    # every boundary-column list of the face-layer corpus, as columns and
+    # as rows (the tightness engine takes the kernel of the columns, the
+    # direct test that of the transpose)
+    lists = 0
+    for name, X in face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+        f = X.f_vector()
+        for j in range(1, X.dimension + 1):
+            cols = boundary_columns(X, j)
+            transposed = transpose_gf2(cols, f[j - 1])
+            for rows, ncols in ((cols, f[j - 1]), (transposed, f[j])):
+                want = nullspace_by_full_back_substitution(rows, ncols)
+                assert nullspace_gf2(rows, ncols) == want, (name, j)
+                assert len(want) == ncols - rank_gf2(rows)
+                lists += 1
+    assert lists > 50
+    rng = random.Random(3)
+    for _ in range(200):
+        ncols = rng.randrange(0, 40)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
+        rows += [rng.choice(rows) ^ rng.choice(rows) for _ in range(3)] if rows else []
+        assert nullspace_gf2(rows, ncols) == nullspace_by_full_back_substitution(
+            rows, ncols
+        )
 
 
 def test_pivot_space_insert_and_remove():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,11 +164,73 @@ def test_clique_complex_boundary_identity(seed, d):
     assert ball.boundary_complex() == X
 
 
+def _clique_route_by_boundary_complex(X):
+    """The clique route for d >= 2 spelled out: build the clique ball's
+    boundary complex and compare it with X."""
+    cliques = X.clique_complex()
+    if any(len(c) != X.dimension + 2 for c in cliques):
+        return False
+    ball = SimplicialComplex(cliques)
+    return is_stacked_ball(ball) and ball.boundary_complex() == X
+
+
+def _connected_sum(a, b):
+    """a # b (disjoint labels), glued along their least facets."""
+    fa, fb = a.facets[0], b.facets[0]
+    rename = dict(zip(fb, fa))
+    glued = [tuple(sorted(rename.get(v, v) for v in f)) for f in b.facets[1:]]
+    return SimplicialComplex(list(a.facets[1:]) + glued)
+
+
+def _clique_route_corpus():
+    """Stacked spheres, and complexes that are not stacked spheres with
+    and without a stacked clique ball."""
+    for d in (2, 3, 4, 5):
+        for n in (d + 2, d + 3, 3 * d + 7):
+            X = random_stacked_sphere(d, n, seed=n)
+            yield X
+            # a facet short: the same edge graph, so the same clique
+            # ball, but not its boundary
+            yield SimplicialComplex(X.facets[1:])
+    # a missing triangle filled: again the ball of a stacked 2-sphere
+    for seed in (1, 2, 3):
+        X = random_stacked_sphere(2, 9, seed)
+        for tri in combinations(X.vertices, 3):
+            if not X.has_face(tri) and all(
+                X.has_face(e) for e in combinations(tri, 2)
+            ):
+                yield SimplicialComplex(X.facets + (tri,))
+    # stacked spheres # cyclic polytope boundaries, as the benchmark's sums
+    for n in (7, 12):
+        sphere = random_stacked_sphere(4, n, seed=n)
+        yield _connected_sum(sphere, cyclic_polytope_boundary(5, 9))
+    sphere = random_stacked_sphere(3, 9, seed=2)
+    yield _connected_sum(sphere, cyclic_polytope_boundary(4, 7))
+    yield cyclic_polytope_boundary(4, 7)
+    yield tube_sphere(4, 16, 1)
+
+
+def test_clique_route_matches_boundary_complex_comparison(m4_15):
+    verdicts = {True: 0, False: 0}
+    ball_but_not_boundary = 0
+    for X in [*_clique_route_corpus(), m4_15]:
+        want = _clique_route_by_boundary_complex(X)
+        # a fresh complex, so no memoized verdict answers
+        assert is_stacked_sphere(SimplicialComplex(X.facets)) == want, X
+        verdicts[want] += 1
+        cliques = X.clique_complex()
+        ball_but_not_boundary += not want and all(
+            len(c) == X.dimension + 2 for c in cliques
+        ) and is_stacked_ball(SimplicialComplex(cliques))
+    assert verdicts[True] >= 12 and verdicts[False] >= 12
+    assert ball_but_not_boundary >= 12
+
+
 def test_recognizer_lets_programming_errors_through(monkeypatch):
     def broken(self):
         raise TypeError("patched")
 
-    monkeypatch.setattr(SimplicialComplex, "boundary_complex", broken)
+    monkeypatch.setattr(SimplicialComplex, "dual_graph", broken)
     with pytest.raises(TypeError):
         is_stacked_sphere(standard_sphere(3))
 

@@ -490,6 +490,41 @@ def test_sampled_scan_matches_one_search_per_draw():
     assert early and late
 
 
+def test_dual_draws_match_one_search_per_draw(m4_15, rp2_6, torus_7):
+    # a draw above n/2 evaluated as its complement reports what the draw
+    # itself would, on tight and non-tight inputs, n even and odd
+    flipped = even = multi = 0
+    # (0, 1, 3, 6) is bad in degrees 0 and 1, so its complement in
+    # degrees 1 and 0, which the report must list in ascending order
+    two_bad = random_stacked_sphere(2, 9, 2)
+    for X in [*_dual_twin_corpus(m4_15, rp2_6, torus_7), two_bad]:
+        assert duality_applies(X)
+        engine = TightnessEngine(X)
+        n = engine.n
+        draws = _draws(SplitMix64(n + 1), n, 200)
+        if X is two_bad:
+            draws += [0b1001011, 0b110110100]
+        if n % 2 == 0:
+            # draws of exactly n/2 vertices, and their complements
+            half = [sum(1 << v for v in s) for s in combinations(range(n), n // 2)]
+            draws += half[:20] + [((1 << n) - 1) ^ m for m in half[:20]]
+            even += 1
+        draws += draws[::5]  # repeats
+        flipped += sum(2 * m.bit_count() > n for m in draws)
+        for stop in (True, False):
+            got = engine.search_draws(draws, stop, dual=True)
+            assert got == _per_draw_report(engine, draws, stop)
+            # a draw and its complement drawn one after the other
+            pairs = [m ^ flip for m in draws[:30] for flip in (0, (1 << n) - 1)]
+            got = engine.search_draws(pairs, stop, dual=True)
+            assert got == _per_draw_report(engine, pairs, stop)
+        degrees: dict = {}
+        for s, k in engine.search_draws(draws, False, dual=True)[2]:
+            degrees.setdefault(s, set()).add(k)
+        multi += any(2 * len(s) > n and len(ks) > 1 for s, ks in degrees.items())
+    assert flipped and even and multi
+
+
 def test_engine_pickles():
     X = random_stacked_sphere(4, 9, seed=3)
     engine = TightnessEngine(X)
