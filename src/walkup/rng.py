@@ -32,12 +32,17 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling (no modulo bias)."""
+        """Uniform integer in [0, n) by rejection sampling (no modulo bias).
+
+        Each try reads as many 64-bit words as n - 1 needs, the first one
+        most significant, and rejects at or above the largest multiple of
+        n below 2**(64 * words).  For n <= 2**64 that is one word a try.
+        """
         if n <= 0:
             raise ValueError("n must be positive")
-        # largest multiple of n that fits in 64 bits
-        limit = (1 << 64) - ((1 << 64) % n)
         while True:
-            r = self.next_u64()
-            if r < limit:
+            r, span = self.next_u64(), 1 << 64
+            while span < n:
+                r, span = (r << 64) | self.next_u64(), span << 64
+            if r < span - span % n:
                 return r % n

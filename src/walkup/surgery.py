@@ -12,7 +12,9 @@ once; the two sides are then capped with fresh facets.  The
 reconstruction is validated by replaying the returned bijection and
 demanding the exact input back.  Admissible bijections are searched
 with complex.injective_maps, the backtracking the isomorphism search
-shares.
+shares; most facet pairs are refused before that search, on int vertex
+masks of the facets and of the radius-2 balls.  The masks are filled on
+first lookup from the memoized balls, which stay the reference.
 
 The decomposition cuts only along spheres that leave the complex
 connected, so it follows one complex from the input down to its stacked
@@ -176,6 +178,39 @@ def connected_sum(
     return handle_addition(union, bijection_from_map(translated))
 
 
+_MASKS = "admissibility_masks"
+
+
+class _AdmissibilityMasks:
+    """Int vertex masks of one complex for find_admissible_bijection.
+
+    bit maps each vertex to its bit (label order); facet and ball are
+    plain dicts filled on first lookup, a facet with the mask of its
+    vertices and a vertex with the mask of its radius-2 ball, so one
+    search on a large complex masks only the facets and balls it reads.
+    Threads racing on one key store equal masks, so no lock is taken.
+    """
+
+    __slots__ = ("bit", "facet", "ball", "_facet_set", "_balls")
+
+    def __init__(self, X: SimplicialComplex):
+        self.bit = {v: 1 << i for i, v in enumerate(X.vertices)}
+        self.facet: dict[Face, int] = {}
+        self.ball: dict[str, int] = {}
+        self._facet_set = X.facet_set
+        self._balls = X.radius_two_balls()
+
+    def facet_mask(self, f: Face) -> int:
+        if f not in self._facet_set:
+            raise NotAFacet("both endpoints must be facets")
+        mask = self.facet[f] = sum(map(self.bit.__getitem__, f))
+        return mask
+
+    def ball_mask(self, v: str) -> int:
+        mask = self.ball[v] = sum(map(self.bit.__getitem__, self._balls[v]))
+        return mask
+
+
 def find_admissible_bijection(
     X: SimplicialComplex, sigma1: Face, sigma2: Face
 ) -> VertexBijection | None:
@@ -184,20 +219,25 @@ def find_admissible_bijection(
     The first of complex.injective_maps over the pairs at distance >= 3,
     decided by the radius-2 balls as in is_admissible, or None.  Most
     facet pairs are refused before any list is built: when the facets
-    meet, or when some source's ball holds all of sigma2, one set test
-    decides.  Sources are tried fewest candidates first (ties by label),
-    each against its candidates in sigma2's order.
+    meet, or when some source's ball holds all of sigma2, one test on
+    int vertex masks decides.  The masks are memoized on X and filled on
+    first lookup from X.facet_set and X.radius_two_balls(), which stay
+    the reference.  Sources are tried fewest candidates first (ties by
+    label), each against its candidates in sigma2's order.
     """
-    if sigma1 not in X.facet_set or sigma2 not in X.facet_set:
-        raise NotAFacet("both endpoints must be facets")
-    s2 = set(sigma2)
-    if not s2.isdisjoint(sigma1):
+    # a cache hit reads the table once, with no closure built per call
+    masks = X._cache.get(_MASKS) or X._memo(_MASKS, lambda: _AdmissibilityMasks(X))
+    facet = masks.facet
+    m1 = facet.get(sigma1) or masks.facet_mask(sigma1)
+    m2 = facet.get(sigma2) or masks.facet_mask(sigma2)
+    if m1 & m2:
         return None
-    ball = X.radius_two_balls()
+    ball = masks.ball
     for u in sigma1:
-        if s2 <= ball[u]:
+        if (ball.get(u) or masks.ball_mask(u)) & m2 == m2:  # a ball holds sigma2
             return None
-    allowed = {u: [v for v in sigma2 if v not in ball[u]] for u in sigma1}
+    bit = masks.bit
+    allowed = {u: [v for v in sigma2 if not bit[v] & ball[u]] for u in sigma1}
     order = sorted(sigma1, key=lambda u: (len(allowed[u]), u))
     slots = [(u, allowed[u]) for u in order]
     assignment = next(injective_maps(slots, lambda u, v, mapping: True), None)

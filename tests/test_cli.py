@@ -118,6 +118,21 @@ def test_check_tight_violation_exit(capsys, monkeypatch):
     assert "first violation" in out
 
 
+@pytest.mark.parametrize("n", [65, 300])
+def test_check_tight_samples_beyond_64_vertices(n, tmp_path):
+    # 2^n - 2 subsets exceed one 64-bit word from n = 65 on; each draw
+    # must still end, so the scan runs in its own process under a timeout
+    src = tmp_path / "s.txt"
+    src.write_text(serialize(random_stacked_sphere(4, n, 1)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "walkup.cli", "--porcelain", "check", "tight",
+         "--sample", "300", "--seed", "1", str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "not-tight"
+
+
 def test_fvector_commands(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["fvector", "stacked", "--dim", "4", "--n", "30"], capsys=capsys

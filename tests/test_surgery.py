@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -83,10 +85,16 @@ def test_neighbor_bijection_not_admissible():
 def _admissibility_corpus(s4_30):
     """Complexes with far pairs, with none (2-neighborly K4, a small
     stacked sphere), with distance inf (two disjoint 4-spheres) and a
-    hexagon, whose adjacent vertices share no neighbour."""
+    hexagon, whose adjacent vertices share no neighbour; a tube with one
+    handle (in K(4), not a sphere) and the cut that deletes it again,
+    whose labels carry the clone marker."""
     union, _ = disjoint_union(
         random_stacked_sphere(4, 9, seed=1), random_stacked_sphere(4, 9, seed=2)
     )
+    tube = tube_sphere(4, 26, seed=1)
+    psi = find_handle_pair(tube)
+    handled = handle_addition(tube, psi)
+    cut, _ = handle_deletion(handled, psi.target_facet)
     hexagon = SimplicialComplex(
         tuple(sorted((f"h{i}", f"h{(i + 1) % 6}"))) for i in range(6)
     )
@@ -95,10 +103,12 @@ def _admissibility_corpus(s4_30):
         s4_30,
         kuhnel_manifold(4),
         tube_sphere(4, 26, seed=0),
-        tube_sphere(4, 26, seed=1),
+        tube,
         tube_sphere(4, 26, seed=2),
         random_stacked_sphere(4, 12, seed=0),
         union,
+        handled,
+        cut,
     ]
 
 
@@ -195,6 +205,36 @@ def test_find_admissible_bijection_pinned():
     assert len(found) == 1495 and sum(psi is not None for psi in found) == 109
     doc = json.dumps([None if psi is None else psi.pairs for psi in found])
     assert hashlib.sha256(doc.encode()).hexdigest() == ADMISSIBLE_BIJECTIONS
+
+
+def test_find_admissible_bijection_from_racing_threads():
+    # the mask table is filled without a lock: threads racing on a fresh
+    # complex's first lookups must store equal masks and find the same
+    # bijections as one thread
+    X = tube_sphere(4, 26, seed=1)
+    pairs = _disjoint_facet_pairs(X)
+    want = [find_admissible_bijection(X, f1, f2) for f1, f2 in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            Y = SimplicialComplex(X.facets)
+            barrier = threading.Barrier(8)
+            got = []
+
+            def search():
+                barrier.wait(timeout=60)
+                got.append([find_admissible_bijection(Y, f1, f2) for f1, f2 in pairs])
+
+            threads = [threading.Thread(target=search) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_admissibility_negative_cases(s4_30):
