@@ -13,7 +13,9 @@ reads the input file and prints.  It prints a report as JSON under
 Start-up is most of a short command's time, so this module imports only
 io, complex and errors at top level; each cmd_* imports the layers it
 calls, and no command loads a layer it does not run.  No layer imports
-dataclasses, and only fvector loads fractions (for its rational formulas).
+dataclasses or fractions, and only homology and check tight load the
+homology layer: every other report reads the Euler characteristic off
+the f-vector.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def cmd_info(X: SimplicialComplex, args) -> tuple[int, dict]:
         "weak_pseudomanifold": dg.is_weak_pseudomanifold,
         "closed": dg.is_closed,
         "pseudomanifold": dg.is_weak_pseudomanifold and dg.is_connected(),
-        "euler": sum((-1) ** j * c for j, c in enumerate(X.f_vector())),
+        "euler": X.euler_characteristic(),
     }
 
 

@@ -266,6 +266,10 @@ class SimplicialComplex:
         """Face counts (f0, ..., fd); the empty complex gives ()."""
         return tuple(map(len, self._face_index()))
 
+    def euler_characteristic(self) -> int:
+        """f0 - f1 + f2 - ...; 0 for the empty complex."""
+        return sum(c if j % 2 == 0 else -c for j, c in enumerate(self.f_vector()))
+
     # -- links ---------------------------------------------------------------
 
     def link(self, face: Sequence[str]) -> "SimplicialComplex":
@@ -366,11 +370,6 @@ class SimplicialComplex:
             raise UnknownVertex(f"unknown vertex {v!r}")
         return len(self.adjacency()[v])
 
-    def radius_two_balls(self) -> dict[str, frozenset[str]]:
-        """Vertex -> the vertices at graph distance <= 2 from it, itself
-        included.  Each ball is built from adjacency() on first lookup."""
-        return self._memo("radius_two_balls", lambda: _Balls(self.adjacency()))
-
     def graph_distance(self, u: str, v: str) -> int | float:
         """Shortest-path length in the 1-skeleton; inf if disconnected."""
         vs = self._vertex_set()
@@ -433,28 +432,6 @@ class SimplicialComplex:
                 tuple(map(vs.__getitem__, sorted(c))) for c in cliques))
 
         return self._memo("clique_complex", compute)
-
-
-class _Balls(dict):
-    """The radius_two_balls() map: a vertex's ball is its neighbours'
-    neighbour sets joined with its own and itself.
-
-    Filled on lookup, since a handle addition reads only 2(d+1) balls and
-    all of them cost sum(deg^2) (0.3 s on a 5000-vertex stacked 4-sphere).
-    Threads racing on one vertex store equal balls, so no lock is taken.
-    """
-
-    __slots__ = ("adj",)
-
-    def __init__(self, adj: dict[str, frozenset[str]]):
-        super().__init__()
-        self.adj = adj
-
-    def __missing__(self, v: str) -> frozenset[str]:
-        adj = self.adj
-        ns = adj[v]
-        ball = self[v] = ns.union((v,), *map(adj.__getitem__, ns))
-        return ball
 
 
 def _expand_cliques(

@@ -244,14 +244,11 @@ def homology_profile(X: SimplicialComplex) -> HomologyProfile:
     """
     if X.is_empty:
         return HomologyProfile(betti=(), euler=0, orientable=None, connected=False)
-    d = X.dimension
-    f = X.f_vector()
     forest = _dual_forest(X) if X.is_closed_pseudomanifold() else None
-    betti = _betti(X, d, forest)
-    euler = sum(f[j] if j % 2 == 0 else -f[j] for j in range(d + 1))
+    betti = _betti(X, X.dimension, forest)
     return HomologyProfile(
         betti=betti,
-        euler=euler,
+        euler=X.euler_characteristic(),
         orientable=None if forest is None else forest.orientable,
         connected=betti[0] == 1,
     )

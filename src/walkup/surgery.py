@@ -13,8 +13,10 @@ reconstruction is validated by replaying the returned bijection and
 demanding the exact input back.  Admissible bijections are searched
 with complex.injective_maps, the backtracking the isomorphism search
 shares; most facet pairs are refused before that search, on int vertex
-masks of the facets and of the radius-2 balls.  The masks are filled on
-first lookup from the memoized balls, which stay the reference.
+masks of the facets and of the radius-2 balls.  Those masks, filled on
+first lookup from the edge graph, are the one form of the balls:
+is_admissible reads them too, and SimplicialComplex.graph_distance is
+their BFS twin in the tests.
 
 The decomposition cuts only along spheres that leave the complex
 connected, so it follows one complex from the input down to its stacked
@@ -99,8 +101,8 @@ def bijection_from_map(mapping: dict[str, str]) -> VertexBijection:
 def is_admissible(X: SimplicialComplex, psi: VertexBijection) -> bool:
     """True iff every pair sits at graph distance >= 3 in the 1-skeleton.
 
-    Decided by the memoized radius-2 balls of X: a pair (a, b) is far
-    apart iff b is not in a's ball (no edge, no common neighbour).
+    Decided by the radius-2 ball masks of X: a pair (a, b) is far apart
+    iff b is not in a's ball (no edge, no common neighbour).
     SimplicialComplex.graph_distance is the BFS twin the tests
     cross-check it against.
     """
@@ -108,8 +110,9 @@ def is_admissible(X: SimplicialComplex, psi: VertexBijection) -> bool:
         raise NotAFacet(f"{psi.source_facet} is not a facet")
     if psi.target_facet not in X.facet_set:
         raise NotAFacet(f"{psi.target_facet} is not a facet")
-    ball = X.radius_two_balls()
-    return all(b not in ball[a] for a, b in psi.pairs)
+    masks = _admissibility_masks(X)
+    ball, bit = masks.ball, masks.bit
+    return not any(bit[b] & (ball.get(a) or masks.ball_mask(a)) for a, b in psi.pairs)
 
 
 def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialComplex:
@@ -182,23 +185,26 @@ _MASKS = "admissibility_masks"
 
 
 class _AdmissibilityMasks:
-    """Int vertex masks of one complex for find_admissible_bijection.
+    """Int vertex masks of one complex for the admissibility tests.
 
     bit maps each vertex to its bit (label order); facet and ball are
     plain dicts filled on first lookup, a facet with the mask of its
-    vertices and a vertex with the mask of its radius-2 ball, so one
-    search on a large complex masks only the facets and balls it reads.
-    Threads racing on one key store equal masks, so no lock is taken.
+    vertices and a vertex with the mask of its radius-2 ball: its
+    neighbours' neighbour sets joined with its own and itself.  A handle
+    addition reads only 2(d+1) balls and all of them cost sum(deg^2), so
+    one search on a large complex masks only the facets and balls it
+    reads.  Threads racing on one key store equal masks, so no lock is
+    taken.
     """
 
-    __slots__ = ("bit", "facet", "ball", "_facet_set", "_balls")
+    __slots__ = ("bit", "facet", "ball", "_facet_set", "_adj")
 
     def __init__(self, X: SimplicialComplex):
         self.bit = {v: 1 << i for i, v in enumerate(X.vertices)}
         self.facet: dict[Face, int] = {}
         self.ball: dict[str, int] = {}
         self._facet_set = X.facet_set
-        self._balls = X.radius_two_balls()
+        self._adj = X.adjacency()
 
     def facet_mask(self, f: Face) -> int:
         if f not in self._facet_set:
@@ -207,8 +213,16 @@ class _AdmissibilityMasks:
         return mask
 
     def ball_mask(self, v: str) -> int:
-        mask = self.ball[v] = sum(map(self.bit.__getitem__, self._balls[v]))
+        adj = self._adj
+        ns = adj[v]
+        ball = ns.union((v,), *map(adj.__getitem__, ns))
+        mask = self.ball[v] = sum(map(self.bit.__getitem__, ball))
         return mask
+
+
+def _admissibility_masks(X: SimplicialComplex) -> _AdmissibilityMasks:
+    """The mask table of X, memoized on X; a cache hit builds no closure."""
+    return X._cache.get(_MASKS) or X._memo(_MASKS, lambda: _AdmissibilityMasks(X))
 
 
 def find_admissible_bijection(
@@ -217,16 +231,14 @@ def find_admissible_bijection(
     """Search for an admissible bijection between two disjoint facets.
 
     The first of complex.injective_maps over the pairs at distance >= 3,
-    decided by the radius-2 balls as in is_admissible, or None.  Most
-    facet pairs are refused before any list is built: when the facets
-    meet, or when some source's ball holds all of sigma2, one test on
-    int vertex masks decides.  The masks are memoized on X and filled on
-    first lookup from X.facet_set and X.radius_two_balls(), which stay
-    the reference.  Sources are tried fewest candidates first (ties by
-    label), each against its candidates in sigma2's order.
+    decided by the radius-2 ball masks as in is_admissible, or None.
+    Most facet pairs are refused before any list is built: when the
+    facets meet, or when some source's ball holds all of sigma2, one
+    test on int vertex masks decides.  Sources are tried fewest
+    candidates first (ties by label), each against its candidates in
+    sigma2's order.
     """
-    # a cache hit reads the table once, with no closure built per call
-    masks = X._cache.get(_MASKS) or X._memo(_MASKS, lambda: _AdmissibilityMasks(X))
+    masks = _admissibility_masks(X)
     facet = masks.facet
     m1 = facet.get(sigma1) or masks.facet_mask(sigma1)
     m2 = facet.get(sigma2) or masks.facet_mask(sigma2)

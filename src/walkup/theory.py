@@ -1,15 +1,15 @@
 """Closed-form face-vector formulas and lower-bound checks.
 
-All arithmetic is exact: intermediate values are rationals and any
-non-integral face count raises instead of rounding.  No floating point
-appears anywhere in this module.  The two rational formulas import
-fractions themselves, so the other checks do not pay for it at start-up.
+All arithmetic is exact and in integers: every face vector of a member
+of K(d) is the one closed form in f0 and f1, each entry an exact
+division, and an entry that is not an integer raises instead of
+rounding.  No floating point or rational type appears in this module.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import TYPE_CHECKING, NamedTuple
+from math import comb, gcd
+from typing import NamedTuple
 
 from .complex import SimplicialComplex
 from .errors import (
@@ -18,17 +18,16 @@ from .errors import (
     NotClosedConnected4Manifold,
     OddDimension,
 )
-from .homology import homology_profile
 from .stacked import is_stacked_sphere
 
-if TYPE_CHECKING:
-    from fractions import Fraction
 
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegralResult(f"{what} = {x} is not an integer")
-    return int(x)
+def _exact(num: int, den: int, j: int) -> int:
+    """f_j = num / den, which must be an integer (den > 0)."""
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise NonIntegralResult(f"f_{j} = {num // g}/{den // g} is not an integer")
+    return q
 
 
 def _check_f0_f1(d: int, f0: int, f1: int) -> None:
@@ -47,41 +46,43 @@ def _check_f0_f1(d: int, f0: int, f1: int) -> None:
         )
 
 
+def _face_vector(d: int, f0: int, f1: int) -> tuple[int, ...]:
+    """The closed form: the face vector of a connected member of K(d),
+    d >= 2, with f0 vertices and f1 edges,
+    f_j = (2 C(d, j-1) f1 - (j-1) C(d+1, j) f0) / (j+1) for 1 < j < d and
+    f_d = ((2d-2) f1 - (d+1)(d-2) f0) / (d+1).
+    """
+    f = [f0, f1]
+    for j in range(2, d):
+        f.append(_exact(2 * comb(d, j - 1) * f1 - (j - 1) * comb(d + 1, j) * f0, j + 1, j))
+    f.append(_exact((2 * d - 2) * f1 - (d + 1) * (d - 2) * f0, d + 1, d))
+    return tuple(f)
+
+
 def stacked_sphere_fvector(d: int, f0: int) -> tuple[int, ...]:
     """Face vector of any stacked d-sphere on f0 vertices.
 
-    f_j = C(d+1, j) f0 - j C(d+2, j+1) for 1 <= j < d, and
-    f_d = d f0 - (d+2)(d-1).
+    For d >= 2 it is the closed form at f1 = (d+1) f0 - C(d+2, 2); a
+    stacked 1-sphere is a cycle, f = (f0, f0).
     """
     if d < 1 or f0 < d + 2:
         raise InvalidParameters(f"need d >= 1 and f0 >= d+2, got d={d}, f0={f0}")
-    counts = [f0]
-    for j in range(1, d):
-        counts.append(comb(d + 1, j) * f0 - j * comb(d + 2, j + 1))
-    counts.append(d * f0 - (d + 2) * (d - 1))
-    return tuple(counts)
+    if d == 1:
+        return (f0, f0)
+    return _face_vector(d, f0, (d + 1) * f0 - comb(d + 2, 2))
 
 
 def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
     """Face vector of a connected even-dimensional Walkup-class member.
 
-    f_j = C(d+1, j) f0 - (j/2) C(d+2, j+1) chi for 1 <= j < d, and
-    f_d = d f0 - (d+2)(d-1) chi / 2.  Stacked spheres are the chi = 2
-    case and reproduce stacked_sphere_fvector.  Raises InvalidParameters
-    when f0 < d+2 or the resulting f1 lies outside
+    The closed form at f1 = (d+1) f0 - C(d+2, 2) chi / 2; stacked spheres
+    are the chi = 2 case.  Integrality is checked first, f_1 included.
+    Raises InvalidParameters when f0 < d+2 or f1 lies outside
     [(d+1) f0 - C(d+2, 2), C(f0, 2)], that is when chi > 2 or too negative.
     """
-    from fractions import Fraction
-
     if d < 2 or d % 2 != 0:
         raise OddDimension(f"need an even dimension >= 2, got {d}")
-    counts = [Fraction(f0)]
-    for j in range(1, d):
-        counts.append(
-            comb(d + 1, j) * f0 - Fraction(j, 2) * comb(d + 2, j + 1) * chi
-        )
-    counts.append(d * f0 - Fraction((d + 2) * (d - 1), 2) * chi)
-    f = tuple(_as_int(c, f"f_{j}") for j, c in enumerate(counts))
+    f = _face_vector(d, f0, _exact(2 * (d + 1) * f0 - comb(d + 2, 2) * chi, 2, 1))
     _check_f0_f1(d, f0, f[1])
     return f
 
@@ -89,24 +90,14 @@ def walkup_fvector_even(d: int, f0: int, chi: int) -> tuple[int, ...]:
 def fvector_from_f0_f1(d: int, f0: int, f1: int) -> tuple[int, ...]:
     """Face vector of a connected Walkup-class member from f0 and f1.
 
-    Valid in every dimension d >= 2:
-    f_j = (2/(j+1)) C(d, j-1) f1 - ((j-1)/(j+1)) C(d+1, j) f0 for j < d,
-    f_d = ((2d-2)/(d+1)) f1 - (d-2) f0.  Raises InvalidParameters when
-    f0 < d+2 or f1 lies outside [(d+1) f0 - C(d+2, 2), C(f0, 2)].
+    The closed form, valid in every dimension d >= 2.  Raises
+    InvalidParameters when f0 < d+2 or f1 lies outside
+    [(d+1) f0 - C(d+2, 2), C(f0, 2)], before any integrality check.
     """
-    from fractions import Fraction
-
     if d < 2:
         raise InvalidParameters(f"need d >= 2, got {d}")
     _check_f0_f1(d, f0, f1)
-    counts = [Fraction(f0), Fraction(f1)]
-    for j in range(2, d):
-        counts.append(
-            Fraction(2, j + 1) * comb(d, j - 1) * f1
-            - Fraction(j - 1, j + 1) * comb(d + 1, j) * f0
-        )
-    counts.append(Fraction(2 * d - 2, d + 1) * f1 - (d - 2) * f0)
-    return tuple(_as_int(c, f"f_{j}") for j, c in enumerate(counts))
+    return _face_vector(d, f0, f1)
 
 
 def dehn_sommerville_4(f0: int, f1: int, chi: int) -> tuple[int, ...]:
@@ -190,7 +181,7 @@ class BoundReport(NamedTuple):
 def check_bounds_4manifold(X: SimplicialComplex) -> BoundReport:
     """Evaluate both lower bounds on a closed connected 4-pseudomanifold.
 
-    The Euler characteristic is always recomputed from the complex.  The
+    The Euler characteristic is read off the complex's own f-vector.  The
     operation verifies closedness and connectivity; it does not certify
     that the input is a genuine PL manifold.
     """
@@ -199,7 +190,7 @@ def check_bounds_4manifold(X: SimplicialComplex) -> BoundReport:
             "need a closed connected 4-dimensional weak pseudomanifold"
         )
     f = X.f_vector()
-    chi = homology_profile(X).euler
+    chi = X.euler_characteristic()
     edge = BoundCheck(name="2f1 >= 10f0 - 15chi", lhs=2 * f[1], rhs=10 * f[0] - 15 * chi)
     vertex = BoundCheck(name="f0(f0-11) >= -15chi", lhs=f[0] * (f[0] - 11), rhs=-15 * chi)
     return BoundReport(

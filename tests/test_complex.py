@@ -530,6 +530,8 @@ def test_concurrent_queries_share_one_complex():
     # memoized caches must fill safely under parallel first access
     from concurrent.futures import ThreadPoolExecutor
 
+    from walkup.surgery import _admissibility_masks
+
     X = random_stacked_sphere(4, 20, seed=31)
 
     def probe(_):
@@ -540,7 +542,7 @@ def test_concurrent_queries_share_one_complex():
             len(X.clique_complex()),
             is_stacked_sphere(X),
             X.vertex_link(X.vertices[0]).facets,
-            X.radius_two_balls()[X.vertices[-1]],
+            _admissibility_masks(X).ball_mask(X.vertices[-1]),
         )
 
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -75,6 +75,7 @@ LEAN_COMMANDS = [
     (["decompose", "M", "--ledger", "L"], 0),
     (["replay", "L"], 0),
     (["generate", "m4-15"], 0),
+    (["fvector", "walkup", "--dim", "4", "--n", "15", "--chi", "-4"], 0),
 ]
 
 
@@ -117,13 +118,28 @@ def test_commands_import_no_heavy_stdlib_module(argv, want, m4_15_files):
     assert _heavy_loaded_by(argv) == (want, set())
 
 
-def test_fvector_loads_fractions_but_not_dataclasses():
-    code, loaded = _heavy_loaded_by(
-        ["fvector", "walkup", "--dim", "4", "--n", "15", "--chi", "-4"]
+# commands that compute no Betti number: chi is read off the f-vector
+NO_HOMOLOGY = [
+    ["check", "walkup", "M"],
+    ["check", "bounds4", "M"],
+    ["decompose", "M"],
+    ["replay", "L"],
+    ["generate", "m4-15"],
+    ["fvector", "walkup", "--dim", "4", "--n", "15", "--chi", "-4"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_HOMOLOGY, ids=[" ".join(a[:2]) for a in NO_HOMOLOGY])
+def test_commands_without_betti_numbers_skip_homology(argv, m4_15_files):
+    argv = [m4_15_files.get(a, a) for a in argv]
+    loaded = _loaded_by(
+        "import contextlib, io, sys\n"
+        "from walkup.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "assert 'fractions' not in sys.modules\n"
     )
-    assert code == 0
-    assert "fractions" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert "walkup.homology" not in loaded
 
 
 def test_public_names_are_their_submodule_attributes():

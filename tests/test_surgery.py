@@ -39,6 +39,7 @@ from walkup.errors import (
     NotInducedStandardSphere,
     NotWalkup,
 )
+from walkup.surgery import _admissibility_masks
 from walkup.complex import CLONE_MARKER
 from walkup.rng import SplitMix64
 from walkup.surgery import HandleLedger, separates
@@ -155,16 +156,21 @@ def _disjoint_facet_pairs(X):
     ]
 
 
+def _in_ball(X, u, v):
+    """v lies in u's radius-2 ball, read off the admissibility mask table."""
+    masks = _admissibility_masks(X)
+    return bool(masks.ball_mask(u) & masks.bit[v])
+
+
 def test_radius_two_balls_match_bfs(s4_30):
     kinds = set()
     two_points = SimplicialComplex([("p",), ("q",)])
     for X in _admissibility_corpus(s4_30) + [two_points]:
-        ball = X.radius_two_balls()
         for u in X.vertices:
             for v in X.vertices:
                 dist = X.graph_distance(u, v)
                 kinds.add(min(dist, 3))
-                assert (v in ball[u]) == (dist <= 2), (u, v, dist)
+                assert _in_ball(X, u, v) == (dist <= 2), (u, v, dist)
     assert kinds == {0, 1, 2, 3}  # itself, adjacent, common neighbour, far
 
 
@@ -239,15 +245,14 @@ def test_find_admissible_bijection_from_racing_threads():
 
 def test_admissibility_negative_cases(s4_30):
     # a1 ~ a2 share an edge, a1 and a5 a neighbour; the union is disconnected
-    ball = s4_30.radius_two_balls()
-    assert s4_30.graph_distance("a1", "a2") == 1 and "a2" in ball["a1"]
+    assert s4_30.graph_distance("a1", "a2") == 1 and _in_ball(s4_30, "a1", "a2")
     u, v = next(
         (u, v)
         for u in s4_30.vertices
         for v in s4_30.vertices
         if s4_30.graph_distance(u, v) == 2
     )
-    assert v in ball[u]
+    assert _in_ball(s4_30, u, v)
     union, rename = disjoint_union(standard_sphere(4), standard_sphere(4))
     f1 = union.facets[0]
     f2 = tuple(sorted(rename[v] for v in f1))
@@ -266,10 +271,12 @@ def test_find_admissible_bijection_requires_facets(s4_30):
     # the facet checks come before any early answer of None: a non-facet
     # that meets the other endpoint, or that lies within its balls, raises
     F = s4_30.facets[0]
-    ball = s4_30.radius_two_balls()
     G = next(g for g in s4_30.facets if not set(g) & set(F))
     meets = tuple(sorted(F[:4] + (G[0],)))
-    near = tuple(sorted(ball[F[0]].difference(F)))[:5]
+    near = tuple(
+        v for v in s4_30.vertices
+        if v not in F and s4_30.graph_distance(F[0], v) <= 2
+    )[:5]
     for sigma in (meets, near):
         assert sigma not in s4_30.facet_set and len(sigma) == 5
     assert not set(near) & set(F)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -26,6 +27,8 @@ from walkup.errors import (
     NotClosedConnected4Manifold,
     OddDimension,
 )
+
+from walkup.theory import _check_f0_f1
 
 from conftest import cyclic_polytope_boundary
 
@@ -130,6 +133,82 @@ def test_fvector_from_f0_f1_refuses_impossible_counts():
     # the lower bound itself is the stacked sphere
     assert fvector_from_f0_f1(4, 6, 15) == stacked_sphere_fvector(4, 6)
     assert fvector_from_f0_f1(3, 10, 30) == stacked_sphere_fvector(3, 10)
+
+
+# ------------------------------------------------ the rational twin formulas
+#
+# The library evaluates one closed form in f0 and f1 by exact integer
+# division.  These are the three rational formulas it replaced, each
+# written out in Fraction arithmetic with its own checks in its own order.
+
+
+def _as_int(x, what):
+    if x.denominator != 1:
+        raise NonIntegralResult(f"{what} = {x} is not an integer")
+    return int(x)
+
+
+def _stacked_by_fractions(d, f0):
+    if d < 1 or f0 < d + 2:
+        raise InvalidParameters(f"need d >= 1 and f0 >= d+2, got d={d}, f0={f0}")
+    counts = [f0]
+    for j in range(1, d):
+        counts.append(comb(d + 1, j) * f0 - j * comb(d + 2, j + 1))
+    counts.append(d * f0 - (d + 2) * (d - 1))
+    return tuple(counts)
+
+
+def _walkup_by_fractions(d, f0, chi):
+    if d < 2 or d % 2 != 0:
+        raise OddDimension(f"need an even dimension >= 2, got {d}")
+    counts = [Fraction(f0)]
+    for j in range(1, d):
+        counts.append(
+            comb(d + 1, j) * f0 - Fraction(j, 2) * comb(d + 2, j + 1) * chi
+        )
+    counts.append(d * f0 - Fraction((d + 2) * (d - 1), 2) * chi)
+    f = tuple(_as_int(c, f"f_{j}") for j, c in enumerate(counts))
+    _check_f0_f1(d, f0, f[1])
+    return f
+
+
+def _from_f0_f1_by_fractions(d, f0, f1):
+    if d < 2:
+        raise InvalidParameters(f"need d >= 2, got {d}")
+    _check_f0_f1(d, f0, f1)
+    counts = [Fraction(f0), Fraction(f1)]
+    for j in range(2, d):
+        counts.append(
+            Fraction(2, j + 1) * comb(d, j - 1) * f1
+            - Fraction(j - 1, j + 1) * comb(d + 1, j) * f0
+        )
+    counts.append(Fraction(2 * d - 2, d + 1) * f1 - (d - 2) * f0)
+    return tuple(_as_int(c, f"f_{j}") for j, c in enumerate(counts))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - the type and text are compared
+        return type(e), str(e)
+
+
+def test_integer_closed_form_matches_rational_formulas():
+    # every value, error type and error text over the CLI grid: d -1..9,
+    # f0 -2..39, chi -40..7 and f1 -5..197 in steps of 3
+    kinds = set()
+    for d in range(-1, 10):
+        for f0 in range(-2, 40):
+            pairs = [((stacked_sphere_fvector, _stacked_by_fractions), (d, f0))]
+            pairs += [((walkup_fvector_even, _walkup_by_fractions), (d, f0, chi))
+                      for chi in range(-40, 8)]
+            pairs += [((fvector_from_f0_f1, _from_f0_f1_by_fractions), (d, f0, f1))
+                      for f1 in range(-5, 198, 3)]
+            for (lib, twin), args in pairs:
+                got = _outcome(lib, *args)
+                assert got == _outcome(twin, *args), (lib.__name__, args)
+                kinds.add(got[0] if isinstance(got[0], type) else tuple)
+    assert kinds == {tuple, InvalidParameters, NonIntegralResult, OddDimension}
 
 
 @settings(max_examples=15, deadline=None)
