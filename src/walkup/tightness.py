@@ -315,7 +315,8 @@ class TightnessEngine:
         the layout of search_draws' levels: each turn adds the next vertex
         and evaluates the new subset, or pops the top frame and moves on to
         the popped vertex's successor.  With stop_on_first the scan ends at
-        the first bad degree of the first violating subset (and its mirror).
+        the first violating subset, after listing every bad degree of it,
+        each followed by its mirror under dual.
 
         Returns (subsets evaluated, subsets covered, violations).
         """
@@ -346,8 +347,8 @@ class TightnessEngine:
                         violations.append(
                             (self._subset_labels(full ^ mask), d - 1 - k)
                         )
-                    if stop_on_first:
-                        return evaluated, covered, violations
+                if violations and stop_on_first:
+                    return evaluated, covered, violations
             if v < n and size < cap:
                 log: list = []
                 frames.append((v, cnt[:], log))
@@ -385,8 +386,9 @@ class TightnessEngine:
         masks that share their least vertices are adjacent; each keeps the
         faces of the prefix it shares with the mask before and walks only
         its larger vertices.  With stop_on_first the report ends at the
-        first violating draw, and masks first drawn after the earliest
-        violating draw found so far are skipped.
+        first violating draw, after every bad degree of it, and masks
+        first drawn after the earliest violating draw found so far are
+        skipped.
         """
         n, d = self.n, self.d
         full = (1 << n) - 1
@@ -537,6 +539,11 @@ def is_tight_z2(
     generator.  jobs must be at least 1 in either mode; jobs > 1 splits
     an exhaustive scan of at least POOL_MIN_SUBSETS subsets to evaluate
     over size-2 subset prefixes without changing the report.
+
+    With stop_on_first both modes follow one rule: the report ends at
+    the first violating subset (in scan or draw order) and lists every
+    bad degree of it, in an exhaustive scan under duality each followed
+    by its mirror (V∖S, d - 1 - k).
     """
     n = len(X.vertices)
     if jobs < 1:

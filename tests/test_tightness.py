@@ -290,20 +290,23 @@ def test_dual_scan_stops_at_first_serial_violation():
     assert rep.violations == ((("v1", "v2", "v3", "v4"), 2),)
 
 
-def test_stop_on_first_reports_only_the_first_bad_degree():
+def test_stop_on_first_reports_every_bad_degree_of_the_first_violation():
     # {v1, v2, v4, v7} fails in degrees 0 and 1: a scan that stops on its
-    # first violation reports degree 0 (and, with dual, its mirror) alone
+    # first violating subset lists both degrees (with dual, each followed
+    # by its mirror), exhaustive and sampled alike
     engine = TightnessEngine(random_stacked_sphere(2, 9, 2))
     root = (0, 1, 3, 6)
     s, rest = ("v1", "v2", "v4", "v7"), ("v3", "v5", "v6", "v8", "v9")
-    assert engine.search(root, stop_on_first=True, descend=False) == (1, 1, [(s, 0)])
-    assert engine.search(root, stop_on_first=False, descend=False) == (
-        1, 1, [(s, 0), (s, 1)]
-    )
+    both = (1, 1, [(s, 0), (s, 1)])
+    assert engine.search(root, stop_on_first=True, descend=False) == both
+    assert engine.search(root, stop_on_first=False, descend=False) == both
     assert engine.search(root, stop_on_first=True, dual=True, descend=False) == (
-        1, 2, [(s, 0), (rest, 1)]
+        1, 2, [(s, 0), (rest, 1), (s, 1), (rest, 0)]
     )
-    assert engine.search(root, stop_on_first=True) == (1, 1, [(s, 0)])
+    assert engine.search(root, stop_on_first=True) == both
+    mask = sum(1 << v for v in root)
+    for dual in (False, True):
+        assert engine.search_draws([mask, 1], stop_on_first=True, dual=dual) == both
 
 
 def _fallback_corpus(rp2_6):
