@@ -33,7 +33,7 @@ from .errors import ParseError, WalkupError
 
 def _read_complex(path: str | None) -> SimplicialComplex:
     if path is None or path == "-":
-        return cio.loads(sys.stdin.read())
+        return cio.loads(cio.read_text(sys.stdin))
     return cio.load(path)
 
 
@@ -249,8 +249,8 @@ def cmd_decompose(X: SimplicialComplex, args) -> tuple[int, dict]:
 
 
 def cmd_replay(args) -> SimplicialComplex:
-    with open(args.ledger, "r", encoding="utf-8") as fh:
-        ledger = _ledger_from_json(fh.read())
+    with open(args.ledger, "rb") as fh:
+        ledger = _ledger_from_json(cio.read_text(fh))
     return ledger.replay()
 
 

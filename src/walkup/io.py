@@ -4,6 +4,7 @@ Text format, the toolkit's lingua franca: one facet per line as
 whitespace-separated vertex labels; lines whose first non-blank character
 is '#' are comments; blank lines are ignored.  The structured alternative
 is a JSON object {"facets": [[label, ...], ...]} with the same meaning.
+Input is UTF-8; loads ignores one leading byte-order mark (U+FEFF).
 
 Serialization is canonical: vertices sorted within each facet, facets
 sorted lexicographically, one per line.  Equal complexes serialize to
@@ -64,6 +65,24 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     return SimplicialComplex(faces)
 
 
+def read_text(stream) -> str:
+    """All of stream as text.  Bytes, from a binary stream or from the
+    buffer under a text stream such as sys.stdin, are decoded as strict
+    UTF-8 whatever the locale, and the first byte that is not UTF-8 is a
+    ParseError on its line; a text stream with no buffer (io.StringIO)
+    is read as it is."""
+    data = getattr(stream, "buffer", stream).read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})",
+            data.count(b"\n", 0, e.start) + 1,
+        ) from e
+
+
 def decode_json(text: str):
     """Decode a JSON document; malformed or too deeply nested input is a ParseError."""
     try:
@@ -87,16 +106,17 @@ def parse_facet_json(text: str) -> SimplicialComplex:
 
 
 def loads(text: str) -> SimplicialComplex:
-    """Parse either format, sniffing JSON by a leading '{'."""
-    head = text.lstrip()
-    if head.startswith("{"):
+    """Parse either format, sniffing JSON by a leading '{' once one
+    leading byte-order mark is dropped."""
+    text = text.removeprefix("\ufeff")
+    if text.lstrip().startswith("{"):
         return parse_facet_json(text)
     return parse_facet_text(text)
 
 
 def load(path: str) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        return loads(read_text(fh))
 
 
 def serialize(X: SimplicialComplex) -> str:

@@ -310,6 +310,66 @@ def _one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error:")
 
 
+# a facet file whose second line starts with two bytes that are not UTF-8
+BAD_UTF8 = b"a b c\n\xff\xfe1 2 3\n"
+BAD_UTF8_ERROR = "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+def test_invalid_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(BAD_UTF8)
+    assert run_cli(["info", str(path)], capsys=capsys) == (2, "", BAD_UTF8_ERROR)
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_invalid_utf8_stdin_exit_2(errors):
+    # stdin is decoded as strict UTF-8 whatever error handler it carries:
+    # surrogateescape would otherwise pass the bytes on as a label
+    proc = subprocess.run(
+        [sys.executable, "-m", "walkup.cli", "info"], input=BAD_UTF8,
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONIOENCODING": f"utf-8:{errors}"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == BAD_UTF8_ERROR
+
+
+def test_replay_rejects_invalid_utf8_ledger(tmp_path, capsys):
+    ledger = tmp_path / "l.json"
+    ledger.write_bytes(b'{"base": {"facets": [["a", "b"]]},\n"handles": ["\xe9"]}')
+    code, out, err = run_cli(["replay", str(ledger)], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: not UTF-8: byte 0xe9 (invalid continuation byte)\n"
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
+    _, m_text, _ = run_cli(["generate", "m4-15"], capsys=capsys)
+    plain, marked = tmp_path / "m.txt", tmp_path / "bom.txt"
+    plain.write_text(m_text, encoding="utf-8")
+    marked.write_text("\ufeff" + m_text, encoding="utf-8")
+    for command in ("info", "homology"):
+        want = run_cli(["--porcelain", command, str(plain)], capsys=capsys)
+        assert want[0] == 0
+        assert run_cli(["--porcelain", command, str(marked)], capsys=capsys) == want
+        assert run_cli(
+            ["--porcelain", command], stdin_text="\ufeff" + m_text,
+            monkeypatch=monkeypatch, capsys=capsys,
+        ) == want
+    # a marked tetrahedron boundary is closed, and a stacked sphere
+    tetra = "".join(" ".join(f) + "\n" for f in combinations("1234", 3))
+    code, out, _ = run_cli(
+        ["check", "stacked"], stdin_text="\ufeff" + tetra,
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, out) == (0, "detected: closed, testing sphere\nstacked sphere: yes\n")
+    # a marked JSON document is still sniffed as JSON
+    code, out, _ = run_cli(
+        ["--porcelain", "info"], stdin_text='\ufeff{"facets": [["1", "2", "3"]]}',
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0 and json.loads(out)["f_vector"] == [3, 3, 1]
+
+
 def test_check_tight_porcelain_independent_of_jobs(capsys, monkeypatch):
     # the pooled scan must report the serial scan's first violation and
     # count, whatever the scheduling of its workers

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from walkup import build_m4_15, from_facets, standard_sphere
 from walkup.errors import InvalidLabel, ParseError
-from walkup.io import loads, parse_facet_json, parse_facet_text, serialize
+from walkup.io import (
+    loads,
+    parse_facet_json,
+    parse_facet_text,
+    read_text,
+    serialize,
+)
 
 
 def test_parse_simple():
@@ -120,3 +127,20 @@ def test_json_rejects_bad_labels(label):
     text = json.dumps({"facets": [["a", "b"], ["b", label]]})
     with pytest.raises(InvalidLabel):
         loads(text)
+
+
+def test_read_text_decodes_strict_utf8():
+    assert read_text(io.BytesIO("é 1\n".encode())) == "é 1\n"
+    assert read_text(io.StringIO("a b\n")) == "a b\n"  # a text stream as it is
+    with pytest.raises(ParseError) as exc:
+        read_text(io.BytesIO(b"a b\n\nc\xc3"))
+    assert exc.value.line == 3
+    assert "0xc3" in str(exc.value)
+
+
+def test_loads_drops_one_byte_order_mark():
+    X = loads("1 2\n2 3\n3 1\n")
+    assert loads("\ufeff1 2\n2 3\n3 1\n") == X
+    assert loads('\ufeff {"facets": [["1", "2"], ["2", "3"], ["1", "3"]]}') == X
+    # only one: a second mark is part of the first label
+    assert "\ufeff1" in loads("\ufeff\ufeff1 2\n2 3\n3 1\n").vertices
