@@ -66,11 +66,9 @@ def parse_facet_text(text: str) -> SimplicialComplex:
 
 
 def read_text(stream) -> str:
-    """All of stream as text.  Bytes, from a binary stream or from the
-    buffer under a text stream such as sys.stdin, are decoded as strict
-    UTF-8 whatever the locale, and the first byte that is not UTF-8 is a
-    ParseError on its line; a text stream with no buffer (io.StringIO)
-    is read as it is."""
+    """All of stream, decoded as strict UTF-8 if it yields bytes (a binary
+    stream, or the buffer under sys.stdin), where a byte that is not UTF-8
+    is a ParseError on its line; a text stream with no buffer is read as is."""
     data = getattr(stream, "buffer", stream).read()
     if isinstance(data, str):
         return data

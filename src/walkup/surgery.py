@@ -13,10 +13,7 @@ reconstruction is validated by replaying the returned bijection and
 demanding the exact input back.  Admissible bijections are searched
 with complex.injective_maps, the backtracking the isomorphism search
 shares; most facet pairs are refused before that search, on int vertex
-masks of the facets and of the radius-2 balls.  Those masks, filled on
-first lookup from the edge graph, are the one form of the balls:
-is_admissible reads them too, and SimplicialComplex.graph_distance is
-their BFS twin in the tests.
+masks of the facets and of the radius-2 balls, the one form of the balls.
 
 The decomposition cuts only along spheres that leave the complex
 connected, so it follows one complex from the input down to its stacked
@@ -189,12 +186,10 @@ class _AdmissibilityMasks:
 
     bit maps each vertex to its bit (label order); facet and ball are
     plain dicts filled on first lookup, a facet with the mask of its
-    vertices and a vertex with the mask of its radius-2 ball: its
-    neighbours' neighbour sets joined with its own and itself.  A handle
-    addition reads only 2(d+1) balls and all of them cost sum(deg^2), so
-    one search on a large complex masks only the facets and balls it
-    reads.  Threads racing on one key store equal masks, so no lock is
-    taken.
+    vertices and a vertex with the mask of its radius-2 ball (its
+    neighbours' neighbour sets joined with its own and itself), so one
+    search on a large complex masks only the facets and balls it reads.
+    Threads racing on one key store equal masks, so no lock is taken.
     """
 
     __slots__ = ("bit", "facet", "ball", "_facet_set", "_adj")

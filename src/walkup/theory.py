@@ -54,7 +54,8 @@ def _face_vector(d: int, f0: int, f1: int) -> tuple[int, ...]:
     """
     f = [f0, f1]
     for j in range(2, d):
-        f.append(_exact(2 * comb(d, j - 1) * f1 - (j - 1) * comb(d + 1, j) * f0, j + 1, j))
+        num = 2 * comb(d, j - 1) * f1 - (j - 1) * comb(d + 1, j) * f0
+        f.append(_exact(num, j + 1, j))
     f.append(_exact((2 * d - 2) * f1 - (d + 1) * (d - 2) * f0, d + 1, d))
     return tuple(f)
 

@@ -540,10 +540,9 @@ def is_tight_z2(
     an exhaustive scan of at least POOL_MIN_SUBSETS subsets to evaluate
     over size-2 subset prefixes without changing the report.
 
-    With stop_on_first both modes follow one rule: the report ends at
-    the first violating subset (in scan or draw order) and lists every
-    bad degree of it, in an exhaustive scan under duality each followed
-    by its mirror (V∖S, d - 1 - k).
+    With stop_on_first both modes end at the first violating subset, in
+    scan or draw order, and list every bad degree k of it (an exhaustive
+    scan under duality follows each with its mirror (V∖S, d - 1 - k)).
     """
     n = len(X.vertices)
     if jobs < 1:

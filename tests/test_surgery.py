@@ -39,10 +39,9 @@ from walkup.errors import (
     NotInducedStandardSphere,
     NotWalkup,
 )
-from walkup.surgery import _admissibility_masks
 from walkup.complex import CLONE_MARKER
 from walkup.rng import SplitMix64
-from walkup.surgery import HandleLedger, separates
+from walkup.surgery import HandleLedger, _admissibility_masks, separates
 
 from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
 
