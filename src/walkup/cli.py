@@ -13,7 +13,7 @@ reads the input file and prints.  It prints a report as JSON under
 Start-up is most of a short command's time, so this module imports only
 io, complex and errors at top level; each cmd_* imports the layers it
 calls, and no command loads a layer it does not run.  No layer imports
-dataclasses or fractions; only homology and check tight load homology.
+dataclasses, and only homology and check tight load the homology layer.
 """
 
 from __future__ import annotations
