@@ -203,7 +203,7 @@ def _ledger_base(rows) -> SimplicialComplex:
 def _ledger_from_json(text: str):
     from .surgery import HandleLedger, VertexBijection
 
-    obj = cio.decode_json(text)
+    obj = cio.decode_json(cio.unmarked(text))
     try:
         base = _ledger_base(obj["base"]["facets"])
         handles = tuple(

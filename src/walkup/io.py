@@ -4,7 +4,8 @@ Text format, the toolkit's lingua franca: one facet per line as
 whitespace-separated vertex labels; lines whose first non-blank character
 is '#' are comments; blank lines are ignored.  The structured alternative
 is a JSON object {"facets": [[label, ...], ...]} with the same meaning.
-Input is UTF-8; loads ignores one leading byte-order mark (U+FEFF).
+Input is UTF-8 with lines ended by \n, \r\n or a lone \r; loads and the
+CLI's ledger reader drop one leading byte-order mark (U+FEFF).
 
 Serialization is canonical: vertices sorted within each facet, facets
 sorted lexicographically, one per line.  Equal complexes serialize to
@@ -25,7 +26,8 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     faces: list[tuple[str, ...]] = []
     expected_size: int | None = None
     seen: dict[tuple[str, ...], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = _lines(text)
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -61,8 +63,13 @@ def parse_facet_text(text: str) -> SimplicialComplex:
         seen[key] = lineno
         faces.append(key)
     if not faces:
-        raise ParseError("no facets found", max(1, text.count("\n") + 1))
+        raise ParseError("no facets found", len(lines))
     return SimplicialComplex(faces)
+
+
+def _lines(text: str) -> list[str]:
+    """text split at \n, \r\n and a lone \r only, not as str.splitlines."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def read_text(stream) -> str:
@@ -77,7 +84,7 @@ def read_text(stream) -> str:
     except UnicodeDecodeError as e:
         raise ParseError(
             f"not UTF-8: byte 0x{data[e.start]:02x} ({e.reason})",
-            data.count(b"\n", 0, e.start) + 1,
+            len(_lines(data[: e.start].decode("utf-8"))),
         ) from e
 
 
@@ -103,10 +110,15 @@ def parse_facet_json(text: str) -> SimplicialComplex:
     return from_facets(facets)
 
 
+def unmarked(text: str) -> str:
+    """text without one leading byte-order mark."""
+    return text.removeprefix("\ufeff")
+
+
 def loads(text: str) -> SimplicialComplex:
     """Parse either format, sniffing JSON by a leading '{' once one
     leading byte-order mark is dropped."""
-    text = text.removeprefix("\ufeff")
+    text = unmarked(text)
     if text.lstrip().startswith("{"):
         return parse_facet_json(text)
     return parse_facet_text(text)

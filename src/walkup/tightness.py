@@ -50,24 +50,26 @@ K(d)) do.  Every other input (with boundary, disconnected, a singular
 link) gets the full scan.  Either way a report's `checked` counts the
 subsets covered and `evaluated` the subsets actually evaluated.
 
-An exhaustive scan is an ordered list of TightnessEngine.search tasks,
-the subtrees of the serial order ({v1}, then the subsets extending each
-(v1, v2)).  One loop reads their results in list order, in process or
-over a worker pool (scans of at least POOL_MIN_SUBSETS subsets to
-evaluate), so a report depends on the input alone, not on the number of
-workers or their scheduling.  A sampled scan runs in process as one
-walk over the prefix trie of its draws (TightnessEngine.search_draws):
-each distinct draw is evaluated once, keeping the state of the prefix
-it shares with the draw walked before, and the report is read in draw
-order.  When duality applies, a draw of more than n/2 vertices is
-evaluated as its complement, which has fewer faces to walk, and its
-violations are read off the complement's by k -> d-1-k.
+Every scan goes through one walker, TightnessEngine.evaluate: fed a
+stream of vertex masks, it yields each mask's bad degrees and keeps the
+faces of the least vertices a mask shares with the one before.  The
+exhaustive scan (search) feeds it the subsets in serial order, as one
+search(()) in process or, from POOL_MIN_SUBSETS subsets to evaluate, as
+the subtrees of that order ({v1}, then the subsets extending each
+(v1, v2)) over a worker pool, read in list order, so a report depends
+on the input alone.  A sampled scan (search_draws) runs in process and
+feeds it the distinct draws sorted by their bits from the least vertex
+up, then reads the report in draw order.  When duality applies, a draw
+of more than n/2 vertices is evaluated as its complement, which has
+fewer faces to walk, and its violations are read off the complement's
+by k -> d-1-k.
 
 homology_map_injective is the independent, direct implementation of the
 same test (kernel and image bases stacked and ranked), and the
 whole-tree search(()) without duality is the full scan; the capped and
 pooled scans are cross-checked against both in the tests, and the
-sampled trie walk against one search(draw, descend=False) per draw.
+sampled scan against both one search(draw, descend=False) per draw and
+homology_map_injective.
 """
 
 from __future__ import annotations
@@ -254,45 +256,67 @@ class TightnessEngine:
                     parent[3][bit] = node
         self.star: list[list] = [nodes[(v,)] for v in range(self.n)]
 
-    def _walk(self, stack: list, within: int, cnt, spaces, log) -> None:
-        """Insert the faces of the lower-star tries on stack whose other
-        vertices all lie in the mask within.
+    def evaluate(self, masks):
+        """Yield (mask, its bad degrees, ascending) for each vertex mask
+        of masks, in order.
 
-        With the roots star[v] for v in S and within = S, that is every
-        face of X[S] once.  spaces[k] spans the k-faces' vectors, and
-        cnt[k] counts the k-faces plus the pivots of degree k+1 below
-        zbits[k+1], the (k+1)-cycles of Y that do not bound in X.  Each new
-        pivot is logged as (space, pivot) for undo.
+        One level per vertex of the mask walked last, least first, holds
+        its bit, the counts before it and the pivots its faces added.  A
+        mask keeps the levels of the least vertices it shares with the
+        mask before, pops the rest and walks the tries of its other
+        vertices, each down the branches inside the vertices below it.
+        spaces[k] spans the k-faces' vectors, and cnt[k] counts the k-faces
+        plus the pivots of degree k+1 below zbits[k+1], the (k+1)-cycles
+        of Y that do not bound in X.
         """
-        zbits = self.zbits
+        d, star, zbits = self.d, self.star, self.zbits
+        cnt = [0] * (d + 1)
+        spaces = [PivotSpace() for _ in range(d + 1)]
+        levels: list[tuple[int, list, list]] = []  # (vertex bit, saved cnt, log)
+        stack: list[list] = []  # trie nodes to insert
         pop, push = stack.pop, stack.append
-        while stack:
-            k, vec, cm, kids = pop()
-            cnt[k] += 1
-            space = spaces[k]
-            p = space.insert(vec)
-            if p is not None:
-                if p < zbits[k]:
-                    cnt[k - 1] += 1
-                log.append((space, p))
-            # push the highest child first, so the lowest is walked first
-            m = cm & within
-            while m:
-                top = 1 << (m.bit_length() - 1)
-                push(kids[top])
-                m ^= top
-
-    @staticmethod
-    def _bad_degrees(cnt, spaces) -> list[int]:
-        """Degrees k whose map H_k(Y) -> H_k(X) is not injective."""
-        bad = []
-        for k in range(len(spaces) - 1):
-            ranks = spaces[k].rank + spaces[k + 1].rank
-            # B_k(Y) always sits inside C_k(Y) ∩ B_k(X)
-            assert cnt[k] >= ranks
-            if cnt[k] != ranks:
-                bad.append(k)
-        return bad
+        current, top = 0, 1 << self.n
+        for m in masks:
+            diff = current ^ m
+            low = diff & -diff or top  # the least vertex not shared, if any
+            while levels and levels[-1][0] >= low:
+                _, saved, log = levels.pop()
+                cnt[:] = saved
+                for space, p in log:
+                    space.remove(p)
+            within = m & (low - 1)
+            rest = m ^ within
+            while rest:
+                bit = rest & -rest
+                log = []
+                levels.append((bit, cnt[:], log))
+                push(star[bit.bit_length() - 1])
+                while stack:
+                    k, vec, cm, kids = pop()
+                    cnt[k] += 1
+                    space = spaces[k]
+                    p = space.insert(vec)
+                    if p is not None:
+                        if p < zbits[k]:
+                            cnt[k - 1] += 1
+                        log.append((space, p))
+                    # push the highest child first, so the lowest is walked first
+                    c = cm & within
+                    while c:
+                        hi = 1 << (c.bit_length() - 1)
+                        push(kids[hi])
+                        c ^= hi
+                within |= bit
+                rest ^= bit
+            current = m
+            bad = []
+            for k in range(d):
+                ranks = spaces[k].rank + spaces[k + 1].rank
+                # B_k(Y) always sits inside C_k(Y) ∩ B_k(X)
+                assert cnt[k] >= ranks
+                if cnt[k] != ranks:
+                    bad.append(k)
+            yield m, bad
 
     def search(
         self,
@@ -311,63 +335,29 @@ class TightnessEngine:
         unless 2|S| = n, and each violation (S, k) is reported again as
         (V∖S, d - 1 - k).
 
-        One loop over a stack of (vertex, saved counts, pivot log) frames,
-        the layout of search_draws' levels: each turn adds the next vertex
-        and evaluates the new subset, or pops the top frame and moves on to
-        the popped vertex's successor.  With stop_on_first the scan ends at
-        the first violating subset, after listing every bad degree of it,
-        each followed by its mirror under dual.
+        The subsets stream from _extensions through evaluate, which keeps
+        the faces of each subset's parent.  With stop_on_first the scan
+        ends at the first violating subset, after listing every bad degree
+        of it, each followed by its mirror under dual.
 
         Returns (subsets evaluated, subsets covered, violations).
         """
-        d = self.d
-        n = self.n
+        n, d = self.n, self.d
         cap = n // 2 if dual else n - 1
-        if len(root) > cap:
-            return 0, 0, []
-        cnt = [0] * (d + 1)
-        spaces = [PivotSpace() for _ in range(d + 1)]
-        star, walk, bad_degrees = self.star, self._walk, self._bad_degrees
+        full = (1 << n) - 1
         violations: Violations = []
         evaluated = covered = 0
-        full = (1 << n) - 1
-        mask, size = sum(1 << v for v in root), len(root)
-        walk([star[v] for v in root], mask, cnt, spaces, [])
-        frames: list[tuple[int, list, list]] = []  # (vertex, saved cnt, log)
-        v = (root[-1] + 1 if root else 0) if descend else n  # next to add
-        fresh = bool(root)  # mask is a subset not yet evaluated
-        while True:
-            if fresh:
-                evaluated += 1
-                mirrored = dual and 2 * size != n
-                covered += 2 if mirrored else 1
-                for k in bad_degrees(cnt, spaces):
-                    violations.append((self._subset_labels(mask), k))
-                    if mirrored:
-                        violations.append(
-                            (self._subset_labels(full ^ mask), d - 1 - k)
-                        )
-                if violations and stop_on_first:
-                    return evaluated, covered, violations
-            if v < n and size < cap:
-                log: list = []
-                frames.append((v, cnt[:], log))
-                walk([star[v]], mask, cnt, spaces, log)
-                mask |= 1 << v
-                size += 1
-                v += 1
-                fresh = True
-            elif frames:
-                u, saved, log = frames.pop()
-                cnt[:] = saved
-                for space, p in log:
-                    space.remove(p)
-                mask ^= 1 << u
-                size -= 1
-                v = u + 1
-                fresh = False
-            else:
-                return evaluated, covered, violations
+        for mask, bad in self.evaluate(_extensions(root, n, cap, descend)):
+            evaluated += 1
+            mirrored = dual and 2 * mask.bit_count() != n
+            covered += 2 if mirrored else 1
+            for k in bad:
+                violations.append((self._subset_labels(mask), k))
+                if mirrored:
+                    violations.append((self._subset_labels(full ^ mask), d - 1 - k))
+            if violations and stop_on_first:
+                break
+        return evaluated, covered, violations
 
     def search_draws(
         self, draws: list[int], stop_on_first: bool = True, dual: bool = False
@@ -380,15 +370,11 @@ class TightnessEngine:
         2|S| > n is evaluated as V∖S, and each bad degree k found there is
         reported as d - 1 - k on S, in ascending order.
 
-        Each distinct evaluated mask is evaluated once, in one depth-first
-        walk over the prefix trie of the masks as ascending index tuples.
-        The masks are sorted by their bits from the least vertex up, so
-        masks that share their least vertices are adjacent; each keeps the
-        faces of the prefix it shares with the mask before and walks only
-        its larger vertices.  With stop_on_first the report ends at the
-        first violating draw, after every bad degree of it, and masks
-        first drawn after the earliest violating draw found so far are
-        skipped.
+        Each distinct evaluated mask goes through evaluate once, in the
+        order of its bits from the least vertex up, so that masks sharing
+        their least vertices are adjacent.  With stop_on_first the report
+        ends at the first violating draw, after every bad degree of it,
+        and skips masks first drawn after a violating one already walked.
         """
         n, d = self.n, self.d
         full = (1 << n) - 1
@@ -399,41 +385,16 @@ class TightnessEngine:
         first: dict[int, int] = {}  # evaluated mask -> index of its first draw
         for i, m in enumerate(draws):
             first.setdefault(evaluate_as[m], i)
-        width = f"0{n}b"
-        cnt = [0] * (d + 1)
-        spaces = [PivotSpace() for _ in range(d + 1)]
-        star, walk, bad_degrees = self.star, self._walk, self._bad_degrees
-        levels: list[tuple[int, list, list]] = []  # (vertex bit, saved cnt, log)
-        bad: dict[int, list[int]] = {}
-        current = 0
+        order = sorted(first, key=lambda m: format(m, f"0{n}b")[::-1])
         stop = len(draws)  # first index of the earliest violating draw
-        for m in sorted(first, key=lambda m: format(m, width)[::-1]):
-            if first[m] > stop:
-                continue
-            diff = current ^ m
-            low = diff & -diff  # the least vertex not shared with current
-            while levels and levels[-1][0] >= low:
-                _, saved, log = levels.pop()
-                cnt[:] = saved
-                for space, p in log:
-                    space.remove(p)
-            mask = m & (low - 1)
-            rest = m ^ mask
-            while rest:
-                bit = rest & -rest
-                log = []
-                levels.append((bit, cnt[:], log))
-                walk([star[bit.bit_length() - 1]], mask, cnt, spaces, log)
-                mask |= bit
-                rest ^= bit
-            current = m
-            bad[m] = bad_degrees(cnt, spaces)
-            if bad[m] and stop_on_first:
+        bad: dict[int, list[int]] = {}
+        for m, ks in self.evaluate(m for m in order if first[m] <= stop):
+            bad[m] = ks
+            if ks and stop_on_first:
                 stop = min(stop, first[m])
         evaluated = 0
         violations: Violations = []
-        for m in draws:
-            evaluated += 1
+        for evaluated, m in enumerate(draws, 1):
             e = evaluate_as[m]
             ks = bad[e] if e == m else [d - 1 - k for k in reversed(bad[e])]
             violations.extend((self._subset_labels(m), k) for k in ks)
@@ -442,12 +403,36 @@ class TightnessEngine:
         return evaluated, evaluated, violations
 
     def _subset_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(
-            self.labels[v] for v in range(self.n) if (mask >> v) & 1
-        )
+        return tuple(self.labels[v] for v in range(self.n) if (mask >> v) & 1)
 
 
 # ------------------------------------------------------------------ the scan
+
+def _extensions(root: tuple[int, ...], n: int, cap: int, descend: bool):
+    """The masks search(root, descend=descend) evaluates: root's unless
+    root is empty, then with descend every extension of root by larger
+    vertex indices, depth-first by ascending index, up to cap vertices."""
+    size = depth = len(root)
+    if size > cap:
+        return
+    mask = sum(1 << v for v in root)
+    if root:
+        yield mask
+    v = (root[-1] + 1 if root else 0) if descend else n  # next to add
+    while True:
+        if v < n and size < cap:
+            mask |= 1 << v
+            size += 1
+            v += 1
+            yield mask
+        elif size > depth:
+            u = mask.bit_length() - 1
+            mask ^= 1 << u
+            size -= 1
+            v = u + 1
+        else:
+            return
+
 
 def _subtrees(n: int, dual: bool, stop_on_first: bool):
     """An exhaustive scan as search tasks in the serial order: {v1}, then
@@ -556,9 +541,10 @@ def is_tight_z2(
         cap = n // 2 if dual else n - 1
         if sum(comb(n, s) for s in range(1, cap + 1)) < POOL_MIN_SUBSETS:
             jobs = 1
+        whole = [((), stop_on_first, dual)]  # in process, one search(())
+        tasks = whole if jobs == 1 else _subtrees(n, dual, stop_on_first)
         evaluated, checked, violations = _run(
-            TightnessEngine(X), _subtrees(n, dual, stop_on_first), jobs,
-            stop_on_first,
+            TightnessEngine(X), tasks, jobs, stop_on_first
         )
     elif mode == "sampled":
         if sample_count < 1:

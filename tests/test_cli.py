@@ -370,6 +370,47 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["f_vector"] == [3, 3, 1]
 
 
+def test_only_newline_and_carriage_return_end_lines(tmp_path, capsys, monkeypatch):
+    # str.splitlines would also break a comment at a form feed, \x1c-\x1e,
+    # NEL, U+2028 or U+2029 and read its tail as a facet
+    tetra = "".join(" ".join(f) + "\n" for f in combinations("1234", 3))
+    want = run_cli(["--porcelain", "info"], stdin_text=tetra,
+                   monkeypatch=monkeypatch, capsys=capsys)
+    assert want[0] == 0
+    for brk in "\f\x1c\x1d\x1e\x85\u2028\u2029":
+        text = f"# generated{brk}by hand\n" + tetra
+        assert run_cli(["--porcelain", "info"], stdin_text=text,
+                       monkeypatch=monkeypatch, capsys=capsys) == want, repr(brk)
+    # CRLF and CR-only files still parse
+    for end in ("\r\n", "\r"):
+        text = "# c\n".replace("\n", end) + tetra.replace("\n", end)
+        assert run_cli(["--porcelain", "info"], stdin_text=text,
+                       monkeypatch=monkeypatch, capsys=capsys) == want, repr(end)
+    # line numbers count only those line ends, in a parse error and in a
+    # bad byte's error alike
+    code, out, err = run_cli(
+        ["info"], stdin_text="# a\u2028b\r1 2 3\r\n1 2\n",
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: facet has 2 vertices, previous facets have 3\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes("# a\u2028b\r1 2 3\r\n".encode() + b"\xff")
+    code, out, err = run_cli(["info", str(path)], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: not UTF-8: byte 0xff")
+
+
+def test_replay_reads_a_ledger_with_a_byte_order_mark(tmp_path, capsys):
+    _, m_text, _ = run_cli(["generate", "m4-15"], capsys=capsys)
+    src, ledger = tmp_path / "m.txt", tmp_path / "l.json"
+    src.write_text(m_text, encoding="utf-8")
+    assert run_cli(["decompose", str(src), "--ledger", str(ledger)],
+                   capsys=capsys)[0] == 0
+    ledger.write_text("\ufeff" + ledger.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_cli(["replay", str(ledger)], capsys=capsys) == (0, m_text, "")
+
+
 def test_check_tight_porcelain_independent_of_jobs(capsys, monkeypatch):
     # the pooled scan must report the serial scan's first violation and
     # count, whatever the scheduling of its workers

@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -526,6 +527,56 @@ def test_dual_draws_match_one_search_per_draw(m4_15, rp2_6, torus_7):
             degrees.setdefault(s, set()).add(k)
         multi += any(2 * len(s) > n and len(ks) > 1 for s, ks in degrees.items())
     assert flipped and even and multi
+
+
+def test_walker_stream_matches_fresh_walks():
+    # the walker keeps the levels a mask shares with the one before: over
+    # a shuffled stream with repeats, a mask repeated at once, and
+    # complements, each mask must get what a walker of its own gives
+    found = 0
+    for X in _draw_twin_corpus():
+        engine = TightnessEngine(X)
+        n = engine.n
+        full = (1 << n) - 1
+        draws = _draws(SplitMix64(3 * n), n, 60)
+        stream = draws + draws[::4] + [full ^ m for m in draws[::3]]
+        random.Random(n).shuffle(stream)
+        stream[5:5] = [stream[4]] * 2  # the mask just walked, twice more
+        fresh = [next(engine.evaluate([m])) for m in stream]
+        assert list(engine.evaluate(stream)) == fresh
+        found += sum(len(bad) for _, bad in fresh)
+    assert found
+
+
+def test_sampled_bad_degrees_match_direct_check(m4_15, rp2_6, torus_7):
+    # an independent reference for the sampled path, now that search and
+    # search_draws share the walker: every draw's bad degrees, as reported
+    # in draw order, are the degrees homology_map_injective refutes
+    corpus = [(X, True) for X in _dual_twin_corpus(m4_15, rp2_6, torus_7)]
+    corpus += [(X, False) for X in _fallback_corpus(rp2_6)]
+    found = halves = 0
+    for X, applies in corpus:
+        assert duality_applies(X) is applies
+        engine = TightnessEngine(X)
+        n, d = engine.n, X.dimension
+        draws = _draws(SplitMix64(n + 7), n, 40)
+        if n % 2 == 0:
+            half = [sum(1 << v for v in s) for s in combinations(range(n), n // 2)]
+            draws += half[:3] + [((1 << n) - 1) ^ m for m in half[:3]]
+            halves += 1
+        draws += draws[::5]
+        direct = {}
+        for m in set(draws):
+            sub = tuple(X.vertices[v] for v in range(n) if (m >> v) & 1)
+            direct[m] = [(sub, k) for k in range(d)
+                         if not homology_map_injective(X, sub, k)]
+        expected = [bad for m in draws for bad in direct[m]]
+        for dual in (False, True) if applies else (False,):
+            assert engine.search_draws(draws, False, dual) == (
+                len(draws), len(draws), expected
+            )
+        found += len(expected)
+    assert found and halves
 
 
 def test_engine_pickles():
