@@ -52,17 +52,18 @@ subsets covered and `evaluated` the subsets actually evaluated.
 
 Every scan goes through one walker, TightnessEngine.evaluate: fed a
 stream of vertex masks, it yields each mask's bad degrees and keeps the
-faces of the least vertices a mask shares with the one before.  The
-exhaustive scan (search) feeds it the subsets in serial order, as one
-search(()) in process or, from POOL_MIN_SUBSETS subsets to evaluate, as
-the subtrees of that order ({v1}, then the subsets extending each
-(v1, v2)) over a worker pool, read in list order, so a report depends
-on the input alone.  A sampled scan (search_draws) runs in process and
-feeds it the distinct draws sorted by their bits from the least vertex
-up, then reads the report in draw order.  When duality applies, a draw
-of more than n/2 vertices is evaluated as its complement, which has
-fewer faces to walk, and its violations are read off the complement's
-by k -> d-1-k.
+faces of the least vertices a mask shares with the one before.  An
+exhaustive scan is an ordered list of TightnessEngine.search tasks, the
+subtrees of the serial order ({v1}, then the subsets extending each
+(v1, v2)); each feeds the walker its subsets in that order.  One loop
+reads their results in list order, in process or over a worker pool
+(scans of at least POOL_MIN_SUBSETS subsets to evaluate), so a report
+depends on the input alone.  A sampled scan (search_draws) runs in
+process and feeds it the distinct draws sorted by their bits from the
+least vertex up, then reads the report in draw order.  When duality
+applies, a draw of more than n/2 vertices is evaluated as its
+complement, which has fewer faces to walk, and its violations are read
+off the complement's by k -> d-1-k.
 
 homology_map_injective is the independent, direct implementation of the
 same test (kernel and image bases stacked and ranked), and the
@@ -342,7 +343,8 @@ class TightnessEngine:
 
         Returns (subsets evaluated, subsets covered, violations).
         """
-        n, d = self.n, self.d
+        d = self.d
+        n = self.n
         cap = n // 2 if dual else n - 1
         full = (1 << n) - 1
         violations: Violations = []
@@ -354,7 +356,9 @@ class TightnessEngine:
             for k in bad:
                 violations.append((self._subset_labels(mask), k))
                 if mirrored:
-                    violations.append((self._subset_labels(full ^ mask), d - 1 - k))
+                    violations.append(
+                        (self._subset_labels(full ^ mask), d - 1 - k)
+                    )
             if violations and stop_on_first:
                 break
         return evaluated, covered, violations
@@ -394,7 +398,8 @@ class TightnessEngine:
                 stop = min(stop, first[m])
         evaluated = 0
         violations: Violations = []
-        for evaluated, m in enumerate(draws, 1):
+        for m in draws:
+            evaluated += 1
             e = evaluate_as[m]
             ks = bad[e] if e == m else [d - 1 - k for k in reversed(bad[e])]
             violations.extend((self._subset_labels(m), k) for k in ks)
@@ -403,7 +408,9 @@ class TightnessEngine:
         return evaluated, evaluated, violations
 
     def _subset_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[v] for v in range(self.n) if (mask >> v) & 1)
+        return tuple(
+            self.labels[v] for v in range(self.n) if (mask >> v) & 1
+        )
 
 
 # ------------------------------------------------------------------ the scan
@@ -541,10 +548,9 @@ def is_tight_z2(
         cap = n // 2 if dual else n - 1
         if sum(comb(n, s) for s in range(1, cap + 1)) < POOL_MIN_SUBSETS:
             jobs = 1
-        whole = [((), stop_on_first, dual)]  # in process, one search(())
-        tasks = whole if jobs == 1 else _subtrees(n, dual, stop_on_first)
         evaluated, checked, violations = _run(
-            TightnessEngine(X), tasks, jobs, stop_on_first
+            TightnessEngine(X), _subtrees(n, dual, stop_on_first), jobs,
+            stop_on_first,
         )
     elif mode == "sampled":
         if sample_count < 1:
