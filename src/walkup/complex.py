@@ -295,6 +295,8 @@ class SimplicialComplex:
         return links[v]
 
     def _vertex_links(self) -> dict[str, "SimplicialComplex"]:
+        """Every vertex link, each holding the neighbour masks its
+        clique_complex reads, built from the link's residues."""
         d = self.dimension
         residues: dict[str, list[Face]] = {v: [] for v in self.vertices}
         if d > 0:
@@ -302,7 +304,10 @@ class SimplicialComplex:
                 # combinations() drops the last vertex first
                 for v, r in zip(reversed(facet), combinations(facet, d)):
                     residues[v].append(r)
-        return {v: SimplicialComplex(rs) for v, rs in residues.items()}
+        links = {v: SimplicialComplex(rs) for v, rs in residues.items()}
+        for link in links.values():
+            link._cache[_NEIGHBOUR_MASKS] = _residue_masks(link)
+        return links
 
     def _vertex_set(self) -> frozenset[str]:
         return self._memo("vertex_set", lambda: frozenset(self.vertices))
@@ -416,22 +421,41 @@ class SimplicialComplex:
 
         The cliques may differ in size (the complex need not be pure).
         The search runs on int bitmasks, bit i standing for the i-th
-        vertex in label order; the masks are read off the memoized
-        adjacency(), which the reduction recognizer shares on a whole
-        sphere.
+        vertex in label order.  A vertex link comes with its masks, built
+        from its residues when the links are; any other complex reads
+        them off the memoized adjacency(), which the reduction recognizer
+        shares on a whole sphere.
         """
 
         def compute():
             vs = self.vertices
-            bit = {v: 1 << i for i, v in enumerate(vs)}
-            adj = self.adjacency()
-            nbr = [sum(map(bit.__getitem__, adj[v])) for v in vs]
+            nbr = self._cache.get(_NEIGHBOUR_MASKS)
+            if nbr is None:
+                bit = {v: 1 << i for i, v in enumerate(vs)}
+                adj = self.adjacency()
+                nbr = [sum(map(bit.__getitem__, adj[v])) for v in vs]
             cliques: list[tuple[int, ...]] = []
             _expand_cliques((), (1 << len(vs)) - 1, 0, nbr, cliques)
             return tuple(sorted(
                 tuple(map(vs.__getitem__, sorted(c))) for c in cliques))
 
         return self._memo("clique_complex", compute)
+
+
+_NEIGHBOUR_MASKS = "neighbour_masks"
+
+
+def _residue_masks(X: SimplicialComplex) -> list[int]:
+    """The neighbour mask of each vertex of X, in label order, as the
+    join of the masks of the facets through it less its own bit."""
+    vs = X.vertices
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    nbr = dict.fromkeys(vs, 0)
+    for f in X.facets:
+        mask = sum(map(bit.__getitem__, f))
+        for v in f:
+            nbr[v] |= mask
+    return [m ^ bit[v] for v, m in nbr.items()]
 
 
 def _expand_cliques(

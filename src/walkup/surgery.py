@@ -116,7 +116,8 @@ def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialCom
     """Remove the two glued facets and identify sources with targets.
 
     Drops f0 by d+1 and the facet count by 2; the identified vertex set
-    induces a standard (d-1)-sphere in the result.
+    induces a standard (d-1)-sphere in the result.  Only the star of the
+    source facet is renamed; every other facet passes through as it is.
     """
     if not X.is_closed_pseudomanifold():
         raise NotClosedPseudomanifold("handle addition needs a closed complex")
@@ -126,19 +127,30 @@ def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialCom
             "closer than distance 3"
         )
     rename = psi.mapping
-    new_facets: dict[Face, Face] = {}
+    source, target = psi.source_facet, psi.target_facet
+    untouched = rename.keys().isdisjoint
+    kept: list[Face] = []
+    renamed: dict[Face, Face] = {}
     for f in X.facets:
-        if f == psi.source_facet or f == psi.target_facet:
+        if untouched(f):
+            if f != target:
+                kept.append(f)
+            continue
+        if f == source:
             continue
         g = tuple(sorted(rename.get(v, v) for v in f))
         if len(set(g)) != len(g):
             raise NotAdmissible(f"facet {f} would collapse under the identification")
-        if g in new_facets:
+        twin = renamed.get(g)
+        if twin is None and g != target and g in X.facet_set:
+            twin = g  # an untouched facet
+        if twin is not None:
+            first, second = sorted((twin, f))
             raise WouldCreateDuplicateFacet(
-                f"facets {new_facets[g]} and {f} both become {g}"
+                f"facets {first} and {second} both become {g}"
             )
-        new_facets[g] = f
-    return SimplicialComplex(new_facets)
+        renamed[g] = f
+    return SimplicialComplex(kept + list(renamed))
 
 
 def disjoint_union(

@@ -7,7 +7,10 @@ mapped; a complete map is kept iff it carries the facets of X onto
 those of Y.  The edge degree of uv is the number of vertices in the
 link of uv, which any facet-preserving map must conserve; on
 2-neighborly complexes this is the prune that matters, since adjacency
-alone says nothing there.
+alone says nothing there.  Colours are int ids from one signature table
+shared by the two complexes of a search, so a round hashes and sorts
+pairs of small ints however many rounds came before (McKay and Piperno,
+"Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).
 """
 
 from __future__ import annotations
@@ -19,37 +22,46 @@ from .complex import SimplicialComplex, injective_maps
 Permutation = dict[str, str]
 
 
-def _edge_degrees(X: SimplicialComplex) -> dict[tuple[str, str], int]:
+def _edge_degrees(X: SimplicialComplex) -> dict[str, dict[str, int]]:
+    """Each vertex's neighbours, each with the degree of the edge to it."""
     deg: dict[tuple[str, str], int] = dict.fromkeys(X.faces_of_dim(1), 0)
     for tri in X.faces_of_dim(2):
         for e in combinations(tri, 2):
             deg[e] += 1
-    return deg
+    nbrs: dict[str, dict[str, int]] = {v: {} for v in X.vertices}
+    for (u, v), k in deg.items():
+        nbrs[u][v] = nbrs[v][u] = k
+    return nbrs
 
 
-def _edge_degree_lookup(X: SimplicialComplex):
-    deg = _edge_degrees(X)
+def _refine_colours(
+    X: SimplicialComplex, nbrs: dict[str, dict[str, int]], ids: dict
+) -> dict[str, int]:
+    """The stable colour of each vertex, as an id from the table ids.
 
-    def lookup(u: str, v: str) -> int:
-        return deg.get((u, v) if u < v else (v, u), -1)
-
-    return lookup
-
-
-def _refine_colors(X: SimplicialComplex, edeg) -> dict[str, tuple]:
-    adj = X.adjacency()
-    colors: dict[str, tuple] = {
-        v: (len(adj[v]), tuple(sorted(edeg(v, u) for u in adj[v])))
-        for v in X.vertices
-    }
-    while True:
-        new = {
-            v: (colors[v], tuple(sorted((colors[u], edeg(v, u)) for u in adj[v])))
-            for v in X.vertices
-        }
-        if len(set(new.values())) == len(set(colors.values())):
-            return colors
-        colors = new
+    A vertex starts with its sorted edge degrees; each round's signature
+    is its colour and the sorted (neighbour colour, edge degree) pairs.
+    The round-0 signatures are tuples of ints and the later ones pairs
+    (int, tuple), so no two rounds share an id.  Refinement stops once a
+    round adds no colour, keeping the colours from before it (the same
+    partition), or once every vertex has its own.  Two complexes refined with one table get equal
+    ids exactly for equal signatures, so their cells can be matched.
+    """
+    vs = X.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    pairs = [[(index[u], k) for u, k in nbrs[v].items()] for v in vs]
+    colours = [ids.setdefault(tuple(sorted(k for _, k in p)), len(ids)) for p in pairs]
+    count = len(set(colours))
+    while count < len(vs):
+        new = [
+            ids.setdefault((c, tuple(sorted([(colours[u], k) for u, k in p]))), len(ids))
+            for c, p in zip(colours, pairs)
+        ]
+        grown = len(set(new))
+        if grown == count:
+            break
+        colours, count = new, grown
+    return dict(zip(vs, colours))
 
 
 def _search(
@@ -60,36 +72,33 @@ def _search(
     """Backtracking facet-set isomorphisms X -> Y (all of them, or first)."""
     if X.f_vector() != Y.f_vector():
         return []
-    edeg_x = _edge_degree_lookup(X)
-    edeg_y = _edge_degree_lookup(Y)
-    colors_x = _refine_colors(X, edeg_x)
-    colors_y = _refine_colors(Y, edeg_y)
-    cells_x: dict[tuple, list[str]] = {}
-    cells_y: dict[tuple, list[str]] = {}
-    for v, c in colors_x.items():
+    ids: dict = {}
+    nbrs_x = _edge_degrees(X)
+    colours_x = _refine_colours(X, nbrs_x, ids)
+    if Y is X:
+        nbrs_y, colours_y = nbrs_x, colours_x
+    else:
+        nbrs_y = _edge_degrees(Y)
+        colours_y = _refine_colours(Y, nbrs_y, ids)
+    cells_x: dict[int, list[str]] = {}
+    cells_y: dict[int, list[str]] = {}
+    for v, c in colours_x.items():
         cells_x.setdefault(c, []).append(v)
-    for v, c in colors_y.items():
+    for v, c in colours_y.items():
         cells_y.setdefault(c, []).append(v)
     if set(cells_x) != set(cells_y):
         return []
     if any(len(cells_x[c]) != len(cells_y[c]) for c in cells_x):
         return []
 
-    adj_x, adj_y = X.adjacency(), Y.adjacency()
-
     def fits(v: str, w: str, mapping: Permutation) -> bool:
         """Does v -> w keep adjacency and edge degrees to every mapped vertex?"""
-        for u, m in mapping.items():
-            adjacent = u in adj_x[v]
-            if adjacent != (m in adj_y[w]):
-                return False
-            if adjacent and edeg_x(v, u) != edeg_y(w, m):
-                return False
-        return True
+        nv, nw = nbrs_x[v], nbrs_y[w]
+        return all(nv.get(u) == nw.get(m) for u, m in mapping.items())
 
     # most constrained cells first, labels for determinism
-    order = sorted(X.vertices, key=lambda v: (len(cells_x[colors_x[v]]), v))
-    slots = [(v, cells_y[colors_x[v]]) for v in order]
+    order = sorted(X.vertices, key=lambda v: (len(cells_x[colours_x[v]]), v))
+    slots = [(v, cells_y[colours_x[v]]) for v in order]
     found = (
         m for m in injective_maps(slots, fits)
         if {tuple(sorted(m[v] for v in f)) for f in X.facets} == Y.facet_set

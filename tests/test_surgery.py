@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 import threading
 from itertools import combinations
@@ -38,9 +39,11 @@ from walkup.errors import (
     NotAFacet,
     NotInducedStandardSphere,
     NotWalkup,
+    WouldCreateDuplicateFacet,
 )
 from walkup.complex import CLONE_MARKER
 from walkup.rng import SplitMix64
+from walkup import surgery
 from walkup.surgery import HandleLedger, _admissibility_masks, separates
 
 from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
@@ -345,6 +348,68 @@ def test_connected_sum_with_sphere_keeps_profile(m4_15):
 def test_connected_sum_euler_composition(m4_15):
     X = connected_sum(m4_15, m4_15, dict(zip(m4_15.facets[0], m4_15.facets[-1])))
     assert homology_profile(X).euler == -4 + -4 - 2
+
+
+def _rename_every_facet(X, psi):
+    """The from-scratch twin of handle_addition: every facet renamed."""
+    rename = psi.mapping
+    return SimplicialComplex({
+        tuple(sorted(rename.get(v, v) for v in f))
+        for f in X.facets
+        if f not in (psi.source_facet, psi.target_facet)
+    })
+
+
+def test_handle_addition_matches_renaming_every_facet(monkeypatch, m4_15, s4_30):
+    # every addition made by the surgery layer: identifications, connected
+    # sums, the cuts' round trips and the ledger replays of decompositions
+    calls = []
+    add = surgery.handle_addition
+
+    def spy(X, psi):
+        Y = add(X, psi)
+        calls.append((X, psi, Y))
+        return Y
+
+    monkeypatch.setattr("walkup.surgery.handle_addition", spy)
+    X = s4_30
+    for x in "abc":
+        X = surgery.handle_addition(X, _identification(x))
+    for Z in (m4_15, kuhnel_manifold(4), kuhnel_manifold(5)):
+        kalai_decompose(Z)
+    for seed in range(8):
+        tube = tube_sphere(4, 26, seed=seed)
+        psi = find_handle_pair(tube)
+        if psi is not None:
+            kalai_decompose(surgery.handle_addition(tube, psi))
+    K = kuhnel_manifold(4)
+    connected_sum(K, K, dict(zip(K.facets[0], K.facets[-1])))
+    monkeypatch.undo()
+    assert len(calls) >= 20
+    for X, psi, Y in calls:
+        assert Y == _rename_every_facet(X, psi)
+
+
+def test_handle_addition_still_refuses_duplicates_and_collapses(monkeypatch):
+    # An admissible bijection can neither collapse a facet nor merge two,
+    # so these checks are reached only with the admissibility test off.
+    X = random_stacked_sphere(4, 12, seed=0)
+    dup = bijection_from_map({"v10": "v1", "v2": "v12", "v3": "v5", "v6": "v8", "v7": "v9"})
+    col = bijection_from_map({"v1": "v12", "v11": "v4", "v2": "v5", "v6": "v8", "v7": "v9"})
+    for psi in (dup, col):
+        with pytest.raises(NotAdmissible, match="closer than distance 3"):
+            handle_addition(X, psi)
+    monkeypatch.setattr("walkup.surgery.is_admissible", lambda X, psi: True)
+    # a renamed facet equals one the identification leaves untouched
+    untouched, renamed = ("v1", "v12", "v4", "v5", "v9"), ("v1", "v2", "v3", "v4", "v7")
+    assert untouched in X.facet_set and renamed in X.facet_set
+    assert set(untouched).isdisjoint(dup.source_facet)
+    message = f"facets {untouched} and {renamed} both become {untouched}"
+    with pytest.raises(WouldCreateDuplicateFacet, match=re.escape(message)):
+        handle_addition(X, dup)
+    collapsing = ("v1", "v11", "v2", "v4", "v6")  # holds v11 and its image v4
+    with pytest.raises(NotAdmissible, match=re.escape(f"facet {collapsing} would collapse")):
+        handle_addition(X, col)
 
 
 # ----------------------------------------------------------- induced spheres

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import gc
-from itertools import permutations
+from itertools import combinations, islice, permutations
 from math import factorial
 
 from walkup import (
     SimplicialComplex,
     automorphism_group,
     find_admissible_bijection,
+    handle_addition,
     handle_deletion,
     homology_profile,
     in_walkup_class,
@@ -18,9 +19,16 @@ from walkup import (
     random_stacked_sphere,
     standard_sphere,
 )
-from walkup.symmetry import compose, cycle_notation, generating_set
+from walkup.complex import injective_maps
+from walkup.symmetry import (
+    _edge_degrees,
+    _refine_colours,
+    compose,
+    cycle_notation,
+    generating_set,
+)
 
-from conftest import find_handle_pair, tube_sphere
+from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
 
 
 def inverse(p):
@@ -189,3 +197,133 @@ def test_scans_and_cuts_leave_no_cycles(m4_15):
     assert found == psi
     assert cut.is_connected()
     assert member and len(cliques) == len(fresh.vertices) - 5  # a stacked 4-sphere
+
+
+# ------------------------------------------------- colour refinement twin
+
+def _twin_edge_degree_lookup(X):
+    deg = dict.fromkeys(X.faces_of_dim(1), 0)
+    for tri in X.faces_of_dim(2):
+        for e in combinations(tri, 2):
+            deg[e] += 1
+    return lambda u, v: deg.get((u, v) if u < v else (v, u), -1)
+
+
+def _twin_refine(X, edeg):
+    """The slow twin: each colour a nested tuple of every earlier round."""
+    adj = X.adjacency()
+    colors = {
+        v: (len(adj[v]), tuple(sorted(edeg(v, u) for u in adj[v])))
+        for v in X.vertices
+    }
+    while True:
+        new = {
+            v: (colors[v], tuple(sorted((colors[u], edeg(v, u)) for u in adj[v])))
+            for v in X.vertices
+        }
+        if len(set(new.values())) == len(set(colors.values())):
+            return colors
+        colors = new
+
+
+def _twin_search(X, Y, find_all):
+    """The isomorphism search driven by the twin refinement."""
+    if X.f_vector() != Y.f_vector():
+        return []
+    edeg_x, edeg_y = _twin_edge_degree_lookup(X), _twin_edge_degree_lookup(Y)
+    colors_x, colors_y = _twin_refine(X, edeg_x), _twin_refine(Y, edeg_y)
+    cells_x, cells_y = {}, {}
+    for v, c in colors_x.items():
+        cells_x.setdefault(c, []).append(v)
+    for v, c in colors_y.items():
+        cells_y.setdefault(c, []).append(v)
+    if set(cells_x) != set(cells_y):
+        return []
+    if any(len(cells_x[c]) != len(cells_y[c]) for c in cells_x):
+        return []
+    adj_x, adj_y = X.adjacency(), Y.adjacency()
+
+    def fits(v, w, mapping):
+        for u, m in mapping.items():
+            adjacent = u in adj_x[v]
+            if adjacent != (m in adj_y[w]):
+                return False
+            if adjacent and edeg_x(v, u) != edeg_y(w, m):
+                return False
+        return True
+
+    order = sorted(X.vertices, key=lambda v: (len(cells_x[colors_x[v]]), v))
+    slots = [(v, cells_y[colors_x[v]]) for v in order]
+    found = (
+        m for m in injective_maps(slots, fits)
+        if {tuple(sorted(m[v] for v in f)) for f in X.facets} == Y.facet_set
+    )
+    return list(found if find_all else islice(found, 1))
+
+
+def _relabelled(X, prefix="r"):
+    """X under labels that reverse the label order."""
+    n = len(X.vertices)
+    rename = {v: f"{prefix}{n - i:04d}" for i, v in enumerate(X.vertices)}
+    return SimplicialComplex(tuple(sorted(rename[v] for v in f)) for f in X.facets)
+
+
+def _tube_pairs():
+    """(tube, its one-handle complex, the cut that deletes the handle)."""
+    out = []
+    for seed in range(12):
+        X = tube_sphere(4, 26, seed=seed)
+        psi = find_handle_pair(X)
+        if psi is not None:
+            Y = handle_addition(X, psi)
+            cut, _ = handle_deletion(Y, psi.target_facet)
+            out.append((X, Y, cut))
+    assert len(out) >= 3
+    return out
+
+
+def _search_corpus(m4_15, b5_30, rp2_6, torus_7):
+    """(X, Y) pairs: complexes against themselves, relabelled copies, the
+    tubes against their cuts, and non-isomorphic pairs of equal
+    f-vector."""
+    named = [m4_15, b5_30, rp2_6, torus_7] + [kuhnel_manifold(d) for d in (4, 5, 6, 7)]
+    named += [standard_sphere(3), random_stacked_sphere(4, 40, seed=5)]
+    tubes = _tube_pairs()
+    pairs = [(X, X) for X in named]
+    pairs += [(X, _relabelled(X)) for X in named]
+    for X, Y, cut in tubes:
+        pairs += [(X, X), (Y, Y), (cut, X), (_relabelled(cut), X), (Y, _relabelled(Y))]
+    # equal f-vectors, not isomorphic: stacked spheres and tubes of one
+    # size, and one-handle complexes of different tubes
+    pairs += [(random_stacked_sphere(4, 14, seed=s), random_stacked_sphere(4, 14, seed=s + 1))
+              for s in (1, 3)]
+    pairs += [(tubes[0][0], tubes[1][0]), (tubes[0][1], tubes[1][1]),
+              (tubes[1][2], tubes[2][0]), (rp2_6, _relabelled(rp2_6)),
+              (kuhnel_manifold(4), _relabelled(kuhnel_manifold(4)))]
+    return pairs
+
+
+def test_integer_colours_give_the_twin_joint_partition(m4_15, b5_30, rp2_6, torus_7):
+    # u ~ w iff equal colour, over the disjoint union of X and Y
+    for X, Y in _search_corpus(m4_15, b5_30, rp2_6, torus_7):
+        ids: dict = {}
+        fast = [(0, v, c) for v, c in _refine_colours(X, _edge_degrees(X), ids).items()]
+        fast += [(1, v, c) for v, c in _refine_colours(Y, _edge_degrees(Y), ids).items()]
+        slow = dict(((0, v), c) for v, c in _twin_refine(X, _twin_edge_degree_lookup(X)).items())
+        slow.update(((1, v), c) for v, c in _twin_refine(Y, _twin_edge_degree_lookup(Y)).items())
+        for (s, v, c), (t, w, e) in combinations(fast, 2):
+            assert (c == e) == (slow[s, v] == slow[t, w]), (X, Y, v, w)
+
+
+def test_search_returns_what_the_twin_search_returns(m4_15, b5_30, rp2_6, torus_7):
+    pairs = _search_corpus(m4_15, b5_30, rp2_6, torus_7)
+    isomorphic = 0
+    for X, Y in pairs:
+        first = _twin_search(X, Y, find_all=False)
+        assert is_isomorphic(X, Y) == (first[0] if first else None)
+        isomorphic += bool(first)
+        if X is Y:
+            twin = sorted(_twin_search(X, X, find_all=True),
+                          key=lambda p: tuple(sorted(p.items())))
+            assert automorphism_group(X) == twin
+    assert isomorphic >= 40 and len(pairs) - isomorphic >= 4  # both answers

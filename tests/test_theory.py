@@ -13,7 +13,9 @@ from walkup import (
     SimplicialComplex,
     check_bounds_4manifold,
     dehn_sommerville_4,
+    find_induced_standard_spheres,
     fvector_from_f0_f1,
+    handle_addition,
     in_walkup_class,
     is_two_neighborly,
     random_stacked_sphere,
@@ -27,9 +29,10 @@ from walkup.errors import (
     NotClosedConnected4Manifold,
     OddDimension,
 )
+from walkup.complex import _residue_masks
 from walkup.theory import _check_f0_f1
 
-from conftest import cyclic_polytope_boundary
+from conftest import cyclic_polytope_boundary, find_handle_pair, kuhnel_manifold, tube_sphere
 
 
 # ------------------------------------------------------------ stacked formula
@@ -314,6 +317,62 @@ def test_suspension_of_nonstacked_sphere_not_in_class():
 def test_open_complex_not_in_class():
     X = SimplicialComplex((("a", "b", "c"),))
     assert not in_walkup_class(X)
+
+
+def _membership_corpus(m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6):
+    """Members (stacked and neighborly spheres, handle manifolds,
+    surfaces) and non-members (a ball, a suspension, a sphere less one
+    facet, a sphere with non-stacked links, the 5-pseudomanifold n5-15)."""
+    tube = tube_sphere(4, 26, seed=1)
+    handled = handle_addition(tube, find_handle_pair(tube))
+    C = cyclic_polytope_boundary(4, 7)
+    suspension = SimplicialComplex(
+        tuple(sorted(f + (pole,))) for f in C.facets for pole in ("north", "south")
+    )
+    return [
+        m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6,
+        kuhnel_manifold(4), kuhnel_manifold(5), kuhnel_manifold(6),
+        standard_sphere(3), standard_sphere(4),
+        random_stacked_sphere(3, 20, seed=1), random_stacked_sphere(5, 16, seed=2),
+        tube, handled, suspension, C, cyclic_polytope_boundary(5, 9),
+        SimplicialComplex(random_stacked_sphere(4, 12, seed=2).facets[1:]),
+    ]
+
+
+def _fresh_links(monkeypatch):
+    """Serve vertex_link from link(), whose complexes carry no residue
+    masks: every clique search then reads its masks off adjacency()."""
+    monkeypatch.setattr(SimplicialComplex, "vertex_link", lambda self, v: self.link((v,)))
+
+
+def test_link_masks_from_residues_match_adjacency(
+        monkeypatch, m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6):
+    corpus = _membership_corpus(m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6)
+    fast = []
+    for X in corpus:
+        X = SimplicialComplex(X.facets)
+        verdict = in_walkup_class(X)
+        spheres = find_induced_standard_spheres(X) if X.dimension >= 3 else None
+        for v in X.vertices:
+            link = X.vertex_link(v)
+            cliques = link.clique_complex()
+            if X.dimension >= 3 and verdict:
+                assert "adjacency" not in link._cache  # the clique route built none
+            bit = {u: 1 << i for i, u in enumerate(link.vertices)}
+            adj = link.adjacency()
+            assert _residue_masks(link) == [sum(map(bit.get, adj[u])) for u in link.vertices]
+            assert cliques == SimplicialComplex(link.facets).clique_complex()
+        fast.append((verdict, spheres))
+    _fresh_links(monkeypatch)
+    slow = []
+    for X in corpus:
+        X = SimplicialComplex(X.facets)
+        slow.append((in_walkup_class(X),
+                     find_induced_standard_spheres(X) if X.dimension >= 3 else None))
+    assert fast == slow
+    verdicts = [v for v, _ in fast]
+    assert verdicts.count(True) == 14 and verdicts.count(False) == 5
+    assert sum(bool(s) for _, s in fast) >= 5
 
 
 # -------------------------------------------------------------------- bounds
