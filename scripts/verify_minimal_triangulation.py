@@ -92,8 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Verify the paper's claims on m4-15.")
     ap.add_argument("--tight", action="store_true",
                     help="scan all 2^15 subsets instead of 2000 sampled ones")
-    ap.add_argument("--jobs", type=int, default=None,
-                    help="worker processes for the exhaustive scan (with --tight)")
+    ap.add_argument("--jobs", type=int, default=None, metavar="N",
+                    help="at most N worker processes for the exhaustive scan "
+                    "(with --tight), never more than the CPU count")
     args = ap.parse_args(argv)
     if args.jobs is not None and not args.tight:
         ap.error("--jobs needs --tight")

@@ -379,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling seed, only with --sample (default 0)")
     p.add_argument("--ceiling", type=int, default=None,
                    help="max vertex count, only without --sample (default 20)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes, N >= 1, only without --sample "
-                   "(default: available parallelism)")
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="at most N worker processes, N >= 1, only without "
+                   "--sample; never more than the CPU count, the default")
 
     fv = sub.add_parser("fvector", help="closed-form face vectors")
     fsub = fv.add_subparsers(dest="kind", required=True)

@@ -135,11 +135,13 @@ class DualGraph(NamedTuple):
     is_weak_pseudomanifold: bool
     is_closed: bool
 
-    def adjacency(self) -> dict[Face, list[Face]]:
-        adj: dict[Face, list[Face]] = {f: [] for f in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
+    def adjacency(self) -> dict[Face, dict[Face, Face]]:
+        """Each facet's neighbours in edge order, each mapped to the ridge
+        the two share; a new map on each call."""
+        adj: dict[Face, dict[Face, Face]] = {f: {} for f in self.nodes}
+        for r, fs in self.ridge_incidence.items():
+            if len(fs) == 2:
+                adj[fs[0]][fs[1]] = adj[fs[1]][fs[0]] = r
         return adj
 
     def is_connected(self) -> bool:

@@ -197,9 +197,10 @@ def _dual_forest(X: SimplicialComplex) -> _Forest:
     of trees, the ridges its edges cross, and whether the facets orient
     coherently.
 
-    Signs are propagated down the forest and then checked on every
-    adjacency; facets inherit the reference orientation of their sorted
-    vertex tuple.
+    The forest and each facet's ridge to its parent are read off
+    DualGraph.adjacency().  Signs are propagated down the forest and
+    checked on every adjacency; facets inherit the reference
+    orientation of their sorted vertex tuple.
     """
     dg = X.dual_graph()
     # facets a, b whose ridge r omits index i_a of a and i_b of b need
@@ -208,17 +209,15 @@ def _dual_forest(X: SimplicialComplex) -> _Forest:
     for f in X.facets:
         for i in range(1, len(f), 2):
             odd[f[:i] + f[i + 1:]] ^= True
-    across: dict[Face, dict[Face, Face]] = {f: {} for f in X.facets}
-    for r, (a, b) in dg.ridge_incidence.items():
-        across[a][b] = across[b][a] = r
+    adj = dg.adjacency()
     # a forest lists every facet after its parent
     sign: dict[Face, bool] = {}
     tree_ridges = []
-    for f, parent in spanning_forest(X.facets, across).items():
+    for f, parent in spanning_forest(X.facets, adj).items():
         if parent is None:
             sign[f] = True
         else:
-            r = across[f][parent]
+            r = adj[f][parent]
             tree_ridges.append(r)
             sign[f] = sign[parent] == odd[r]
     orientable = all(

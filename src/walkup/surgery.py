@@ -306,14 +306,15 @@ def handle_deletion(
 ) -> tuple[SimplicialComplex, VertexBijection]:
     """Cut a closed manifold along an induced standard sphere S.
 
-    Each S-vertex star splits into two parts across the severed ridges
-    inside S, and each part gets one copy of the vertex.  The two sides
-    of the cut are read off the small surface of the 2(d+1) ridge copies
-    (each ridge inside S, once from each of its two facets); the side
-    holding the least label keeps the original labels and the other
-    takes the clones, so each facet is renamed once.  Returns the cut
-    complex together with the bijection whose handle addition restores
-    the input exactly; the round trip is validated before returning.
+    Each S-vertex star splits, over DualGraph.adjacency(), into two parts
+    across the severed ridges inside S, and each part gets one copy of
+    the vertex.  The two sides of the cut are read off the small surface
+    of the 2(d+1) ridge copies (each ridge inside S, once from each of
+    its two facets); the side holding the least label keeps the original
+    labels and the other takes the clones, so each facet is renamed
+    once.  Returns the cut complex together with the bijection whose
+    handle addition restores the input exactly; the round trip is
+    validated before returning.
     """
     d = Y.dimension
     if d < 3:
@@ -327,20 +328,17 @@ def handle_deletion(
         raise NotInducedStandardSphere(f"{S} does not induce a standard sphere")
     s_set = set(S)
     incidence = Y.dual_graph().ridge_incidence
+    adj = Y.dual_graph().adjacency()
 
     # Partition each vertex star into the components of the cut dual
-    # graph: the two facets of a ridge not inside S stay together in the
-    # star of every S-vertex of that ridge.  Y is closed, so each ridge has two.
-    stars: dict[str, dict[Face, list[Face]]] = {
-        x: {f: [] for f in Y.facets if x in f} for x in S
-    }
-    for ridge, (fa, fb) in incidence.items():
-        if not s_set.issuperset(ridge):
-            for x in s_set.intersection(ridge):
-                stars[x][fa].append(fb)
-                stars[x][fb].append(fa)
+    # graph: f and g stay together in the star of x across a ridge that
+    # holds x and is not inside S.
     part_of: dict[str, dict[Face, int]] = {}
-    for x, star in stars.items():
+    for x in S:
+        star = {
+            f: [g for g, r in adj[f].items() if x in r and not s_set.issuperset(r)]
+            for f in Y.facets if x in f
+        }
         # trees grow from the star in facet order, so part ids are canonical
         labels: dict[Face, int] = {}
         parts = 0
@@ -409,7 +407,7 @@ def handle_deletion(
 
 
 def separates(
-    Y: SimplicialComplex, adj: dict[Face, list[Face]], sphere: Face
+    Y: SimplicialComplex, adj: dict[Face, dict[Face, Face]], sphere: Face
 ) -> bool:
     """True iff the dual graph of the connected closed complex Y falls
     apart without its edges across the d+1 ridges inside the sphere.
@@ -419,14 +417,13 @@ def separates(
     the cut along the sphere is disconnected, without cutting.  One
     spanning_forest from the first facet decides it.  adj is
     Y.dual_graph().adjacency(), built once per complex by the caller; it
-    is not modified.
+    is not modified; the edges across the sphere are dropped by ridge.
     """
     incidence = Y.dual_graph().ridge_incidence
     cut_adj = dict(adj)
     for ridge in combinations(sphere, len(sphere) - 1):
-        fa, fb = incidence[ridge]  # two facets share at most one ridge
-        cut_adj[fa] = [f for f in cut_adj[fa] if f != fb]
-        cut_adj[fb] = [f for f in cut_adj[fb] if f != fa]
+        for f in incidence[ridge]:
+            cut_adj[f] = {g: r for g, r in cut_adj[f].items() if r != ridge}
     return len(spanning_forest(Y.facets[:1], cut_adj)) != len(Y.facets)
 
 

@@ -2,12 +2,14 @@
 
 Backtracking over vertex images with complex.injective_maps, pruned by
 an iterated partition refinement on (vertex degree, incident edge
-degrees) and by adjacency and edge degree to the vertices already
+degrees) and by adjacency and edge degree to the neighbours already
 mapped; a complete map is kept iff it carries the facets of X onto
-those of Y.  The edge degree of uv is the number of vertices in the
-link of uv, which any facet-preserving map must conserve; on
-2-neighborly complexes this is the prune that matters, since adjacency
-alone says nothing there.  Colours are int ids from one signature table
+those of Y.  The prune reads only v's neighbours, not every mapped
+vertex, so a step costs the degree of v however large the complex.
+The edge degree of uv is the number of vertices in the link of uv,
+which any facet-preserving map must conserve; on 2-neighborly
+complexes this is the prune that matters, since adjacency alone says
+nothing there.  Colours are int ids from one signature table
 shared by the two complexes of a search, so a round hashes and sorts
 pairs of small ints however many rounds came before (McKay and Piperno,
 "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).
@@ -92,9 +94,12 @@ def _search(
         return []
 
     def fits(v: str, w: str, mapping: Permutation) -> bool:
-        """Does v -> w keep adjacency and edge degrees to every mapped vertex?"""
-        nv, nw = nbrs_x[v], nbrs_y[w]
-        return all(nv.get(u) == nw.get(m) for u, m in mapping.items())
+        """Does v -> w send each mapped neighbour of v to a neighbour of w
+        across an edge of the same degree?"""
+        nw = nbrs_y[w]
+        return all(
+            nw.get(mapping[u]) == k for u, k in nbrs_x[v].items() if u in mapping
+        )
 
     # most constrained cells first, labels for determinism
     order = sorted(X.vertices, key=lambda v: (len(cells_x[colours_x[v]]), v))

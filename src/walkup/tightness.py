@@ -75,6 +75,7 @@ homology_map_injective.
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
 from itertools import combinations
 from math import comb
@@ -530,7 +531,8 @@ def is_tight_z2(
     duality_applies(X); sampled mode draws subsets from the seeded
     generator.  jobs must be at least 1 in either mode; jobs > 1 splits
     an exhaustive scan of at least POOL_MIN_SUBSETS subsets to evaluate
-    over size-2 subset prefixes without changing the report.
+    over size-2 subset prefixes without changing the report, on at most
+    jobs and at most os.cpu_count() worker processes.
 
     With stop_on_first both modes end at the first violating subset, in
     scan or draw order, and list every bad degree k of it (an exhaustive
@@ -548,6 +550,8 @@ def is_tight_z2(
         cap = n // 2 if dual else n - 1
         if sum(comb(n, s) for s in range(1, cap + 1)) < POOL_MIN_SUBSETS:
             jobs = 1
+        # jobs is a cap: a worker beyond the cores only costs its start-up
+        jobs = min(jobs, os.cpu_count() or 1)
         evaluated, checked, violations = _run(
             TightnessEngine(X), _subtrees(n, dual, stop_on_first), jobs,
             stop_on_first,

@@ -35,6 +35,8 @@ from walkup.errors import (
     NotPseudomanifoldWithBoundary,
     UnknownVertex,
 )
+from walkup.complex import spanning_forest
+from walkup.homology import _dual_forest
 from walkup.surgery import disjoint_union
 
 from conftest import face_layer_corpus as _face_layer_corpus, kuhnel_manifold
@@ -255,6 +257,45 @@ def test_face_layer_matches_per_facet_enumeration(m4_15, torus_7, rp2_6, b5_30):
         assert all(list(fs) == sorted(fs) for fs in dg.ridge_incidence.values()), name
         assert (dg.is_weak_pseudomanifold, dg.is_closed) == (weak, closed), name
         assert (dg.is_connected(), dg.is_tree()) == (connected, tree), name
+
+
+def test_dual_adjacency_maps_each_neighbour_to_the_shared_ridge(
+    m4_15, torus_7, rp2_6, b5_30
+):
+    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+        dg = X.dual_graph()
+        adj = dg.adjacency()
+        assert list(adj) == list(X.facets), name
+        # neighbours in edge order: what the neighbour lists read off edges held
+        by_edges = {f: [] for f in dg.nodes}
+        for a, b in dg.edges:
+            by_edges[a].append(b)
+            by_edges[b].append(a)
+        assert {f: list(ns) for f, ns in adj.items()} == by_edges, name
+        for f, ns in adj.items():
+            for g, r in ns.items():
+                assert r == tuple(v for v in f if v in g), name
+                assert dg.ridge_incidence[r] == tuple(sorted((f, g))), name
+                assert adj[g][f] is r, name
+        # a ridge in one facet, or in three or more, gives no edge
+        crossed = {r for ns in adj.values() for r in ns.values()}
+        lone = {r for r, fs in dg.ridge_incidence.items() if len(fs) != 2}
+        assert not crossed & lone and len(crossed) == len(dg.edges), name
+        if name == "stacked 3-ball":
+            assert any(len(fs) == 1 for fs in dg.ridge_incidence.values())
+        if name == "three triangles on an edge":
+            assert list(dg.ridge_incidence.values()).count(X.facets) == 1
+            assert adj == {f: {} for f in X.facets}
+
+
+def test_dual_forest_crosses_the_ridges_of_the_adjacency(m4_15):
+    for X in (m4_15, kuhnel_manifold(4)):
+        adj = X.dual_graph().adjacency()
+        parent = spanning_forest(X.facets, adj)
+        forest = _dual_forest(X)
+        tree_ridges = [adj[f][p] for f, p in parent.items() if p is not None]
+        assert forest.tree_ridges == frozenset(tree_ridges)
+        assert len(tree_ridges) == len(X.facets) - 1 and forest.trees == 1
 
 
 def test_dual_graph_ignores_facet_order(m4_15, torus_7, rp2_6, b5_30):

@@ -282,12 +282,31 @@ def _tube_pairs():
     return out
 
 
+def cross_polytope_boundary(d):
+    """Boundary of the (d+1)-dimensional cross-polytope: one of +i, -i
+    for each axis i.  Antipodes are no edge, so it is not 2-neighborly,
+    and its group is the hyperoctahedral one, of order 2^(d+1) (d+1)!."""
+    axes = [(f"p{i}", f"m{i}") for i in range(d + 1)]
+    facets = [[pair[b >> i & 1] for i, pair in enumerate(axes)] for b in range(2 ** (d + 1))]
+    return SimplicialComplex(tuple(sorted(f)) for f in facets)
+
+
+def test_cross_polytope_group_has_order_384():
+    X = cross_polytope_boundary(3)
+    assert X.f_vector() == (8, 24, 32, 16)
+    group = automorphism_group(X)
+    assert len(group) == 2 ** 4 * factorial(4) == 384 and is_group(group)
+
+
 def _search_corpus(m4_15, b5_30, rp2_6, torus_7):
     """(X, Y) pairs: complexes against themselves, relabelled copies, the
     tubes against their cuts, and non-isomorphic pairs of equal
     f-vector."""
     named = [m4_15, b5_30, rp2_6, torus_7] + [kuhnel_manifold(d) for d in (4, 5, 6, 7)]
     named += [standard_sphere(3), random_stacked_sphere(4, 40, seed=5)]
+    # symmetric and not 2-neighborly, where the prune on mapped neighbours
+    # leaves the most to the facet check
+    named += [cross_polytope_boundary(3)]
     tubes = _tube_pairs()
     pairs = [(X, X) for X in named]
     pairs += [(X, _relabelled(X)) for X in named]

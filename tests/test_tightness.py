@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import pickle
+import threading
 import random
 import subprocess
 import sys
@@ -622,6 +624,7 @@ def test_small_scans_skip_the_pool(monkeypatch, m4_15):
         raise PoolStarted
 
     monkeypatch.setattr(multiprocessing, "Pool", fake_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool size is capped at it
     X = random_stacked_sphere(4, 12, seed=1)
     assert sum(comb(12, s) for s in range(1, 7)) < POOL_MIN_SUBSETS
     assert is_tight_z2(X, jobs=4) == is_tight_z2(X, jobs=1)
@@ -632,6 +635,49 @@ def test_small_scans_skip_the_pool(monkeypatch, m4_15):
     with pytest.raises(PoolStarted):
         is_tight_z2(m4_15, jobs=2)
     assert calls == [2]
+
+
+def test_jobs_is_a_cap_at_the_cpu_count(monkeypatch, tmp_path, capsys, m4_15):
+    # a pool that records its size and runs its tasks in process, so no
+    # worker is ever started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+        def close(self):
+            pass
+
+        join = terminate = close
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Event", threading.Event)
+    monkeypatch.setattr(tightness, "_WORKER_ENGINE", None)
+    monkeypatch.setattr(tightness, "_WORKER_STOP", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = is_tight_z2(m4_15, jobs=1)
+    assert sizes == []
+    assert is_tight_z2(m4_15, jobs=100000) == serial
+    assert is_tight_z2(m4_15, jobs=2) == serial
+    assert sizes == [3, 2]
+    # the CLI passes --jobs through, and defaults to the CPU count
+    path = tmp_path / "m.txt"
+    path.write_text(serialize(m4_15))
+    outs = []
+    for args in (["--jobs", "1"], ["--jobs", "100000"], []):
+        assert main(["--porcelain", "check", "tight", *args, str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[2] == outs[0]
+    assert sizes == [3, 2, 3, 3]
+    # an unknown CPU count leaves one job, in process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert is_tight_z2(m4_15, jobs=100000) == serial
+    assert sizes == [3, 2, 3, 3]
 
 
 def test_pool_early_stop_exits_cleanly_direct():
