@@ -29,8 +29,8 @@ _LAYERS = {
     "surgery": (
         "HandleLedger", "VertexBijection", "bijection_from_map",
         "connected_sum", "disjoint_union", "find_admissible_bijection",
-        "find_induced_standard_spheres", "handle_addition", "handle_deletion",
-        "is_admissible", "kalai_decompose",
+        "handle_addition", "handle_deletion", "is_admissible",
+        "kalai_decompose",
     ),
     "symmetry": ("automorphism_group", "cycle_notation", "is_isomorphic"),
     "theory": (

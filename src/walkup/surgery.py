@@ -18,13 +18,15 @@ masks of the facets and of the radius-2 balls, the one form of the balls.
 The decomposition cuts only along spheres that leave the complex
 connected, so it follows one complex from the input down to its stacked
 base, and each cut's bijection restores exactly the complex it was cut
-from.  Clone labels are fresh in the complex being cut, hence replaying
-the cuts in reverse never has to rename a pending handle.
+from.  Each round reads its sphere off the filling of the complex: its
+interior d-faces are the induced standard spheres, and those on a cycle
+of its dual graph are the ones whose cut stays connected.  Clone
+labels are fresh in the complex being cut, hence replaying the cuts in
+reverse never has to rename a pending handle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -263,34 +265,6 @@ def find_admissible_bijection(
     return None if assignment is None else bijection_from_map(assignment)
 
 
-def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]:
-    """All (d+1)-vertex sets inducing a standard (d-1)-sphere, sorted.
-
-    Each set S is found once, from its least vertex x: every 3-subset of
-    S is a face (d >= 3), so S - x is a d-clique in the edge graph of
-    the link of x, and it is not a facet of that link since S is not a
-    face.  The candidates at x are therefore the d-subsets of the link's
-    maximal cliques, restricted to vertices above x, that are not link
-    facets; each is then verified against the face set of X.  This is
-    complete on every input, and the links and their clique complexes
-    are the memoized ones in_walkup_class reads too.
-    """
-    d = X.dimension
-    if d < 3:
-        raise DimensionTooLow(f"need dimension >= 3, got {d}")
-    found: list[tuple[str, ...]] = []
-    for x in X.vertices:
-        link = X.vertex_link(x)
-        candidates: set[Face] = set()
-        for clique in link.clique_complex():
-            candidates.update(combinations(clique[bisect_right(clique, x):], d))
-        for sigma in candidates.difference(link.facet_set):
-            s = (x,) + sigma
-            if induces_standard_sphere(X, s):
-                found.append(s)
-    return sorted(found)
-
-
 def _fresh_clone(label: str, taken: set[str]) -> str:
     """The first free `<root>~i`, root being the label before any clone
     marker, so a clone of a clone does not nest a second marker."""
@@ -406,27 +380,6 @@ def handle_deletion(
     return result, psi
 
 
-def separates(
-    Y: SimplicialComplex, adj: dict[Face, dict[Face, Face]], sphere: Face
-) -> bool:
-    """True iff the dual graph of the connected closed complex Y falls
-    apart without its edges across the d+1 ridges inside the sphere.
-
-    Those are exactly the edges handle_deletion severs, and the vertex
-    stars of a member of K(d) are connected, so there this says whether
-    the cut along the sphere is disconnected, without cutting.  One
-    spanning_forest from the first facet decides it.  adj is
-    Y.dual_graph().adjacency(), built once per complex by the caller; it
-    is not modified; the edges across the sphere are dropped by ridge.
-    """
-    incidence = Y.dual_graph().ridge_incidence
-    cut_adj = dict(adj)
-    for ridge in combinations(sphere, len(sphere) - 1):
-        for f in incidence[ridge]:
-            cut_adj[f] = {g: r for g, r in cut_adj[f].items() if r != ridge}
-    return len(spanning_forest(Y.facets[:1], cut_adj)) != len(Y.facets)
-
-
 class HandleLedger(NamedTuple):
     """A stacked-sphere base plus an ordered, replayable handle list."""
 
@@ -456,6 +409,50 @@ class HandleLedger(NamedTuple):
         return cur
 
 
+def _filling(Y: SimplicialComplex) -> SimplicialComplex:
+    """The (d+1)-complex of the (d+2)-sets of vertices all of whose
+    triangles are faces of Y, a connected member of K(d) with d >= 4.
+
+    Its facets are the sets x + c, x below c, for the maximal cliques c
+    of the memoized link of x: a stacked (d-1)-sphere, whose 3-cliques
+    are faces and whose maximal cliques are its ball's (d+1)-vertex facets.
+    """
+    return SimplicialComplex(
+        (x,) + c
+        for x in Y.vertices
+        for c in Y.vertex_link(x).clique_complex()
+        if x < c[0]
+    )
+
+
+def _cycle_face(Y: SimplicialComplex) -> Face | None:
+    """The least interior d-face of the filling of Y on a cycle of its
+    dual graph, or None.
+
+    The interior d-faces (each in two facets) are exactly the spheres
+    induced in Y, and a cut along one leaves Y connected iff its face is
+    no bridge (Bagchi and Datta, Europ. J. Combin. 36, 2014).  Over one
+    spanning forest, each cotree face is on a cycle, and so is each tree
+    face on the paths from its two facets up to where they meet.
+    """
+    filling = _filling(Y)
+    adj = filling.dual_graph().adjacency()
+    parent = spanning_forest(filling.facets, adj)
+    rank = {f: i for i, f in enumerate(parent)}  # parents come first
+    on_cycles: list[Face] = []
+    for f, nbrs in adj.items():
+        for g, face in nbrs.items():
+            if f < g and parent[f] != g and parent[g] != f:  # a cotree face
+                on_cycles.append(face)
+                a, b = f, g
+                while a != b:  # the later of two is below where they meet
+                    if rank[a] < rank[b]:
+                        a, b = b, a
+                    on_cycles.append(adj[a][parent[a]])
+                    a = parent[a]
+    return min(on_cycles, default=None)
+
+
 def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     """Decompose a connected Walkup-class member into base + handles.
 
@@ -463,11 +460,11 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     induced standard sphere (in sorted order) whose cut leaves it
     connected.  Such a cut lowers beta_1 by one and stays in the class,
     and one exists whenever beta_1 > 0; at beta_1 = 0 the complex is
-    stacked (Kalai).  Whether a sphere separates is decided before
-    cutting, by separates() on the dual graph, so only the sphere chosen
-    goes through handle_deletion.  The ledger is the last complex plus
-    the cuts' bijections, most recent first: it holds exactly beta_1
-    handles, and replaying it reproduces the input exactly.
+    stacked (Kalai).  The sphere is read off the filling before cutting
+    (_cycle_face), so only it goes through handle_deletion.  The ledger
+    is the last complex plus the cuts' bijections, most recent first: it
+    holds exactly beta_1 handles, and replaying it reproduces the input
+    exactly.
     """
     d = X.dimension
     if d < 4:
@@ -480,11 +477,8 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     cuts: list[VertexBijection] = []
     Y = X
     while not is_stacked_sphere(Y):
-        adj = Y.dual_graph().adjacency()
-        for sphere in find_induced_standard_spheres(Y):
-            if not separates(Y, adj, sphere):
-                break
-        else:
+        sphere = _cycle_face(Y)
+        if sphere is None:
             raise NotWalkup(
                 "no non-separating induced standard sphere; not in the class"
             )

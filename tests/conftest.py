@@ -1,8 +1,10 @@
 """Shared fixtures: the named complexes, reference data read by the
-construction checks, and small test-corpus generators."""
+construction checks, small test-corpus generators, and the twins of the
+decomposition's sphere search and separation test."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -19,7 +21,9 @@ from walkup import (
     random_stacked_sphere,
     standard_sphere,
 )
+from walkup.complex import Face, induces_standard_sphere, spanning_forest
 from walkup.constructions import B5_30_NAMED_FACETS
+from walkup.errors import DimensionTooLow
 from walkup.rng import SplitMix64
 from walkup.stacked import stack_star
 
@@ -229,3 +233,58 @@ def find_handle_pair(X: SimplicialComplex):
         if psi is not None:
             return psi
     return None
+
+
+# ---------------------------------------------- twins of the filling's cut
+
+# kalai_decompose reads the spheres it may cut, and whether each
+# separates, off the filling's dual graph; these two are the direct
+# search and test it replaced, kept as its twins.
+
+def find_induced_standard_spheres(X: SimplicialComplex) -> list[tuple[str, ...]]:
+    """All (d+1)-vertex sets inducing a standard (d-1)-sphere, sorted.
+
+    Each set S is found once, from its least vertex x: every 3-subset of
+    S is a face (d >= 3), so S - x is a d-clique in the edge graph of
+    the link of x, and it is not a facet of that link since S is not a
+    face.  The candidates at x are therefore the d-subsets of the link's
+    maximal cliques, restricted to vertices above x, that are not link
+    facets; each is then verified against the face set of X.  This is
+    complete on every input, and the links and their clique complexes
+    are the memoized ones in_walkup_class reads too.
+    """
+    d = X.dimension
+    if d < 3:
+        raise DimensionTooLow(f"need dimension >= 3, got {d}")
+    found: list[tuple[str, ...]] = []
+    for x in X.vertices:
+        link = X.vertex_link(x)
+        candidates: set[Face] = set()
+        for clique in link.clique_complex():
+            candidates.update(combinations(clique[bisect_right(clique, x):], d))
+        for sigma in candidates.difference(link.facet_set):
+            s = (x,) + sigma
+            if induces_standard_sphere(X, s):
+                found.append(s)
+    return sorted(found)
+
+
+def separates(
+    Y: SimplicialComplex, adj: dict[Face, dict[Face, Face]], sphere: Face
+) -> bool:
+    """True iff the dual graph of the connected closed complex Y falls
+    apart without its edges across the d+1 ridges inside the sphere.
+
+    Those are exactly the edges handle_deletion severs, and the vertex
+    stars of a member of K(d) are connected, so there this says whether
+    the cut along the sphere is disconnected, without cutting.  One
+    spanning_forest from the first facet decides it.  adj is
+    Y.dual_graph().adjacency(), built once per complex by the caller; it
+    is not modified; the edges across the sphere are dropped by ridge.
+    """
+    incidence = Y.dual_graph().ridge_incidence
+    cut_adj = dict(adj)
+    for ridge in combinations(sphere, len(sphere) - 1):
+        for f in incidence[ridge]:
+            cut_adj[f] = {g: r for g, r in cut_adj[f].items() if r != ridge}
+    return len(spanning_forest(Y.facets[:1], cut_adj)) != len(Y.facets)

@@ -19,7 +19,6 @@ from walkup import (
     connected_sum,
     disjoint_union,
     find_admissible_bijection,
-    find_induced_standard_spheres,
     handle_addition,
     handle_deletion,
     homology_profile,
@@ -44,9 +43,15 @@ from walkup.errors import (
 from walkup.complex import CLONE_MARKER
 from walkup.rng import SplitMix64
 from walkup import surgery
-from walkup.surgery import HandleLedger, _admissibility_masks, separates
+from walkup.surgery import HandleLedger, _admissibility_masks
 
-from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
+from conftest import (
+    find_handle_pair,
+    find_induced_standard_spheres,
+    kuhnel_manifold,
+    separates,
+    tube_sphere,
+)
 
 
 def _identification(x: str) -> VertexBijection:
@@ -696,6 +701,43 @@ def test_separates_matches_cut(sphere_cuts):
             assert split == (not cut.is_connected()), S
             seen.add(split)
     assert seen == {True, False}
+
+
+def _rounds(X):
+    """Each complex the decomposition of X cuts, then its stacked base."""
+    rounds = [X]
+    while not is_stacked_sphere(X):
+        X = handle_deletion(X, surgery._cycle_face(X))[0]
+        rounds.append(X)
+    return rounds
+
+
+def test_filling_cycle_faces_match_sphere_twins(
+        sphere_cuts, m4_15, many_handles, s4_30, n5_15, b5_30):
+    # the filling's interior d-faces against the direct sphere search, and
+    # its least cycle face against the first sphere the dual-graph test
+    # calls non-separating, over every round of three decompositions
+    K4 = kuhnel_manifold(4)
+    glued = connected_sum(K4, m4_15, dict(zip(K4.facets[0], m4_15.facets[0])))
+    corpus = [Y for Y, _ in sphere_cuts]
+    for X in (m4_15, many_handles, glued):
+        corpus += _rounds(X)
+    assert len(corpus) == 7 + 4 + 19 + 5
+    kinds = set()
+    for Y in corpus:
+        spheres = find_induced_standard_spheres(Y)
+        dual = surgery._filling(Y).dual_graph()
+        assert dual.is_weak_pseudomanifold
+        interior = [r for r, fs in dual.ridge_incidence.items() if len(fs) == 2]
+        assert sorted(interior) == spheres
+        adj = Y.dual_graph().adjacency()
+        split = [separates(Y, adj, S) for S in spheres]
+        kinds.update(split)
+        first = next((S for S, s in zip(spheres, split) if not s), None)
+        assert surgery._cycle_face(Y) == first, Y
+    assert kinds == {True, False}
+    assert surgery._filling(m4_15) == n5_15
+    assert surgery._filling(s4_30) == b5_30
 
 
 HANDLE_DELETION_CUTS = "a927cb69a559b39624c3f7aebbae426b34e21f9928561fcbd9373c05953f2116"

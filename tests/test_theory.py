@@ -13,7 +13,6 @@ from walkup import (
     SimplicialComplex,
     check_bounds_4manifold,
     dehn_sommerville_4,
-    find_induced_standard_spheres,
     fvector_from_f0_f1,
     handle_addition,
     in_walkup_class,
@@ -32,7 +31,13 @@ from walkup.errors import (
 from walkup.complex import _residue_masks
 from walkup.theory import _check_f0_f1
 
-from conftest import cyclic_polytope_boundary, find_handle_pair, kuhnel_manifold, tube_sphere
+from conftest import (
+    cyclic_polytope_boundary,
+    find_handle_pair,
+    find_induced_standard_spheres,
+    kuhnel_manifold,
+    tube_sphere,
+)
 
 
 # ------------------------------------------------------------ stacked formula

@@ -337,15 +337,30 @@ def test_gate_falls_back_to_full_scan(rp2_6):
 
 
 def test_pooled_early_stop_exits_cleanly():
-    # more workers than cores, many early stops: every scan must return
-    # the serial report, and the pool must shut down each time
+    # many early stops over real pools: every scan must return the serial
+    # report, and the pool must shut down each time.  The input's 16383
+    # subsets to evaluate clear POOL_MIN_SUBSETS, so each scan starts one
+    # pool wherever there are two cores to give it.
     script = (
+        "import multiprocessing, os\n"
+        "from math import comb\n"
         "from walkup import is_tight_z2, random_stacked_sphere\n"
-        "X = random_stacked_sphere(4, 12, 1)\n"
+        "from walkup.tightness import POOL_MIN_SUBSETS, duality_applies\n"
+        "starts = []\n"
+        "real_pool = multiprocessing.Pool\n"
+        "def counting_pool(*args, **kwargs):\n"
+        "    starts.append(kwargs['processes'])\n"
+        "    return real_pool(*args, **kwargs)\n"
+        "multiprocessing.Pool = counting_pool\n"
+        "X = random_stacked_sphere(4, 15, 1)\n"
+        "assert duality_applies(X)\n"
+        "assert sum(comb(15, s) for s in range(1, 8)) == 16383 >= POOL_MIN_SUBSETS\n"
         "serial = is_tight_z2(X, jobs=1)\n"
         "assert serial.verdict == 'not-tight'\n"
         "for _ in range(25):\n"
         "    assert is_tight_z2(X, jobs=4) == serial\n"
+        "workers = min(4, os.cpu_count() or 1)\n"
+        "assert starts == ([workers] * 25 if workers >= 2 else []), starts\n"
         "print('ok')\n"
     )
     proc = subprocess.run(
