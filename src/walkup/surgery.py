@@ -416,6 +416,10 @@ def _filling(Y: SimplicialComplex) -> SimplicialComplex:
     Its facets are the sets x + c, x below c, for the maximal cliques c
     of the memoized link of x: a stacked (d-1)-sphere, whose 3-cliques
     are faces and whose maximal cliques are its ball's (d+1)-vertex facets.
+    The route needs d >= 4: at d = 3 the links are stacked 2-spheres,
+    whose 3-cliques need not be faces.  On the boundaries of the cyclic
+    polytopes C(4, n), n = 8, 9 and 12, members of K(3) with an empty
+    filling, it returns facets.
     """
     return SimplicialComplex(
         (x,) + c

@@ -1,6 +1,6 @@
-"""Shared fixtures: the named complexes, reference data read by the
-construction checks, small test-corpus generators, and the twins of the
-decomposition's sphere search and separation test."""
+"""Shared fixtures: the named complexes, read from the corpus module;
+reference data read by the construction checks; and the twins of the
+filling and of the decomposition's sphere search and separation test."""
 
 from __future__ import annotations
 
@@ -9,23 +9,12 @@ from itertools import combinations
 
 import pytest
 
-from walkup import (
-    SimplicialComplex,
-    build_b5_30,
-    build_m4_15,
-    build_n5_15,
-    build_s4_30,
-    find_admissible_bijection,
-    from_facets,
-    handle_addition,
-    random_stacked_sphere,
-    standard_sphere,
-)
+from walkup import SimplicialComplex, is_stacked_ball
 from walkup.complex import Face, induces_standard_sphere, spanning_forest
 from walkup.constructions import B5_30_NAMED_FACETS
 from walkup.errors import DimensionTooLow
-from walkup.rng import SplitMix64
-from walkup.stacked import stack_star
+
+from corpus import get
 
 
 # ------------------------------------------------------------ reference data
@@ -86,102 +75,37 @@ N5_15_EXTRA_DUAL_EDGES: tuple[tuple[str, str], ...] = (
 
 @pytest.fixture(scope="session")
 def b5_30():
-    return build_b5_30()
+    return get("b5-30")
 
 
 @pytest.fixture(scope="session")
 def s4_30():
-    return build_s4_30()
+    return get("s4-30")
 
 
 @pytest.fixture(scope="session")
 def m4_15():
-    return build_m4_15()
+    return get("m4-15")
 
 
 @pytest.fixture(scope="session")
 def n5_15():
-    return build_n5_15()
+    return get("n5-15")
 
 
 @pytest.fixture(scope="session")
 def rp2_6():
-    """The 6-vertex real projective plane (non-orientable, chi = 1)."""
-    return from_facets(
-        f.split()
-        for f in (
-            "1 2 5", "1 2 6", "1 3 4", "1 3 6", "1 4 5",
-            "2 3 5", "2 3 4", "2 4 6", "3 5 6", "4 5 6",
-        )
-    )
+    return get("rp2_6")
 
 
 @pytest.fixture(scope="session")
 def torus_7():
-    """The 7-vertex torus (orientable, chi = 0, 2-neighborly)."""
-    facets = []
-    for i in range(7):
-        facets.append([f"t{i}", f"t{(i + 1) % 7}", f"t{(i + 3) % 7}"])
-        facets.append([f"t{i}", f"t{(i + 2) % 7}", f"t{(i + 3) % 7}"])
-    return from_facets(facets)
+    return get("torus_7")
 
 
-def cyclic_polytope_boundary(dim: int, n: int) -> SimplicialComplex:
-    """Boundary of the cyclic polytope C(dim, n) via Gale's evenness condition."""
-    verts = list(range(1, n + 1))
-    facets = []
-    for s in combinations(verts, dim):
-        sset = set(s)
-        ok = True
-        for i in verts:
-            if i in sset:
-                continue
-            for j in verts:
-                if j <= i or j in sset:
-                    continue
-                if sum(1 for k in s if i < k < j) % 2 == 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            facets.append([f"p{i}" for i in s])
-    return from_facets(facets)
-
-
-def kuhnel_manifold(d: int) -> SimplicialComplex:
-    """Kühnel's (2d+3)-vertex S^{d-1}-bundle over S^1.
-
-    The boundary of the (d+1)-ball whose facets are the cyclic intervals
-    {i, ..., i+d+1} mod 2d+3; 2-neighborly and tight.
-    """
-    m = 2 * d + 3
-    ball = from_facets(
-        [f"k{(i + j) % m}" for j in range(d + 2)] for i in range(m)
-    )
-    return ball.boundary_complex()
-
-
-def face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
-    """(name, complex): empty, points, a singular edge, balls, a cycle,
-    the named manifolds and stacked spheres of dimensions 2 to 5."""
-    yield "empty", SimplicialComplex(())
-    yield "single facet", from_facets([["a", "b", "c"]])
-    yield "three points", from_facets([["p"], ["q"], ["r"]])
-    yield "two points", from_facets([["p"], ["q"]])
-    yield "three triangles on an edge", from_facets(
-        [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
-    )
-    yield "b5_30", b5_30
-    yield "stacked 3-ball", SimplicialComplex(
-        random_stacked_sphere(2, 12, seed=4).clique_complex()
-    )
-    yield "cycle", from_facets([["1", "2"], ["2", "3"], ["1", "3"]])
-    yield "m4_15", m4_15
-    yield "torus_7", torus_7
-    yield "rp2_6", rp2_6
-    for d in (2, 3, 4, 5):
-        yield f"stacked {d}-sphere", random_stacked_sphere(d, 3 * d, seed=d)
+@pytest.fixture(scope="session")
+def many_handles():
+    return get("many handles")
 
 
 def b5_30_facet(name: str) -> tuple[str, ...]:
@@ -195,47 +119,29 @@ def n5_15_facet(name: str) -> tuple[str, ...]:
     return tuple(sorted(v.removesuffix("p") for v in B5_30_NAMED_FACETS[name].split()))
 
 
-def tube_sphere(d: int, n: int, seed: int) -> SimplicialComplex:
-    """Stacked d-sphere grown along a path: long tube, large graph diameter.
+# --------------------------------------------- twins of the filling and its cut
 
-    Used where admissible handle pairs are needed; uniform growth keeps
-    the skeleton too shallow for distance-3 pairs at small n.  Each new
-    vertex is stacked on a facet drawn from the sorted star of the
-    previous one (any facet at the first step), in place on one facet set.
-    """
-    rng = SplitMix64(seed)
-    facets = set(standard_sphere(d).facets)
-    pool = sorted(facets)
-    for step in range(n - (d + 2)):
-        chosen = pool[rng.next_below(len(pool))]
-        pool = sorted(stack_star(chosen, f"v{d + 3 + step}"))
-        facets.remove(chosen)
-        facets.update(pool)
-    return SimplicialComplex(facets)
+def filling_by_definition(X: SimplicialComplex) -> SimplicialComplex:
+    """The filling of X: the (d+1)-complex of the (d+2)-sets of vertices
+    all of whose triangles are faces of X, by brute force over the sets
+    (Bagchi and Datta, Europ. J. Combin. 36, 2014)."""
+    triangles = set(X.faces_of_dim(2))
+    return SimplicialComplex(
+        s for s in combinations(X.vertices, X.dimension + 2)
+        if all(t in triangles for t in combinations(s, 3))
+    )
 
 
-@pytest.fixture(scope="session")
-def many_handles():
-    """tube_sphere(4, 180, 1) with 18 handles added greedily, each at the
-    first admissible pair: f0 = 90, beta_1 = 18."""
-    X = tube_sphere(4, 180, 1)
-    for _ in range(18):
-        X = handle_addition(X, find_handle_pair(X))
-    return X
+def in_class_by_filling(X: SimplicialComplex) -> bool:
+    """The filling test of K(d) membership: the filling's boundary is X
+    and each of its vertex links is a stacked ball."""
+    filling = filling_by_definition(X)
+    return (
+        not filling.is_empty
+        and all(is_stacked_ball(filling.vertex_link(v)) for v in filling.vertices)
+        and filling.boundary_complex() == X
+    )
 
-
-def find_handle_pair(X: SimplicialComplex):
-    """First admissible facet-pair bijection of X, or None."""
-    for f1, f2 in combinations(X.facets, 2):
-        if set(f1) & set(f2):
-            continue
-        psi = find_admissible_bijection(X, f1, f2)
-        if psi is not None:
-            return psi
-    return None
-
-
-# ---------------------------------------------- twins of the filling's cut
 
 # kalai_decompose reads the spheres it may cut, and whether each
 # separates, off the filling's dual graph; these two are the direct

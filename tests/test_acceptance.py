@@ -39,10 +39,9 @@ from conftest import (
     M4_15_FACETS,
     N5_15_EXTRA_DUAL_EDGES,
     b5_30_facet,
-    find_handle_pair,
     n5_15_facet,
-    tube_sphere,
 )
+from corpus import find_handle_pair, select, tube_sphere
 
 
 def _report(num: int, started: float, budget: float, detail: str) -> None:
@@ -204,19 +203,20 @@ def test_criterion_10_tightness(m4_15):
 
 @pytest.fixture(scope="module")
 def sphere_corpus():
-    """200 seeded random stacked spheres across d in {2,3,4}, n <= 40."""
+    """(d, n, X): 200 seeded random stacked spheres across d in {2,3,4},
+    n <= 40, then the stacked entries of the corpus."""
     rng = SplitMix64(2024)
     corpus = []
     for _ in range(200):
         d = (2, 3, 4)[rng.next_below(3)]
         n = d + 2 + rng.next_below(40 - (d + 2) + 1)
         corpus.append((d, n, random_stacked_sphere(d, n, seed=rng.next_u64())))
-    return corpus
+    return corpus + [(X.dimension, len(X.vertices), X) for _, X in select("stacked")]
 
 
 def test_criterion_11a_random_sphere_suite(sphere_corpus):
     t0 = time.perf_counter()
-    assert len(sphere_corpus) == 200
+    assert len(sphere_corpus) > 200
     for d, n, X in sphere_corpus:
         assert X.f_vector() == stacked_sphere_fvector(d, n)
         assert is_stacked_sphere(X)

@@ -8,7 +8,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, inf
 
 import pytest
@@ -37,9 +37,8 @@ from walkup.errors import (
 )
 from walkup.complex import spanning_forest
 from walkup.homology import _dual_forest
-from walkup.surgery import disjoint_union
 
-from conftest import face_layer_corpus as _face_layer_corpus, kuhnel_manifold
+from corpus import face_layer_inputs, get, select
 
 
 # ------------------------------------------------------------- construction
@@ -171,7 +170,7 @@ def induces_standard_sphere_by_definition(X, subset) -> bool:
 def test_induces_standard_sphere_matches_definition():
     """Twin: testing the (|S|-1)-subsets gives the answer of testing every
     proper subset, on all small and sphere-sized subsets and unknown labels."""
-    for X in (kuhnel_manifold(4), random_stacked_sphere(4, 10, 1)):
+    for X in (get("K4"), random_stacked_sphere(4, 10, 1)):
         V = sorted(X.vertices)
         subsets = [s for k in (0, 1, 2, 5, 6) for s in combinations(V, k)]
         subsets += [("zz",), ("zz", "zy"), ("zz", V[0]), (*V[:4], "zz"), (*V[:5], "zz")]
@@ -244,8 +243,8 @@ def dual_graph_by_facet(X):
     return incidence, edges, weak, closed, connected, tree
 
 
-def test_face_layer_matches_per_facet_enumeration(m4_15, torus_7, rp2_6, b5_30):
-    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+def test_face_layer_matches_per_facet_enumeration():
+    for name, X in face_layer_inputs():
         assert X.faces_by_dim() == faces_by_facet(X), name
         dg = X.dual_graph()
         incidence, edges, weak, closed, connected, tree = dual_graph_by_facet(X)
@@ -259,10 +258,8 @@ def test_face_layer_matches_per_facet_enumeration(m4_15, torus_7, rp2_6, b5_30):
         assert (dg.is_connected(), dg.is_tree()) == (connected, tree), name
 
 
-def test_dual_adjacency_maps_each_neighbour_to_the_shared_ridge(
-    m4_15, torus_7, rp2_6, b5_30
-):
-    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+def test_dual_adjacency_maps_each_neighbour_to_the_shared_ridge():
+    for name, X in face_layer_inputs():
         dg = X.dual_graph()
         adj = dg.adjacency()
         assert list(adj) == list(X.facets), name
@@ -289,7 +286,7 @@ def test_dual_adjacency_maps_each_neighbour_to_the_shared_ridge(
 
 
 def test_dual_forest_crosses_the_ridges_of_the_adjacency(m4_15):
-    for X in (m4_15, kuhnel_manifold(4)):
+    for X in (m4_15, get("K4")):
         adj = X.dual_graph().adjacency()
         parent = spanning_forest(X.facets, adj)
         forest = _dual_forest(X)
@@ -298,14 +295,14 @@ def test_dual_forest_crosses_the_ridges_of_the_adjacency(m4_15):
         assert len(tree_ridges) == len(X.facets) - 1 and forest.trees == 1
 
 
-def test_dual_graph_ignores_facet_order(m4_15, torus_7, rp2_6, b5_30):
+def test_dual_graph_ignores_facet_order():
     rng = random.Random(5)
-    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+    for name, X in face_layer_inputs():
         rows = [list(f) for f in X.facets]
         for row in rows:
             rng.shuffle(row)
         rng.shuffle(rows)
-        Y = from_facets(rows) if rows else SimplicialComplex(())
+        Y = from_facets(rows, clones=True) if rows else SimplicialComplex(())
         assert Y.dual_graph() == X.dual_graph(), name
         assert Y.faces_by_dim() == X.faces_by_dim(), name
 
@@ -324,8 +321,8 @@ def faces_in_first_met_order(X):
     return layers[::-1]
 
 
-def test_face_index_is_the_first_met_order(m4_15, torus_7, rp2_6, b5_30):
-    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+def test_face_index_is_the_first_met_order():
+    for name, X in face_layer_inputs():
         layers = faces_in_first_met_order(X)
         assert len(layers) == X.dimension + 1, name
         for j, faces in enumerate(layers):
@@ -339,8 +336,8 @@ def test_face_index_is_the_first_met_order(m4_15, torus_7, rp2_6, b5_30):
             assert X.face_index(j) == {} and not X.faces_of_dim(j), name
 
 
-def test_face_queries_agree_with_the_sorted_view(m4_15, torus_7, rp2_6, b5_30):
-    for name, X in _face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+def test_face_queries_agree_with_the_sorted_view():
+    for name, X in face_layer_inputs():
         by_dim = X.faces_by_dim()
         assert sorted(by_dim) == list(range(X.dimension + 1)), name
         assert X.f_vector() == tuple(len(by_dim[j]) for j in sorted(by_dim)), name
@@ -349,9 +346,9 @@ def test_face_queries_agree_with_the_sorted_view(m4_15, torus_7, rp2_6, b5_30):
             assert all(X.has_face(f) for f in faces), name
             # every other (j+1)-subset of the vertices, up to a few hundred
             present = set(faces)
-            others = [
-                s for s in combinations(X.vertices, j + 1) if s not in present
-            ][:300]
+            others = list(islice(
+                (s for s in combinations(X.vertices, j + 1) if s not in present), 300
+            ))
             assert not any(X.has_face(s) for s in others), name
             # has_face sorts its argument
             assert all(X.has_face(f[::-1]) for f in faces[:50]), name
@@ -427,43 +424,34 @@ def test_clique_complex_of_stacked_sphere_is_ball():
     assert SimplicialComplex(cliques).boundary_complex() == X
 
 
-def _clique_corpus(m4_15, rp2_6, torus_7):
-    """(name, complex): stacked spheres, every vertex link of m4-15 and
-    of K4-K6, surfaces, a cycle, points and a disconnected union whose
-    clique complex is not pure."""
-    for d in (3, 4):
-        for n in (40, 320, 1000):
-            yield f"stacked {d} {n}", random_stacked_sphere(d, n, seed=n + d)
-    for name, X in [("m4-15", m4_15)] + [(f"K{d}", kuhnel_manifold(d)) for d in (4, 5, 6)]:
-        for v in X.vertices:
-            yield f"{name} lk {v}", X.vertex_link(v)
-    yield "rp2_6", rp2_6
-    yield "torus_7", torus_7
-    four = from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["4", "1"]])
-    yield "four-cycle", four
-    yield "points", SimplicialComplex([("a",), ("b",), ("c",)])
-    yield "union", disjoint_union(standard_sphere(1), four)[0]
-
-
 # sha256 of the maximal cliques of the corpus, computed with the set-based
 # Bron-Kerbosch search that the bitmask search replaced
 CLIQUE_COMPLEXES = "c11e83b2a47059f30c534d9f8818ced0b0ab9c7bf96385c5ebfb09e3b5b97f0a"
 
 
-def test_clique_complex_pinned(m4_15, rp2_6, torus_7):
-    doc = [(name, X.clique_complex()) for name, X in _clique_corpus(m4_15, rp2_6, torus_7)]
+def test_clique_complex_pinned():
+    # stacked spheres, every vertex link of m4-15 and of K4-K6, surfaces,
+    # a cycle, points and a disconnected union whose clique complex is
+    # not pure
+    inputs = [(f"stacked {d} {n}", random_stacked_sphere(d, n, seed=n + d))
+              for d in (3, 4) for n in (40, 320, 1000)]
+    inputs += [(f"{name} lk {v}", get(name).vertex_link(v))
+               for name in ("m4-15", "K4", "K5", "K6") for v in get(name).vertices]
+    inputs += zip(("rp2_6", "torus_7", "four-cycle", "points", "union"), map(get, (
+        "rp2_6", "torus_7", "four-cycle", "three points", "S1 + four-cycle")))
+    doc = [(name, X.clique_complex()) for name, X in inputs]
     assert len(doc) == 65
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == CLIQUE_COMPLEXES
 
 
 def _maximal_cliques_by_subsets(X):
     """Every vertex subset that spans a clique of the edge faces and that
-    no outside vertex extends, sorted."""
+    no outside vertex extends, sorted (the empty set, on no vertex)."""
     edges = set(X.faces_of_dim(1))
     n = len(X.vertices)
     cliques = [
         s
-        for k in range(1, n + 1)
+        for k in range(n + 1)
         for s in combinations(X.vertices, k)
         if all(e in edges for e in combinations(s, 2))
     ]
@@ -471,10 +459,16 @@ def _maximal_cliques_by_subsets(X):
     return tuple(sorted(s for s in cliques if not any(extends(s, w) for w in X.vertices)))
 
 
-def test_clique_complex_matches_subset_twin(m4_15, rp2_6, torus_7):
-    small = [(name, X) for name, X in _clique_corpus(m4_15, rp2_6, torus_7)
-             if len(X.vertices) <= 12]
-    assert len(small) == 11 + 13 + 5  # the links of K4 and K5, then the rest
+def test_clique_complex_matches_subset_twin():
+    # every entry up to 12 vertices, and every vertex link of the dense
+    # ones (2-neighborly members of K(d) up to 13 vertices)
+    small = select(max_f0=12) + [
+        (f"{name} lk {v}", X.vertex_link(v))
+        for name, X in select("kd", "neighborly", max_f0=13)
+        for v in X.vertices
+    ]
+    names = {name for name, _ in small}
+    assert {"K4 lk k0", "K5 lk k12", "∂C(4, 12)", "∂C(5, 10)"} <= names
     impure = 0
     for name, X in small:
         want = _maximal_cliques_by_subsets(X)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from walkup import (
     SimplicialComplex,
     from_facets,
-    handle_addition,
     homology_profile,
     is_orientable,
     random_stacked_sphere,
@@ -28,7 +27,7 @@ from walkup.homology import (
     transpose_gf2,
 )
 
-from conftest import face_layer_corpus, find_handle_pair, kuhnel_manifold, tube_sphere
+from corpus import face_layer_inputs, get, select, tags_of
 
 
 def test_rank_gf2_basics():
@@ -71,12 +70,12 @@ def nullspace_by_full_back_substitution(rows, ncols):
     return basis
 
 
-def test_nullspace_matches_full_back_substitution(m4_15, torus_7, rp2_6, b5_30):
-    # every boundary-column list of the face-layer corpus, as columns and
+def test_nullspace_matches_full_back_substitution():
+    # every boundary-column list of the face-layer inputs, as columns and
     # as rows (the tightness engine takes the kernel of the columns, the
     # direct test that of the transpose)
     lists = 0
-    for name, X in face_layer_corpus(m4_15, torus_7, rp2_6, b5_30):
+    for name, X in face_layer_inputs():
         f = X.f_vector()
         for j in range(1, X.dimension + 1):
             cols = boundary_columns(X, j)
@@ -118,7 +117,7 @@ def test_pivot_keys_do_not_depend_on_insertion_order():
     # order of one list gives the same keys and rank (the tightness walk
     # may add a vertex's faces in any order)
     rng = random.Random(7)
-    lists = [boundary_columns(kuhnel_manifold(4), k) for k in (1, 2, 3)]
+    lists = [boundary_columns(get("K4"), k) for k in (1, 2, 3)]
     for _ in range(40):
         width = rng.randrange(1, 48)
         basis = [rng.getrandbits(width) for _ in range(rng.randrange(1, 12))]
@@ -262,10 +261,13 @@ def test_profile_relabel_invariant(seed):
     assert homology_profile(X) == homology_profile(Y)
 
 
-def test_top_betti_of_closed_pseudomanifolds(m4_15, s4_30, rp2_6, torus_7):
-    for X in (m4_15, s4_30, rp2_6, torus_7):
-        prof = homology_profile(X)
-        assert prof.betti[-1] == 1
+def test_top_betti_of_closed_pseudomanifolds():
+    # one top class per component of the dual graph: the wedge of two
+    # 2-spheres is connected and has two
+    for name, X in select("closed"):
+        if X.dimension >= 1:
+            parents = spanning_forest(X.facets, X.dual_graph().adjacency()).values()
+            assert homology_profile(X).betti[-1] == list(parents).count(None), name
 
 
 # ------------------------------------------------- twins of the shortcuts
@@ -301,66 +303,27 @@ def orientable_by_shared_vertices(X):
     return all(sign[b] == sign[a] * relative_sign(a, b) for a, b in dg.edges)
 
 
-def _two_spheres(wedged: bool) -> SimplicialComplex:
-    """Two boundaries of tetrahedra, disjoint or sharing the vertex v1."""
-    S = standard_sphere(2)
-    glue = {"v1x": "v1"} if wedged else {}
-    other = (tuple(sorted(glue.get(v + "x", v + "x") for v in f)) for f in S.facets)
-    return SimplicialComplex(S.facets + tuple(other))
-
-
-def _rank_corpus(m4_15, rp2_6, torus_7, b5_30):
-    yield "wedge of two 2-spheres", _two_spheres(wedged=True)
-    yield "two disjoint 2-spheres", _two_spheres(wedged=False)
-    yield "2-ball", from_facets([["a", "b", "c"], ["a", "c", "d"], ["a", "d", "e"]])
-    yield "three triangles on an edge", from_facets(
-        [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]
-    )
-    yield "rp2_6", rp2_6
-    yield "torus_7", torus_7
-    yield "cycle", from_facets([["1", "2"], ["2", "3"], ["1", "3"]])
-    yield "two cycles", from_facets(
-        [["1", "2"], ["2", "3"], ["1", "3"], ["4", "5"], ["5", "6"], ["4", "6"]]
-    )
-    yield "two points", from_facets([["p"], ["q"]])
-    yield "m4_15", m4_15
-    for d in (2, 3, 4, 5):
-        yield f"stacked {d}-sphere", random_stacked_sphere(d, d + 9, seed=d)
-    # with boundary: ∂_d is eliminated and clears ∂_{d-1}
-    yield "b5_30", b5_30
-    yield "stacked 3-ball", SimplicialComplex(
-        random_stacked_sphere(2, 12, seed=4).clique_complex()
-    )
-    for d in (4, 5, 6):
-        yield f"K{d}", kuhnel_manifold(d)
-    for d in (2, 3, 4, 5, 6):
-        yield f"stacked {d}-sphere, n = 60", random_stacked_sphere(d, 60, seed=d)
-
-
 def test_wedge_of_spheres_is_closed_with_two_dual_components():
-    X = _two_spheres(wedged=True)
+    X = get("wedge of two 2-spheres")
     assert X.is_connected() and X.is_closed_pseudomanifold()
     assert not X.dual_graph().is_connected()
     assert betti_numbers(X) == (1, 0, 2)
 
 
 @pytest.mark.parametrize("top", [None, 0, 1, 2, 3, 4, 5, 6])
-def test_betti_numbers_match_elimination(top, m4_15, rp2_6, torus_7, b5_30):
-    for name, X in _rank_corpus(m4_15, rp2_6, torus_7, b5_30):
+def test_betti_numbers_match_elimination(top):
+    for name, X in select(max_f0=60):
         assert betti_numbers(X, top) == betti_by_elimination(X, top), name
 
 
-def test_is_orientable_matches_shared_vertex_signs(m4_15, s4_30, rp2_6, torus_7):
-    corpus = [m4_15, s4_30, rp2_6, torus_7]
-    corpus += [kuhnel_manifold(d) for d in (4, 5, 6)]
-    for d, n in ((3, 30), (4, 26)):
-        for seed in range(4):
-            X = tube_sphere(d, n, seed=seed)
-            psi = find_handle_pair(X)
-            if psi is not None:
-                corpus.append(handle_addition(X, psi))
-    verdicts = [is_orientable(X) for X in corpus]
-    assert verdicts == [orientable_by_shared_vertices(X) for X in corpus]
-    assert verdicts[:7] == [False, True, False, True, True, False, True]
-    # six handles: S^2 x S^1 and the twisted bundle in dimension 3
-    assert len(corpus) == 13 and {True, False} <= set(verdicts[7:])
+def test_is_orientable_matches_shared_vertex_signs():
+    corpus = select("closed")
+    verdicts = [is_orientable(X) for _, X in corpus]
+    assert verdicts == [orientable_by_shared_vertices(X) for _, X in corpus]
+    for (name, _), verdict in zip(corpus, verdicts):
+        assert verdict == ("orientable" in tags_of(name)), name
+    # handles on 3-dimensional tubes: S^2 x S^1 and the twisted bundle
+    assert {True, False} == {
+        v for (name, X), v in zip(corpus, verdicts)
+        if X.dimension == 3 and "handle-built" in tags_of(name)
+    }

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -40,18 +41,12 @@ from walkup.errors import (
     NotWalkup,
     WouldCreateDuplicateFacet,
 )
-from walkup.complex import CLONE_MARKER
-from walkup.rng import SplitMix64
+from walkup.complex import CLONE_MARKER, spanning_forest
 from walkup import surgery
 from walkup.surgery import HandleLedger, _admissibility_masks
 
-from conftest import (
-    find_handle_pair,
-    find_induced_standard_spheres,
-    kuhnel_manifold,
-    separates,
-    tube_sphere,
-)
+from conftest import filling_by_definition, find_induced_standard_spheres, separates
+from corpus import find_handle_pair, get, select, shuffled_labels, tags_of, tube_sphere
 
 
 def _identification(x: str) -> VertexBijection:
@@ -88,36 +83,6 @@ def test_neighbor_bijection_not_admissible():
     assert not is_admissible(X, psi)
     with pytest.raises(NotAdmissible):
         handle_addition(X, psi)
-
-
-def _admissibility_corpus(s4_30):
-    """Complexes with far pairs, with none (2-neighborly K4, a small
-    stacked sphere), with distance inf (two disjoint 4-spheres) and a
-    hexagon, whose adjacent vertices share no neighbour; a tube with one
-    handle (in K(4), not a sphere) and the cut that deletes it again,
-    whose labels carry the clone marker."""
-    union, _ = disjoint_union(
-        random_stacked_sphere(4, 9, seed=1), random_stacked_sphere(4, 9, seed=2)
-    )
-    tube = tube_sphere(4, 26, seed=1)
-    psi = find_handle_pair(tube)
-    handled = handle_addition(tube, psi)
-    cut, _ = handle_deletion(handled, psi.target_facet)
-    hexagon = SimplicialComplex(
-        tuple(sorted((f"h{i}", f"h{(i + 1) % 6}"))) for i in range(6)
-    )
-    return [
-        hexagon,
-        s4_30,
-        kuhnel_manifold(4),
-        tube_sphere(4, 26, seed=0),
-        tube,
-        tube_sphere(4, 26, seed=2),
-        random_stacked_sphere(4, 12, seed=0),
-        union,
-        handled,
-        cut,
-    ]
 
 
 def _bfs_distances(X):
@@ -169,10 +134,18 @@ def _in_ball(X, u, v):
     return bool(masks.ball_mask(u) & masks.bit[v])
 
 
-def test_radius_two_balls_match_bfs(s4_30):
+def _admissibility_corpus():
+    """The entries up to 12 vertices (a hexagon's adjacent vertices share
+    no neighbour), and larger ones with far pairs, at distance inf and a
+    tube's one-handle complex and its cut, whose labels carry clones."""
+    return select(max_f0=12) + [(name, get(name)) for name in (
+        "s4-30", "tube(4, 26, 0)", "tube(4, 26, 1)", "tube(4, 26, 2)",
+        "stacked(4, 9, 1) + stacked(4, 9, 2)", "tube(4, 26, 1)+1", "tube(4, 26, 1)+1 cut")]
+
+
+def test_radius_two_balls_match_bfs():
     kinds = set()
-    two_points = SimplicialComplex([("p",), ("q",)])
-    for X in _admissibility_corpus(s4_30) + [two_points]:
+    for _, X in _admissibility_corpus():
         for u in X.vertices:
             for v in X.vertices:
                 dist = X.graph_distance(u, v)
@@ -181,8 +154,8 @@ def test_radius_two_balls_match_bfs(s4_30):
     assert kinds == {0, 1, 2, 3}  # itself, adjacent, common neighbour, far
 
 
-def test_is_admissible_matches_bfs(s4_30):
-    for X in _admissibility_corpus(s4_30):
+def test_is_admissible_matches_bfs():
+    for _, X in _admissibility_corpus():
         dist = _bfs_distances(X)
         for f1, f2 in _disjoint_facet_pairs(X):
             for k in (0, 1):
@@ -191,9 +164,9 @@ def test_is_admissible_matches_bfs(s4_30):
                 assert is_admissible(X, psi) == expect
 
 
-def test_find_admissible_bijection_matches_bfs_search(s4_30):
+def test_find_admissible_bijection_matches_bfs_search():
     found = {}
-    for X in _admissibility_corpus(s4_30):
+    for name, X in _admissibility_corpus():
         dist = _bfs_distances(X)
         hits = 0
         for f1, f2 in _disjoint_facet_pairs(X):
@@ -202,9 +175,9 @@ def test_find_admissible_bijection_matches_bfs_search(s4_30):
             if psi is not None:
                 assert is_admissible(X, psi)
                 hits += 1
-        found[len(X.vertices)] = hits
-    assert found[11] == 0 and found[12] == 0  # K4; small stacked sphere
-    assert found[30] > 0 and found[18] > 0  # s4-30; the disjoint union
+        found[name] = hits
+    assert found["K4"] == found["stacked(4, 12, 0)"] == 0
+    assert found["s4-30"] > 0 and found["stacked(4, 9, 1) + stacked(4, 9, 2)"] > 0
 
 
 ADMISSIBLE_BIJECTIONS = "de1c9b48ac84623f3f9cb6933160580c19b3375ee6b8ac28f87e4f3b14d1a454"
@@ -380,14 +353,14 @@ def test_handle_addition_matches_renaming_every_facet(monkeypatch, m4_15, s4_30)
     X = s4_30
     for x in "abc":
         X = surgery.handle_addition(X, _identification(x))
-    for Z in (m4_15, kuhnel_manifold(4), kuhnel_manifold(5)):
+    for Z in (m4_15, get("K4"), get("K5")):
         kalai_decompose(Z)
     for seed in range(8):
         tube = tube_sphere(4, 26, seed=seed)
         psi = find_handle_pair(tube)
         if psi is not None:
             kalai_decompose(surgery.handle_addition(tube, psi))
-    K = kuhnel_manifold(4)
+    K = get("K4")
     connected_sum(K, K, dict(zip(K.facets[0], K.facets[-1])))
     monkeypatch.undo()
     assert len(calls) >= 20
@@ -440,29 +413,23 @@ def test_walkup_members_have_some():
     assert find_induced_standard_spheres(Y)
 
 
-def _tube_with_handle():
-    """The first tube_sphere(4, 26, seed) with an admissible pair, plus
-    that handle: 21 vertices."""
-    seed = 0
-    while (psi := find_handle_pair(X := tube_sphere(4, 26, seed=seed))) is None:
-        seed += 1
-    return handle_addition(X, psi)
-
-
-def test_induced_spheres_match_brute_force(m4_15):
-    # the least-vertex search against every (d+1)-subset of the vertices;
-    # in the cone over a standard 2-sphere every vertex has degree d + 1
-    Y = _tube_with_handle()
+def test_induced_spheres_match_brute_force():
+    # the least-vertex search against every (d+1)-subset of the vertices,
+    # on the entries of dimension >= 3 up to 15 vertices and a tube with
+    # a handle; in the cone over a standard 2-sphere every vertex has
+    # degree d + 1
+    Y = get("tube(4, 26, 1)+1")
     assert len(Y.vertices) == 21
-    cone = SimplicialComplex(f + ("y",) for f in standard_sphere(2).facets)
-    assert find_induced_standard_spheres(cone) == [("v1", "v2", "v3", "v4")]
-    for X in (m4_15, kuhnel_manifold(4), Y, standard_sphere(4), cone):
+    assert find_induced_standard_spheres(get("cone over S2")) == [("v1", "v2", "v3", "v4")]
+    for name, X in select(max_f0=15) + [("tube(4, 26, 1)+1", Y)]:
         d = X.dimension
+        if d < 3:
+            continue
         brute = [
             s for s in combinations(X.vertices, d + 1)
             if induces_standard_sphere(X, s)
         ]
-        assert find_induced_standard_spheres(X) == brute
+        assert find_induced_standard_spheres(X) == brute, name
     assert find_induced_standard_spheres(Y)
 
 
@@ -492,9 +459,7 @@ def test_deletion_requires_induced_sphere(m4_15):
 
 
 def test_deletion_of_sum_disconnects():
-    A = tube_sphere(4, 16, seed=1)
-    B = tube_sphere(4, 16, seed=2)
-    X = connected_sum(A, B, dict(zip(A.facets[0], B.facets[0])))
+    A, B, X = get("tube(4, 16, 1)"), get("tube(4, 16, 2)"), get("tube sum")
     spheres = find_induced_standard_spheres(X)
     # delete at some sum scar: at least one deletion must disconnect
     split_found = False
@@ -573,9 +538,7 @@ def test_kalai_single_handle():
 
 
 def test_kalai_decompose_connected_sum_splits():
-    A = tube_sphere(4, 16, seed=1)
-    B = tube_sphere(4, 16, seed=2)
-    X = connected_sum(A, B, dict(zip(A.facets[0], B.facets[0])))
+    X = get("tube sum")
     # a sum of spheres is itself a stacked sphere: no handles at all
     ledger = kalai_decompose(X)
     assert ledger.handles == ()
@@ -620,18 +583,6 @@ def test_intermediate_states_stay_walkup(m4_15):
     assert cur == kalai_decompose(m4_15).base
 
 
-def _relabelled(X, seed):
-    """X with its own labels permuted by a seeded Fisher-Yates shuffle."""
-    labels = list(X.vertices)
-    image = labels[:]
-    rng = SplitMix64(seed)
-    for i in range(len(image) - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        image[i], image[j] = image[j], image[i]
-    rename = dict(zip(labels, image))
-    return SimplicialComplex(tuple(sorted(rename[v] for v in f)) for f in X.facets)
-
-
 def _assert_decomposes(X, name):
     ledger = kalai_decompose(X)
     assert len(ledger.handles) == homology_profile(X).betti[1], name
@@ -640,18 +591,18 @@ def _assert_decomposes(X, name):
 
 
 @pytest.mark.parametrize("family", ["m4-15", "K4", "K5", "K6"])
-def test_kalai_decompose_relabelled_corpus(family, m4_15):
+def test_kalai_decompose_relabelled_corpus(family):
     # the label order decides which spheres come first; every order of
     # the paper's object and of Kühnel's bundles must decompose
-    X = m4_15 if family == "m4-15" else kuhnel_manifold(int(family[1:]))
+    X = get(family)
     for seed in range(30):
-        _assert_decomposes(_relabelled(X, seed), (family, seed))
+        _assert_decomposes(shuffled_labels(X, seed), (family, seed))
 
 
-def test_kalai_decompose_glued_corpus(m4_15):
+def test_kalai_decompose_glued_corpus():
     # K4 # K4(q) at every target facet has a separating sphere beside
     # its two handles, and so does K4 # m4-15
-    K4 = kuhnel_manifold(4)
+    K4 = get("K4")
     K4q = SimplicialComplex(
         tuple(sorted("q" + v[1:] for v in f)) for f in K4.facets
     )
@@ -659,8 +610,7 @@ def test_kalai_decompose_glued_corpus(m4_15):
     for g in K4q.facets:
         X = connected_sum(K4, K4q, dict(zip(K4.facets[0], g)))
         _assert_decomposes(X, g)
-    X = connected_sum(K4, m4_15, dict(zip(K4.facets[0], m4_15.facets[0])))
-    _assert_decomposes(X, "K4 # m4-15")
+    _assert_decomposes(get("K4 # m4-15"), "K4 # m4-15")
 
 
 MANY_HANDLES_LEDGER = "728efeb5e661b89d255217f53d5e5acc1b4ea6cdefe235f7506e3bf8edcb4f14"
@@ -677,14 +627,11 @@ def test_kalai_decompose_many_handles_pinned(many_handles):
 
 
 @pytest.fixture(scope="module")
-def sphere_cuts(m4_15, many_handles):
+def sphere_cuts():
     """(Y, [(S, handle_deletion(Y, S)) for each induced standard sphere S])
     over a corpus whose spheres both separate and do not."""
-    A = tube_sphere(4, 16, seed=1)
-    B = tube_sphere(4, 16, seed=2)
-    tube_sum = connected_sum(A, B, dict(zip(A.facets[0], B.facets[0])))
-    corpus = [m4_15, *map(kuhnel_manifold, (4, 5, 6)), _tube_with_handle(),
-              tube_sum, many_handles]
+    corpus = [get(name) for name in ("m4-15", "K4", "K5", "K6", "tube(4, 26, 1)+1",
+                                     "tube sum", "many handles")]
     return [
         (Y, [(S, handle_deletion(Y, S)) for S in find_induced_standard_spheres(Y)])
         for Y in corpus
@@ -717,10 +664,8 @@ def test_filling_cycle_faces_match_sphere_twins(
     # the filling's interior d-faces against the direct sphere search, and
     # its least cycle face against the first sphere the dual-graph test
     # calls non-separating, over every round of three decompositions
-    K4 = kuhnel_manifold(4)
-    glued = connected_sum(K4, m4_15, dict(zip(K4.facets[0], m4_15.facets[0])))
     corpus = [Y for Y, _ in sphere_cuts]
-    for X in (m4_15, many_handles, glued):
+    for X in (m4_15, many_handles, get("K4 # m4-15")):
         corpus += _rounds(X)
     assert len(corpus) == 7 + 4 + 19 + 5
     kinds = set()
@@ -738,6 +683,53 @@ def test_filling_cycle_faces_match_sphere_twins(
     assert kinds == {True, False}
     assert surgery._filling(m4_15) == n5_15
     assert surgery._filling(s4_30) == b5_30
+
+
+def test_filling_matches_its_definition():
+    # the link-clique route against the (d+2)-sets all of whose triangles
+    # are faces; the route needs d >= 4: on the 2-neighborly 3-spheres of
+    # K(3) it finds facets where the definition has none
+    checked = 0
+    for name, X in select("kd", max_f0=15):
+        if X.dimension >= 4:
+            assert surgery._filling(X) == filling_by_definition(X), name
+            checked += 1
+    assert checked >= 10
+    for n in (8, 9, 12):
+        X = get(f"∂C(4, {n})")
+        assert filling_by_definition(X).is_empty and not surgery._filling(X).is_empty
+
+
+def test_kalai_decompose_refuses_dimension_three():
+    refused = 0
+    for name, X in select("kd"):
+        if X.dimension == 3:
+            with pytest.raises(DimensionTooLow):
+                kalai_decompose(X)
+            refused += 1
+    assert refused >= 10
+
+
+def test_betti_1_agrees_four_ways():
+    # homology against the closed form in f0 and f1 (d >= 4, and at d = 3
+    # on handle-built entries), the cycle rank of the filling's dual graph
+    # and the ledger's length (d >= 4), on closed connected members of K(d)
+    ways = 0
+    for name, X in select("closed", "kd", without=("disconnected",)):
+        d, (f0, f1), beta1 = X.dimension, X.f_vector()[:2], homology_profile(X).betti[1]
+        if d >= 4 or (d == 3 and "handle-built" in tags_of(name)):
+            q, r = divmod(f1 - (d + 1) * f0, comb(d + 2, 2))
+            assert (r, q + 1) == (0, beta1), name
+            ways += 1
+        if d >= 4:
+            dual = surgery._filling(X).dual_graph()
+            trees = list(spanning_forest(dual.nodes, dual.adjacency()).values()).count(None)
+            assert len(dual.edges) - len(dual.nodes) + trees == beta1, name
+            assert len(kalai_decompose(X).handles) == beta1, name
+    assert ways >= 20
+    # the closed form fails at d = 3 off the handle-built entries
+    X = get("∂C(4, 9)")
+    assert (X.f_vector()[1] - 4 * 9) // 10 + 1 == 1 != homology_profile(X).betti[1]
 
 
 HANDLE_DELETION_CUTS = "a927cb69a559b39624c3f7aebbae426b34e21f9928561fcbd9373c05953f2116"

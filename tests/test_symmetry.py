@@ -10,7 +10,6 @@ from walkup import (
     SimplicialComplex,
     automorphism_group,
     find_admissible_bijection,
-    handle_addition,
     handle_deletion,
     homology_profile,
     in_walkup_class,
@@ -28,7 +27,7 @@ from walkup.symmetry import (
     generating_set,
 )
 
-from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
+from corpus import find_handle_pair, get, reversed_labels, select, tube_with_handle
 
 
 def inverse(p):
@@ -175,7 +174,7 @@ def test_scans_and_cuts_leave_no_cycles(m4_15):
     # the same check on the clique search and the membership test of a
     # fresh complex, the tightness scan's depth-first search (whole,
     # stopped at a first violation, sampled), the matching search and the cut
-    tube = tube_sphere(4, 26, seed=1)
+    tube = get("tube(4, 26, 1)")
     psi = find_handle_pair(tube)
     not_tight = random_stacked_sphere(4, 8, seed=1)
     fresh = SimplicialComplex(tube.facets)
@@ -261,70 +260,39 @@ def _twin_search(X, Y, find_all):
     return list(found if find_all else islice(found, 1))
 
 
-def _relabelled(X, prefix="r"):
-    """X under labels that reverse the label order."""
-    n = len(X.vertices)
-    rename = {v: f"{prefix}{n - i:04d}" for i, v in enumerate(X.vertices)}
-    return SimplicialComplex(tuple(sorted(rename[v] for v in f)) for f in X.facets)
-
-
-def _tube_pairs():
-    """(tube, its one-handle complex, the cut that deletes the handle)."""
-    out = []
-    for seed in range(12):
-        X = tube_sphere(4, 26, seed=seed)
-        psi = find_handle_pair(X)
-        if psi is not None:
-            Y = handle_addition(X, psi)
-            cut, _ = handle_deletion(Y, psi.target_facet)
-            out.append((X, Y, cut))
-    assert len(out) >= 3
-    return out
-
-
-def cross_polytope_boundary(d):
-    """Boundary of the (d+1)-dimensional cross-polytope: one of +i, -i
-    for each axis i.  Antipodes are no edge, so it is not 2-neighborly,
-    and its group is the hyperoctahedral one, of order 2^(d+1) (d+1)!."""
-    axes = [(f"p{i}", f"m{i}") for i in range(d + 1)]
-    facets = [[pair[b >> i & 1] for i, pair in enumerate(axes)] for b in range(2 ** (d + 1))]
-    return SimplicialComplex(tuple(sorted(f)) for f in facets)
-
-
 def test_cross_polytope_group_has_order_384():
-    X = cross_polytope_boundary(3)
+    X = get("cross-polytope 3-sphere")
     assert X.f_vector() == (8, 24, 32, 16)
     group = automorphism_group(X)
     assert len(group) == 2 ** 4 * factorial(4) == 384 and is_group(group)
 
 
-def _search_corpus(m4_15, b5_30, rp2_6, torus_7):
-    """(X, Y) pairs: complexes against themselves, relabelled copies, the
-    tubes against their cuts, and non-isomorphic pairs of equal
-    f-vector."""
-    named = [m4_15, b5_30, rp2_6, torus_7] + [kuhnel_manifold(d) for d in (4, 5, 6, 7)]
-    named += [standard_sphere(3), random_stacked_sphere(4, 40, seed=5)]
-    # symmetric and not 2-neighborly, where the prune on mapped neighbours
-    # leaves the most to the facet check
-    named += [cross_polytope_boundary(3)]
-    tubes = _tube_pairs()
+def _search_corpus():
+    """(X, Y) pairs: connected entries against themselves and relabelled
+    copies, the tubes against their cuts, and non-isomorphic pairs of
+    equal f-vector.  The cross-polytope is symmetric and not 2-neighborly,
+    where the prune on mapped neighbours leaves the most to the facet check."""
+    named = [X for _, X in select(without=("disconnected",), max_f0=6)] + [get(name) for name in (
+        "m4-15", "b5-30", "torus_7", "K4", "K5", "K6", "K7", "stacked(4, 40, 5)",
+        "cross-polytope 3-sphere", "∂C(4, 8)", "∂C(4, 9)", "∂C(4, 12)", "∂C(5, 10)")]
+    tubes = [t for seed in range(12) if (t := tube_with_handle(4, 26, seed))]
+    assert len(tubes) >= 3
     pairs = [(X, X) for X in named]
-    pairs += [(X, _relabelled(X)) for X in named]
+    pairs += [(X, reversed_labels(X)) for X in named]
     for X, Y, cut in tubes:
-        pairs += [(X, X), (Y, Y), (cut, X), (_relabelled(cut), X), (Y, _relabelled(Y))]
+        pairs += [(X, X), (Y, Y), (cut, X), (reversed_labels(cut), X), (Y, reversed_labels(Y))]
     # equal f-vectors, not isomorphic: stacked spheres and tubes of one
     # size, and one-handle complexes of different tubes
-    pairs += [(random_stacked_sphere(4, 14, seed=s), random_stacked_sphere(4, 14, seed=s + 1))
-              for s in (1, 3)]
+    pairs += [(get(f"stacked(4, 14, {s})"), get(f"stacked(4, 14, {s + 1})")) for s in (1, 3)]
     pairs += [(tubes[0][0], tubes[1][0]), (tubes[0][1], tubes[1][1]),
-              (tubes[1][2], tubes[2][0]), (rp2_6, _relabelled(rp2_6)),
-              (kuhnel_manifold(4), _relabelled(kuhnel_manifold(4)))]
+              (tubes[1][2], tubes[2][0]), (get("rp2_6"), reversed_labels(get("rp2_6"))),
+              (get("K4"), reversed_labels(get("K4")))]
     return pairs
 
 
-def test_integer_colours_give_the_twin_joint_partition(m4_15, b5_30, rp2_6, torus_7):
+def test_integer_colours_give_the_twin_joint_partition():
     # u ~ w iff equal colour, over the disjoint union of X and Y
-    for X, Y in _search_corpus(m4_15, b5_30, rp2_6, torus_7):
+    for X, Y in _search_corpus():
         ids: dict = {}
         fast = [(0, v, c) for v, c in _refine_colours(X, _edge_degrees(X), ids).items()]
         fast += [(1, v, c) for v, c in _refine_colours(Y, _edge_degrees(Y), ids).items()]
@@ -334,8 +302,8 @@ def test_integer_colours_give_the_twin_joint_partition(m4_15, b5_30, rp2_6, toru
             assert (c == e) == (slow[s, v] == slow[t, w]), (X, Y, v, w)
 
 
-def test_search_returns_what_the_twin_search_returns(m4_15, b5_30, rp2_6, torus_7):
-    pairs = _search_corpus(m4_15, b5_30, rp2_6, torus_7)
+def test_search_returns_what_the_twin_search_returns():
+    pairs = _search_corpus()
     isomorphic = 0
     for X, Y in pairs:
         first = _twin_search(X, Y, find_all=False)

@@ -14,7 +14,6 @@ from walkup import (
     check_bounds_4manifold,
     dehn_sommerville_4,
     fvector_from_f0_f1,
-    handle_addition,
     in_walkup_class,
     is_two_neighborly,
     random_stacked_sphere,
@@ -31,13 +30,8 @@ from walkup.errors import (
 from walkup.complex import _residue_masks
 from walkup.theory import _check_f0_f1
 
-from conftest import (
-    cyclic_polytope_boundary,
-    find_handle_pair,
-    find_induced_standard_spheres,
-    kuhnel_manifold,
-    tube_sphere,
-)
+from conftest import find_induced_standard_spheres, in_class_by_filling
+from corpus import get, select, suspension, tags_of
 
 
 # ------------------------------------------------------------ stacked formula
@@ -311,9 +305,7 @@ def test_equal_complexes_do_not_share_verdicts(monkeypatch):
 
 
 def test_suspension_of_nonstacked_sphere_not_in_class():
-    C = cyclic_polytope_boundary(4, 7)
-    facets = [f + ("north",) for f in C.facets] + [f + ("south",) for f in C.facets]
-    X = SimplicialComplex(tuple(tuple(sorted(f)) for f in facets))
+    X = suspension(get("∂C(4, 7)"))
     assert X.dimension == 4
     assert X.is_closed_pseudomanifold()
     assert not in_walkup_class(X)
@@ -324,37 +316,21 @@ def test_open_complex_not_in_class():
     assert not in_walkup_class(X)
 
 
-def _membership_corpus(m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6):
-    """Members (stacked and neighborly spheres, handle manifolds,
-    surfaces) and non-members (a ball, a suspension, a sphere less one
-    facet, a sphere with non-stacked links, the 5-pseudomanifold n5-15)."""
-    tube = tube_sphere(4, 26, seed=1)
-    handled = handle_addition(tube, find_handle_pair(tube))
-    C = cyclic_polytope_boundary(4, 7)
-    suspension = SimplicialComplex(
-        tuple(sorted(f + (pole,))) for f in C.facets for pole in ("north", "south")
-    )
-    return [
-        m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6,
-        kuhnel_manifold(4), kuhnel_manifold(5), kuhnel_manifold(6),
-        standard_sphere(3), standard_sphere(4),
-        random_stacked_sphere(3, 20, seed=1), random_stacked_sphere(5, 16, seed=2),
-        tube, handled, suspension, C, cyclic_polytope_boundary(5, 9),
-        SimplicialComplex(random_stacked_sphere(4, 12, seed=2).facets[1:]),
-    ]
-
-
 def _fresh_links(monkeypatch):
     """Serve vertex_link from link(), whose complexes carry no residue
     masks: every clique search then reads its masks off adjacency()."""
     monkeypatch.setattr(SimplicialComplex, "vertex_link", lambda self, v: self.link((v,)))
 
 
-def test_link_masks_from_residues_match_adjacency(
-        monkeypatch, m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6):
-    corpus = _membership_corpus(m4_15, s4_30, b5_30, n5_15, torus_7, rp2_6)
+def test_link_masks_from_residues_match_adjacency(monkeypatch):
+    # members (stacked and neighborly spheres, handle manifolds, surfaces)
+    # and non-members (balls, suspensions, spheres less a facet, spheres
+    # with non-stacked links, the 5-pseudomanifold n5-15), fast and slow
+    corpus = select(max_f0=15) + [(name, get(name)) for name in (
+        "s4-30", "b5-30", "stacked(3, 20, 1)", "stacked(5, 16, 2)", "tube(4, 26, 1)",
+        "tube(4, 26, 1)+1")]
     fast = []
-    for X in corpus:
+    for _, X in corpus:
         X = SimplicialComplex(X.facets)
         verdict = in_walkup_class(X)
         spheres = find_induced_standard_spheres(X) if X.dimension >= 3 else None
@@ -370,14 +346,24 @@ def test_link_masks_from_residues_match_adjacency(
         fast.append((verdict, spheres))
     _fresh_links(monkeypatch)
     slow = []
-    for X in corpus:
+    for _, X in corpus:
         X = SimplicialComplex(X.facets)
         slow.append((in_walkup_class(X),
                      find_induced_standard_spheres(X) if X.dimension >= 3 else None))
     assert fast == slow
-    verdicts = [v for v, _ in fast]
-    assert verdicts.count(True) == 14 and verdicts.count(False) == 5
+    assert [v for v, _ in fast] == ["kd" in tags_of(name) for name, _ in corpus]
     assert sum(bool(s) for _, s in fast) >= 5
+
+
+def test_membership_agrees_with_the_filling_test():
+    # at d >= 4, X is in K(d) iff its filling has boundary X and stacked
+    # balls for vertex links (Bagchi and Datta, Europ. J. Combin. 36, 2014)
+    verdicts = []
+    for name, X in select("closed", max_f0=15):
+        if X.dimension >= 4:
+            verdicts.append(in_walkup_class(X))
+            assert in_class_by_filling(X) == verdicts[-1], name
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 3
 
 
 # -------------------------------------------------------------------- bounds

@@ -15,13 +15,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from conftest import find_handle_pair, kuhnel_manifold, tube_sphere
+from corpus import get, select, tags_of
 
 from walkup import (
     SimplicialComplex,
     disjoint_union,
     from_facets,
-    handle_addition,
     homology_map_injective,
     in_walkup_class,
     is_tight_z2,
@@ -76,20 +75,6 @@ def test_unknown_vertex_rejected(m4_15):
         homology_map_injective(m4_15, ("zz",), 0)
 
 
-def _grid_torus():
-    """The 9-vertex 3x3 grid torus: Betti numbers (1, 2, 1)."""
-    def v(i, j):
-        return f"g{i % 3}{j % 3}"
-
-    return from_facets(
-        facet
-        for i in range(3)
-        for j in range(3)
-        for facet in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
-                      [v(i, j), v(i, j + 1), v(i + 1, j + 1)])
-    )
-
-
 def _direct_violations(X, subsets):
     return [
         (sub, k)
@@ -105,11 +90,11 @@ def test_scan_agrees_with_direct_check_exhaustively():
     # the grid torus and the union have middle homology, so cycles of Y
     # that survive in X reach the scan's test (violation count, degrees)
     complexes = [
-        (standard_sphere(2), None),
-        (random_stacked_sphere(2, 7, seed=0), None),
-        (random_stacked_sphere(3, 7, seed=5), None),
-        (random_stacked_sphere(4, 8, seed=1), None),
-        (_grid_torus(), (24, {0, 1})),
+        (get("S2"), None),
+        (get("stacked(2, 7, 0)"), None),
+        (get("stacked(3, 7, 5)"), None),
+        (get("stacked(4, 8, 1)"), None),
+        (get("grid torus"), (24, {0, 1})),
         (disjoint_union(standard_sphere(2), random_stacked_sphere(2, 6, 3))[0],
          (160, {0, 1})),
     ]
@@ -124,22 +109,10 @@ def test_scan_agrees_with_direct_check_exhaustively():
             assert (len(viols), {k for _, k in viols}) == expected
 
 
-def _tube_with_one_handle() -> SimplicialComplex:
-    """A stacked 4-sphere grown along a path, with its first admissible
-    handle added: 21 vertices, Betti numbers (1, 1, 0, 1, 1)."""
-    seed = 0
-    while True:
-        X = tube_sphere(4, 26, seed=seed)
-        psi = find_handle_pair(X)
-        if psi is not None:
-            return handle_addition(X, psi)
-        seed += 1
-
-
 def test_sampled_scan_agrees_with_direct_check_with_middle_homology():
     # a stacked 4-sphere with one handle: Betti numbers (1, 1, 0, 1, 1),
     # so degrees 1 and 3 of the scan's test meet surviving cycles
-    Y = _tube_with_one_handle()
+    Y = get("tube(4, 26, 1)+1")
     assert betti_numbers(Y) == (1, 1, 0, 1, 1)
     n = len(Y.vertices)
     engine = TightnessEngine(Y)
@@ -231,24 +204,39 @@ def test_engine_counts_match_report(m4_15):
 
 # ------------------------------------------------ duality-capped exhaustive scan
 
-NON_TIGHT_STACKED = [(2, 7, 0), (2, 8, 3), (3, 8, 1), (3, 9, 5), (4, 10, 2),
-                     (4, 11, 4), (4, 12, 1)]
+def _scans(max_f0, *larger):
+    """The entries of 2 to max_f0 vertices, each with a non-empty proper
+    subset to scan or draw, then the larger entries named."""
+    small = [(name, X) for name, X in select(max_f0=max_f0) if len(X.vertices) >= 2]
+    return small + [(name, get(name)) for name in larger]
 
 
-def _dual_twin_corpus(m4_15, rp2_6, torus_7):
-    # tight, n even and odd; the triangle's pooled pair tasks lie above the cap
-    yield from (m4_15, rp2_6, torus_7, standard_sphere(1), standard_sphere(4))
-    yield from (kuhnel_manifold(d) for d in (3, 4, 5))
-    yield from (random_stacked_sphere(*args) for args in NON_TIGHT_STACKED)
+# A scan's cost doubles with each vertex, so the scan twins read the
+# entries of up to 7 vertices, and by name the larger ones they were
+# written against: non-tight stacked spheres, what the duality gate
+# refuses, the walk twin's inputs and the 2-neighborly cyclic spheres.
+NON_TIGHT_STACKED = tuple(f"stacked{a}" for a in (
+    (2, 8, 3), (3, 8, 1), (3, 9, 5), (4, 10, 2), (4, 11, 4), (4, 12, 1)))
+FALLBACK = ("stacked(3, 8, 1) less a facet", "two 2-spheres", "suspension of rp2_6")
+WALK = ("S2 + stacked(2, 5, 2)", "stacked(3, 8, 1) less a facet", "stacked(3, 8, 1)",
+        "stacked(4, 10, 3) less two facets", "two 3-spheres", "stacked(4, 10, 2)")
 
 
-def test_dual_scan_matches_full_scan(m4_15, rp2_6, torus_7):
-    seen_even = seen_odd = False
-    for X in _dual_twin_corpus(m4_15, rp2_6, torus_7):
+def _scan_corpus():
+    return _scans(7, *NON_TIGHT_STACKED, *FALLBACK, "K3", "K4", "K5", "m4-15",
+                  "∂C(4, 8)", "∂C(4, 9)", "∂C(4, 12)", "∂C(5, 10)")
+
+
+def test_dual_scan_matches_full_scan():
+    seen_even = seen_odd = 0
+    for name, X in _scan_corpus():
+        if not duality_applies(X):
+            # members of K(d) pass the gate (see the shortcut test below)
+            assert "kd" not in tags_of(name) or "disconnected" in tags_of(name), name
+            continue
         n = len(X.vertices)
-        seen_even |= n % 2 == 0
-        seen_odd |= n % 2 == 1
-        assert duality_applies(X)
+        seen_even += n % 2 == 0
+        seen_odd += n % 2 == 1
         _, full_checked, full_violations = TightnessEngine(X).search(
             stop_on_first=False
         )
@@ -258,8 +246,8 @@ def test_dual_scan_matches_full_scan(m4_15, rp2_6, torus_7):
             assert rep.checked == full_checked
             assert rep.evaluated == sum(comb(n, s) for s in range(1, n // 2 + 1))
             # each violation is found once: evaluated or mirrored, never both
-            assert sorted(rep.violations) == sorted(full_violations)
-    assert seen_even and seen_odd
+            assert sorted(rep.violations) == sorted(full_violations), name
+    assert seen_even >= 10 and seen_odd >= 10
 
 
 def test_dual_scan_mirrors_violations_exactly():
@@ -275,9 +263,9 @@ def test_dual_scan_mirrors_violations_exactly():
         assert not homology_map_injective(X, s, k)
 
 
-def test_pooled_report_equals_serial_report(torus_7):
+def test_pooled_report_equals_serial_report():
     # early stop included: same first violation, same count
-    for X in [torus_7] + [random_stacked_sphere(*a) for a in NON_TIGHT_STACKED]:
+    for _, X in _scans(7, *NON_TIGHT_STACKED):
         for stop in (True, False):
             serial = is_tight_z2(X, jobs=1, stop_on_first=stop)
             assert is_tight_z2(X, jobs=2, stop_on_first=stop) == serial
@@ -312,28 +300,25 @@ def test_stop_on_first_reports_every_bad_degree_of_the_first_violation():
         assert engine.search_draws([mask, 1], stop_on_first=True, dual=dual) == both
 
 
-def _fallback_corpus(rp2_6):
-    sphere = random_stacked_sphere(3, 8, seed=1)
-    with_boundary = SimplicialComplex(sphere.facets[1:])
-    disconnected, _ = disjoint_union(standard_sphere(2), standard_sphere(2))
-    # suspension of the 6-vertex projective plane: the apex links are RP^2
-    singular_link = SimplicialComplex(
-        tuple(sorted(f + (apex,))) for f in rp2_6.facets for apex in ("n", "s")
-    )
-    return [with_boundary, disconnected, singular_link]
-
-
-def test_gate_falls_back_to_full_scan(rp2_6):
-    for X in _fallback_corpus(rp2_6):
-        assert not duality_applies(X)
+def test_gate_falls_back_to_full_scan():
+    corpus, fallen = _scan_corpus(), set()
+    for name, X in corpus:
+        if duality_applies(X):
+            continue
+        fallen.add(name)
         n = len(X.vertices)
         _, full_checked, full_violations = TightnessEngine(X).search(
             stop_on_first=False
         )
         for jobs in (1, 2):
             rep = is_tight_z2(X, jobs=jobs, stop_on_first=False)
-            assert rep.evaluated == rep.checked == full_checked == 2 ** n - 2
-            assert list(rep.violations) == full_violations
+            assert rep.evaluated == rep.checked == full_checked == 2 ** n - 2, name
+            assert list(rep.violations) == full_violations, name
+    # inputs with boundary, disconnected or singular ones
+    assert {
+        name for name, _ in corpus if tags_of(name) & {"boundary", "disconnected"}
+    } <= fallen
+    assert {"suspension of rp2_6", "wedge of two 2-spheres"} <= fallen
 
 
 def test_pooled_early_stop_exits_cleanly():
@@ -373,16 +358,14 @@ def test_pooled_early_stop_exits_cleanly():
 
 # ------------------------------------------------------ the K(d) gate shortcut
 
-def test_walkup_shortcut_agrees_with_face_link_gate(m4_15, rp2_6):
-    members = [m4_15, rp2_6] + [kuhnel_manifold(d) for d in (4, 5, 6, 7)]
-    members += [random_stacked_sphere(*a) for a in ((2, 7, 0), (3, 9, 5), (4, 12, 1))]
-    for X in members:
-        assert in_walkup_class(X)
-        assert duality_applies(X)
-        assert _face_links_are_spheres(X)
+def test_walkup_shortcut_agrees_with_face_link_gate():
+    for name, X in select("kd", without=("disconnected",), max_f0=17):
+        assert in_walkup_class(X), name
+        assert duality_applies(X), name
+        assert _face_links_are_spheres(X), name
 
 
-def test_non_members_reach_face_link_gate(monkeypatch, rp2_6):
+def test_non_members_reach_face_link_gate(monkeypatch):
     calls = []
 
     def spy(X):
@@ -390,12 +373,10 @@ def test_non_members_reach_face_link_gate(monkeypatch, rp2_6):
         return _face_links_are_spheres(X)
 
     monkeypatch.setattr(tightness, "_face_links_are_spheres", spy)
-    suspension = _fallback_corpus(rp2_6)[2]
+    suspension = get("suspension of rp2_6")
     # the octahedral 3-sphere: a PL sphere whose vertex links (octahedra)
     # are not stacked, so the shortcut does not apply but the gate passes
-    cross = from_facets(
-        [f"{'+' if (m >> i) & 1 else '-'}{i}" for i in range(4)] for m in range(16)
-    )
+    cross = get("cross-polytope 3-sphere")
     for X, verdict in ((suspension, False), (cross, True)):
         calls.clear()
         assert not in_walkup_class(X)
@@ -405,7 +386,7 @@ def test_non_members_reach_face_link_gate(monkeypatch, rp2_6):
     # every component is a member
     two_spheres, _ = disjoint_union(standard_sphere(3), random_stacked_sphere(3, 7, 2))
     assert in_walkup_class(two_spheres)
-    for X in _fallback_corpus(rp2_6)[:2] + [two_spheres]:
+    for X in (get("stacked(3, 8, 1) less a facet"), get("two 2-spheres"), two_spheres):
         calls.clear()
         assert not duality_applies(X)
         assert calls == []
@@ -413,22 +394,12 @@ def test_non_members_reach_face_link_gate(monkeypatch, rp2_6):
 
 # ------------------------------------------------- lower-star walk twin tests
 
-def _walk_twin_corpus():
-    sphere3 = random_stacked_sphere(3, 8, seed=1)
-    sphere4 = random_stacked_sphere(4, 10, seed=3)
-    yield SimplicialComplex(sphere3.facets[1:])
-    yield SimplicialComplex(sphere4.facets[2:])
-    yield disjoint_union(standard_sphere(2), random_stacked_sphere(2, 5, 2))[0]
-    yield disjoint_union(standard_sphere(3), standard_sphere(3))[0]
-    yield from (random_stacked_sphere(*a) for a in ((2, 7, 0), (3, 8, 1), (4, 10, 2)))
-
-
 def test_full_scan_matches_check_subset_on_every_mask():
     # the scan's incremental walk against a from-scratch walk per subset
     # (a search of that root alone), in the scan's order (subsets as
     # ascending index tuples, sorted)
     found = 0
-    for X in _walk_twin_corpus():
+    for _, X in _scans(7, *WALK):
         engine = TightnessEngine(X)
         n = len(X.vertices)
         evaluated, covered, violations = engine.search(stop_on_first=False)
@@ -466,9 +437,10 @@ def _per_draw_report(engine, draws, stop_on_first):
 
 
 def _draw_twin_corpus():
-    yield from _walk_twin_corpus()
-    yield from (random_stacked_sphere(*a) for a in NON_TIGHT_STACKED)
-    yield _tube_with_one_handle()
+    """The walk twin's inputs, the larger non-tight stacked spheres, and a
+    tube with a handle, whose middle homology reaches the scan's test."""
+    names = dict.fromkeys((*WALK, *NON_TIGHT_STACKED, "tube(4, 26, 1)+1"))
+    return [X for _, X in _scans(7, *names)]
 
 
 def test_trie_scan_matches_one_search_per_draw():
@@ -495,7 +467,7 @@ def test_sampled_scan_matches_one_search_per_draw():
     # through is_tight_z2, whose stop-on-first scan walks SAMPLE_HEAD draws
     # before drawing the rest: first violations on both sides of it
     early = late = 0
-    for X in (random_stacked_sphere(4, 11, 4), _tube_with_one_handle()):
+    for X in (get("stacked(4, 11, 4)"), get("tube(4, 26, 1)+1")):
         engine = TightnessEngine(X)
         n = engine.n
         for seed in range(20):
@@ -511,15 +483,16 @@ def test_sampled_scan_matches_one_search_per_draw():
     assert early and late
 
 
-def test_dual_draws_match_one_search_per_draw(m4_15, rp2_6, torus_7):
+def test_dual_draws_match_one_search_per_draw():
     # a draw above n/2 evaluated as its complement reports what the draw
     # itself would, on tight and non-tight inputs, n even and odd
     flipped = even = multi = 0
     # (0, 1, 3, 6) is bad in degrees 0 and 1, so its complement in
     # degrees 1 and 0, which the report must list in ascending order
-    two_bad = random_stacked_sphere(2, 9, 2)
-    for X in [*_dual_twin_corpus(m4_15, rp2_6, torus_7), two_bad]:
-        assert duality_applies(X)
+    two_bad = get("stacked(2, 9, 2)")
+    for _, X in _scan_corpus() + [("stacked(2, 9, 2)", two_bad)]:
+        if not duality_applies(X):
+            continue
         engine = TightnessEngine(X)
         n = engine.n
         draws = _draws(SplitMix64(n + 1), n, 200)
@@ -565,15 +538,13 @@ def test_walker_stream_matches_fresh_walks():
     assert found
 
 
-def test_sampled_bad_degrees_match_direct_check(m4_15, rp2_6, torus_7):
+def test_sampled_bad_degrees_match_direct_check():
     # an independent reference for the sampled path, now that search and
     # search_draws share the walker: every draw's bad degrees, as reported
     # in draw order, are the degrees homology_map_injective refutes
-    corpus = [(X, True) for X in _dual_twin_corpus(m4_15, rp2_6, torus_7)]
-    corpus += [(X, False) for X in _fallback_corpus(rp2_6)]
     found = halves = 0
-    for X, applies in corpus:
-        assert duality_applies(X) is applies
+    for _, X in _scan_corpus():
+        applies = duality_applies(X)
         engine = TightnessEngine(X)
         n, d = engine.n, X.dimension
         draws = _draws(SplitMix64(n + 7), n, 40)
@@ -612,13 +583,12 @@ def test_engine_pickles():
 
 # ------------------------------------------------------------------ the pool
 
-def test_pool_scan_matches_serial_search(rp2_6, torus_7):
+def test_pool_scan_matches_serial_search():
     # small inputs go serial through is_tight_z2, so drive the pool here;
     # the in-process run of the same tasks must agree too
-    corpus = [rp2_6, torus_7, kuhnel_manifold(3), standard_sphere(1)]
-    corpus += [random_stacked_sphere(*a) for a in NON_TIGHT_STACKED[:4]]
-    corpus += _fallback_corpus(rp2_6)
-    for X in corpus:
+    # each run starts a pool, so the small entries here stop at 5 vertices
+    names = ("rp2_6", "torus_7", "stacked(2, 7, 0)", *NON_TIGHT_STACKED[:3], "K3", *FALLBACK)
+    for _, X in _scans(5, *names):
         engine = TightnessEngine(X)
         dual = duality_applies(X)
         for stop in (True, False):
@@ -721,16 +691,6 @@ def test_pool_early_stop_exits_cleanly_direct():
 
 # ---------------------------------------------------------------- report pin
 
-def _report_pin_corpus(m4_15, rp2_6, torus_7):
-    yield "m4-15", m4_15
-    yield from ((f"K{d}", kuhnel_manifold(d)) for d in (4, 5, 6))
-    yield "rp2_6", rp2_6
-    yield "torus_7", torus_7
-    # two non-tight stacked 4-spheres
-    yield from ((f"ns12-{s}", random_stacked_sphere(4, 12, s)) for s in (1, 2))
-    yield "tube+1", _tube_with_one_handle()
-
-
 PIN_CLI_ARGS = [["--jobs", "1"], ["--jobs", "2"]] + [
     ["--sample", str(count), "--seed", str(seed)]
     for count in (50, 3000)
@@ -756,9 +716,12 @@ TIGHTNESS_REPORTS = {
 }
 
 
-def test_tightness_reports_pinned(tmp_path, capsys, m4_15, rp2_6, torus_7):
+def test_tightness_reports_pinned(tmp_path, capsys):
     got = {}
-    for name, X in _report_pin_corpus(m4_15, rp2_6, torus_7):
+    # tight inputs, two non-tight stacked 4-spheres and a tube with a handle
+    entries = ("m4-15", "K4", "K5", "K6", "rp2_6", "torus_7", "stacked(4, 12, 1)",
+               "stacked(4, 12, 2)", "tube(4, 26, 1)+1")
+    for name, X in zip(TIGHTNESS_REPORTS, map(get, entries)):
         path = tmp_path / f"{name}.txt"
         path.write_text(serialize(X))
         doc = []
