@@ -2,13 +2,13 @@
 builders they are made by.  Each builder runs once per session.  Twin
 tests pick entries by tag with select(), pinned tests by name with get().
 
-The tags, checked against the library in test_corpus.py: closed,
-boundary (dimension >= 1, every ridge in one or two facets, some in
-one), disconnected (so is the empty complex), kd (in_walkup_class),
-handle-built (made from a stacked sphere by handle additions), stacked
-(by both recognizers), neighborly (2-neighborly), tight and not-tight
-(the exhaustive scan's verdict, on exactly the entries of at most 20
-vertices) and orientable.
+The tags: closed, boundary (dimension >= 1, every ridge in one or two
+facets, some in one), disconnected (so is the empty complex), kd
+(in_walkup_class), stacked (by both recognizers), neighborly
+(2-neighborly), tight and not-tight (the exhaustive scan's verdict, on
+exactly the entries of at most 20 vertices) and orientable, each checked
+against the library in test_corpus.py; and handle-built, how the entry
+was made: from a stacked sphere by handle additions.
 """
 
 from __future__ import annotations
