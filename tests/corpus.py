@@ -6,7 +6,7 @@ The tags: closed, boundary (dimension >= 1, every ridge in one or two
 facets, some in one), disconnected (so is the empty complex), kd
 (in_walkup_class), stacked (by both recognizers), neighborly
 (2-neighborly), tight and not-tight (the exhaustive scan's verdict, on
-exactly the entries of at most 20 vertices) and orientable, each checked
+exactly the entries of at most 15 vertices) and orientable, each checked
 against the library in test_corpus.py; and handle-built, how the entry
 was made: from a stacked sphere by handle additions.
 """
@@ -219,9 +219,9 @@ _add("two 3-spheres", lambda: prefixed_union(get("S3"), get("S3")), "tight " + U
 _add("S2 + stacked(2, 5, 2)", lambda: disjoint_union(
     get("S2"), random_stacked_sphere(2, 5, 2))[0], "not-tight " + UNION)
 _add("S3 + stacked(3, 14, 2)", lambda: prefixed_union(
-    get("S3"), random_stacked_sphere(3, 14, 2)), "not-tight " + UNION)
+    get("S3"), random_stacked_sphere(3, 14, 2)), UNION)
 _add("stacked(4, 9, 1) + stacked(4, 9, 2)", lambda: disjoint_union(
-    random_stacked_sphere(4, 9, 1), random_stacked_sphere(4, 9, 2))[0], "not-tight " + UNION)
+    random_stacked_sphere(4, 9, 1), random_stacked_sphere(4, 9, 2))[0], UNION)
 _add("suspension of rp2_6", lambda: suspension(get("rp2_6"), ("n", "s")), "closed not-tight")
 
 # standard spheres, surfaces, the paper's complexes and Kühnel's bundles
@@ -236,7 +236,7 @@ _add("b5-30", build_b5_30, "boundary")
 _add("n5-15", build_n5_15, "boundary neighborly tight")
 for _d in range(3, 8):
     _add(f"K{_d}", partial(kuhnel_manifold, _d),
-         "closed kd neighborly tight" + " orientable" * (_d % 2 == 0))
+         "closed kd neighborly" + " tight" * (_d < 7) + " orientable" * (_d % 2 == 0))
 
 # 2-neighborly spheres that are not stacked, in K(3) and in no K(d), and
 # spheres with non-stacked vertex links
@@ -260,7 +260,7 @@ for _d, _n, _seed in (
     (5, 8, 8), (5, 14, 5), (5, 15, 5), (5, 16, 2), (5, 22, 22), (5, 60, 5), (6, 60, 6),
 ):
     _add(f"stacked({_d}, {_n}, {_seed})", partial(random_stacked_sphere, _d, _n, _seed),
-         SPHERE + " not-tight" * (_n <= 20))
+         SPHERE + " not-tight" * (_n <= 15))
 _add("stacked 3-ball", lambda: SimplicialComplex(
     random_stacked_sphere(2, 12, 4).clique_complex()), "boundary not-tight")
 _add("stacked(3, 8, 1) less a facet", lambda: SimplicialComplex(
@@ -272,14 +272,14 @@ _add("stacked(4, 12, 2) less a facet", lambda: SimplicialComplex(
 _add("stacked(4, 7, 7) # ∂C(5, 9)", lambda: sum_at_least_facets(
     get("stacked(4, 7, 7)"), get("∂C(5, 9)")), "closed not-tight orientable")
 _add("stacked(4, 12, 12) # ∂C(5, 9)", lambda: sum_at_least_facets(
-    random_stacked_sphere(4, 12, 12), get("∂C(5, 9)")), "closed not-tight orientable")
+    random_stacked_sphere(4, 12, 12), get("∂C(5, 9)")), "closed orientable")
 _add("stacked(3, 9, 2) # ∂C(4, 7)", lambda: sum_at_least_facets(
     random_stacked_sphere(3, 9, 2), get("∂C(4, 7)")), "closed kd not-tight orientable")
 
 # tubes, with and without handles
 for _n, _seed in ((16, 1), (16, 2), (26, 0), (26, 1), (26, 2)):
     _add(f"tube(4, {_n}, {_seed})", partial(tube_sphere, 4, _n, _seed),
-         SPHERE + " not-tight" * (_n <= 20))
+         SPHERE + " not-tight" * (_n <= 15))
 _add("tube sum", lambda: _glue("tube(4, 16, 1)", "tube(4, 16, 2)"), SPHERE)
 for _d, _n, _seed, _more in ((4, 26, 1, ""), (4, 26, 2, ""), (3, 30, 0, "orientable"),
                              (3, 30, 1, ""), (3, 30, 2, "orientable"), (3, 30, 3, "")):

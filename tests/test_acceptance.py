@@ -216,7 +216,7 @@ def sphere_corpus():
 
 def test_criterion_11a_random_sphere_suite(sphere_corpus):
     t0 = time.perf_counter()
-    assert len(sphere_corpus) > 200
+    assert len(sphere_corpus) == 266  # 200 drawn, 66 stacked entries of the corpus
     for d, n, X in sphere_corpus:
         assert X.f_vector() == stacked_sphere_fvector(d, n)
         assert is_stacked_sphere(X)

@@ -34,10 +34,10 @@ def test_every_tag_is_what_the_library_says():
             "tight", "not-tight", "handle-built"}, name
         # the recognizers agree, except on the 0-sphere
         assert d < 1 or len(set(recognizers)) == 1, name
-        if len(X.vertices) > 20:
+        if len(X.vertices) > 15:
             assert tags.isdisjoint({"tight", "not-tight"}), name
             continue
-        rep = is_tight_z2(X, jobs=4)  # the serial report, sooner on K7
+        rep = is_tight_z2(X, jobs=4)  # the serial report, sooner on n5-15
         assert ("tight" in tags, "not-tight" in tags) == (
             rep.verdict == "tight", rep.verdict == "not-tight"), name
         for sub, k in rep.violations:

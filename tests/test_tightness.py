@@ -149,18 +149,22 @@ def test_tight_complexes_are_two_neighborly(m4_15):
     assert is_two_neighborly(m4_15)
     for u, v in [("a1", "b4"), ("c2", "c3")]:
         assert homology_map_injective(m4_15, (u, v), 0)
+    for name, X in select("tight", without=("disconnected",)):
+        assert is_two_neighborly(X), name
 
 
 def test_sampled_mode_consistent_with_exhaustive():
-    X = random_stacked_sphere(4, 8, seed=1)
-    exhaustive = is_tight_z2(X, stop_on_first=False)
-    bad = {(s, k) for s, k in exhaustive.violations}
-    sampled = is_tight_z2(X, mode="sampled", sample_count=200, seed=11,
-                          stop_on_first=False)
-    assert sampled.checked == 200
-    for s, k in sampled.violations:
-        assert (s, k) in bad
-    assert sampled.verdict == "not-tight"
+    verdicts = {}
+    for name, X in select("not-tight", max_f0=8):
+        exhaustive = is_tight_z2(X, stop_on_first=False)
+        bad = {(s, k) for s, k in exhaustive.violations}
+        sampled = is_tight_z2(X, mode="sampled", sample_count=200, seed=11,
+                              stop_on_first=False)
+        assert sampled.checked == 200
+        for s, k in sampled.violations:
+            assert (s, k) in bad, name
+        verdicts[name] = sampled.verdict
+    assert verdicts["stacked(4, 8, 1)"] == "not-tight"
 
 
 def test_sampled_mode_on_tight_complex():
@@ -168,6 +172,10 @@ def test_sampled_mode_on_tight_complex():
     rep = is_tight_z2(X, mode="sampled", sample_count=50, seed=4)
     assert rep.verdict == "tight-on-sample"
     assert rep.seed == 4 and rep.sample_count == 50
+    for name, X in select("tight"):
+        if len(X.vertices) >= 2:
+            rep = is_tight_z2(X, mode="sampled", sample_count=50, seed=4)
+            assert rep.verdict == "tight-on-sample", name
 
 
 def test_parallel_scan_matches_sequential():
