@@ -20,11 +20,10 @@ _LAYERS = {
         "build_b5_30", "build_m4_15", "build_n5_15", "build_s4_30",
         "random_stacked_sphere", "standard_sphere",
     ),
-    "homology": ("HomologyProfile", "homology_profile", "is_orientable"),
+    "homology": ("HomologyProfile", "homology_profile"),
     "stacked": (
         "ReductionStep", "is_stacked_ball", "is_stacked_sphere",
-        "is_stacked_sphere_by_reduction", "reduce_once", "reduce_to_core",
-        "replay_reductions",
+        "is_stacked_sphere_by_reduction", "reduce_to_core",
     ),
     "surgery": (
         "HandleLedger", "VertexBijection", "bijection_from_map",

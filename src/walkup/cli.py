@@ -71,14 +71,10 @@ def cmd_check_walkup(X: SimplicialComplex, args) -> tuple[int, dict]:
 
 
 def cmd_check_stacked(X: SimplicialComplex, args) -> tuple[int, dict]:
-    from .stacked import (
-        is_stacked_ball,
-        is_stacked_sphere,
-        is_stacked_sphere_by_reduction,
-    )
+    from .stacked import is_stacked_ball, is_stacked_sphere
 
     if X.is_closed_pseudomanifold():
-        ok = is_stacked_sphere(X) and is_stacked_sphere_by_reduction(X)
+        ok = is_stacked_sphere(X)
         kind = "sphere"
     elif X.dual_graph().is_weak_pseudomanifold:
         ok = is_stacked_ball(X)

@@ -23,7 +23,6 @@ from .errors import (
     DuplicateVertexInFacet,
     EmptyBoundary,
     EmptyInput,
-    FaceNotPresent,
     InvalidLabel,
     MixedDimensions,
     NotPseudomanifoldWithBoundary,
@@ -274,23 +273,10 @@ class SimplicialComplex:
 
     # -- links ---------------------------------------------------------------
 
-    def link(self, face: Sequence[str]) -> "SimplicialComplex":
-        """Link of a face: residues of the facets containing it."""
-        f = tuple(sorted(face))
-        if f and not self.has_face(f):
-            raise FaceNotPresent(f"{f} is not a face")
-        fset = set(f)
-        residues = [
-            tuple(v for v in facet if v not in fset)
-            for facet in self.facets
-            if fset.issubset(facet)
-        ]
-        residues = [r for r in residues if r]
-        return SimplicialComplex(set(residues))
-
     def vertex_link(self, v: str) -> "SimplicialComplex":
-        """link((v,)), served from one memoized pass that builds every
-        vertex link: each facet hands each of its vertices the residue."""
+        """The link of v: the residues of the facets through v, served
+        from one memoized pass that builds every vertex link: each facet
+        hands each of its vertices the residue."""
         links = self._memo("vertex_links", self._vertex_links)
         if v not in links:
             raise UnknownVertex(f"unknown vertex {v!r}")

@@ -33,10 +33,6 @@ class DuplicateFacet(WalkupError):
     """The same facet appears twice."""
 
 
-class FaceNotPresent(WalkupError):
-    """Requested face is not a face of the complex."""
-
-
 class UnknownVertex(WalkupError):
     """A vertex label outside the complex's vertex set."""
 
@@ -63,16 +59,6 @@ class ParseError(WalkupError):
 
 class NotClosedPseudomanifold(WalkupError):
     """Operation needs a closed weak pseudomanifold."""
-
-
-# ------------------------------------------------------------------- stacked
-
-class DegreeTooHigh(WalkupError):
-    """Vertex degree is not d+1, so it cannot be unstacked."""
-
-
-class TooFewVertices(WalkupError):
-    """Complex already has only d+2 vertices."""
 
 
 # -------------------------------------------------------------------- theory

@@ -29,7 +29,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .complex import Face, SimplicialComplex, spanning_forest
-from .errors import NotClosedPseudomanifold
 
 
 class PivotSpace:
@@ -251,11 +250,3 @@ def homology_profile(X: SimplicialComplex) -> HomologyProfile:
         orientable=None if forest is None else forest.orientable,
         connected=betti[0] == 1,
     )
-
-
-def is_orientable(X: SimplicialComplex) -> bool:
-    """Decide whether the facets admit a coherent orientation, by sign
-    propagation along a spanning forest of the dual graph."""
-    if X.is_empty or not X.is_closed_pseudomanifold():
-        raise NotClosedPseudomanifold("orientability needs a closed weak pseudomanifold")
-    return _dual_forest(X).orientable

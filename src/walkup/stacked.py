@@ -4,7 +4,8 @@ Two independent recognizers are provided for spheres of dimension >= 2:
 the clique-complex route (the clique complex of a stacked sphere is a
 stacked ball whose boundary is the sphere) and the vertex-reduction
 route (repeatedly unstack minimum-degree vertices and inspect the
-residue).  They must agree; tests cross-check them.
+residue).  They must agree; tests cross-check them.  `walkup check
+stacked` decides with the clique route alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 from typing import NamedTuple
 
 from .complex import Face, SimplicialComplex, is_standard_sphere
-from .errors import DegreeTooHigh, TooFewVertices, UnknownVertex
+from .errors import NotClosedPseudomanifold
 
 
 class ReductionStep(NamedTuple):
@@ -70,38 +71,25 @@ def _stacked_sphere(X: SimplicialComplex) -> bool:
     return len(boundary) == len(X.facets) and X.facet_set.issuperset(boundary)
 
 
-def reduce_once(X: SimplicialComplex, x: str) -> SimplicialComplex:
-    """Remove a degree-(d+1) vertex, replacing its star by its neighbor facet."""
-    d = X.dimension
-    if x not in X.vertices:
-        raise UnknownVertex(f"unknown vertex {x!r}")
-    if len(X.vertices) <= d + 2:
-        raise TooFewVertices(f"only {len(X.vertices)} vertices, cannot reduce")
-    neighbors = X.adjacency()[x]
-    if len(neighbors) != d + 1:
-        raise DegreeTooHigh(
-            f"vertex {x!r} has degree {len(neighbors)}, need exactly {d + 1}"
-        )
-    sigma = tuple(sorted(neighbors))
-    kept = [f for f in X.facets if x not in f]
-    return SimplicialComplex(set(kept) | {sigma})
-
-
 def reduce_to_core(
     X: SimplicialComplex,
 ) -> tuple[SimplicialComplex, list[ReductionStep]]:
     """Unstack minimum-degree vertices until none remain.
 
-    At each step the lexicographically smallest vertex of degree d+1 is
-    removed, which makes the step list deterministic.  The residue equals
-    the standard sphere exactly when the input was a stacked sphere.
+    At each step the lexicographically smallest vertex x of degree d+1 is
+    removed and its star replaced by the facet N(x), which makes the step
+    list deterministic.  X must be a closed weak pseudomanifold (a ball
+    can unstack to a simplex boundary); for d >= 1 the residue is then
+    the standard sphere exactly when X is a stacked sphere.
 
-    Each step is reduce_once done in place: the facet set, the facets
-    through each vertex and the neighbour sets are updated locally (x
-    leaves, N(x) becomes a clique), and a min-heap holds the labels
-    whose degree is d+1, stale entries being skipped when popped.  One
-    complex is built at the end (none if nothing reduces).
+    The steps run in place: the facet set, the facets through each
+    vertex and the neighbour sets are updated locally (x leaves, N(x)
+    becomes a clique), and a min-heap holds the labels whose degree is
+    d+1, stale entries being skipped when popped.  One complex is built
+    at the end (none if nothing reduces).
     """
+    if not X.is_closed_pseudomanifold():
+        raise NotClosedPseudomanifold("unstacking needs a closed complex")
     d = X.dimension
     adj = {v: set(ns) for v, ns in X.adjacency().items()}
     facets = set(X.facets)
@@ -143,23 +131,11 @@ def stack_star(sigma: Face, x: str) -> list[Face]:
     ]
 
 
-def replay_reductions(
-    residue: SimplicialComplex, steps: list[ReductionStep]
-) -> SimplicialComplex:
-    """Invert reduce_to_core: re-attach each removed vertex over its facet."""
-    facets = set(residue.facets)
-    for step in reversed(steps):
-        sigma = step.replacing_facet
-        if sigma not in facets:
-            raise UnknownVertex(f"replacing facet {sigma} missing during replay")
-        facets.remove(sigma)
-        facets.update(stack_star(sigma, step.removed_vertex))
-    return SimplicialComplex(facets)
-
-
 def is_stacked_sphere_by_reduction(X: SimplicialComplex) -> bool:
-    """Second recognizer: reduce to the core and test for a simplex boundary."""
-    if X.is_empty or not X.is_closed_pseudomanifold():
+    """Second recognizer: reduce to the core and test for a simplex
+    boundary.  Like is_stacked_sphere, it calls no complex below
+    dimension 1 stacked."""
+    if X.dimension < 1 or not X.is_closed_pseudomanifold():
         return False
     residue, _ = reduce_to_core(X)
     return is_standard_sphere(residue) and residue.is_closed_pseudomanifold()

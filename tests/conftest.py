@@ -1,6 +1,7 @@
 """Shared fixtures: the named complexes, read from the corpus module;
-reference data read by the construction checks; and the twins of the
-filling and of the decomposition's sphere search and separation test."""
+reference data read by the construction checks; the twins of the
+memoized vertex links and of unstacking; and the twins of the filling
+and of the decomposition's sphere search and separation test."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from walkup import SimplicialComplex, is_stacked_ball
 from walkup.complex import Face, induces_standard_sphere, spanning_forest
 from walkup.constructions import B5_30_NAMED_FACETS
 from walkup.errors import DimensionTooLow
+from walkup.stacked import ReductionStep, stack_star
 
 from corpus import get
 
@@ -117,6 +119,41 @@ def n5_15_facet(name: str) -> tuple[str, ...]:
     """The named facet of b5-30 with each primed vertex identified with
     its unprimed one, as in n5-15."""
     return tuple(sorted(v.removesuffix("p") for v in B5_30_NAMED_FACETS[name].split()))
+
+
+# ------------------------------------------ twins of links and of unstacking
+
+def link(X: SimplicialComplex, face) -> SimplicialComplex:
+    """The link of a face of X by a scan of every facet: the residues of
+    the facets that contain it (the twin of the memoized vertex_link)."""
+    fset = set(face)
+    return SimplicialComplex({
+        tuple(v for v in facet if v not in fset)
+        for facet in X.facets
+        if fset.issubset(facet) and len(facet) > len(fset)
+    })
+
+
+def reduce_once(X: SimplicialComplex, x: str) -> SimplicialComplex:
+    """X with the degree-(d+1) vertex x unstacked, rebuilt from its facets:
+    the star of x is replaced by the facet of its neighbours (one step of
+    reduce_to_core)."""
+    neighbors = X.adjacency()[x]
+    assert len(neighbors) == X.dimension + 1, (x, len(neighbors))
+    kept = {f for f in X.facets if x not in f}
+    return SimplicialComplex(kept | {tuple(sorted(neighbors))})
+
+
+def replay_reductions(
+    residue: SimplicialComplex, steps: list[ReductionStep]
+) -> SimplicialComplex:
+    """The inverse of reduce_to_core: each removed vertex, last first,
+    stacked again on the facet that replaced its star."""
+    facets = set(residue.facets)
+    for step in reversed(steps):
+        facets.remove(step.replacing_facet)
+        facets.update(stack_star(step.replacing_facet, step.removed_vertex))
+    return SimplicialComplex(facets)
 
 
 # --------------------------------------------- twins of the filling and its cut

@@ -21,7 +21,6 @@ from walkup import (
     homology_profile,
     in_walkup_class,
     is_isomorphic,
-    is_orientable,
     is_stacked_ball,
     is_stacked_sphere,
     is_stacked_sphere_by_reduction,
@@ -39,6 +38,7 @@ from conftest import (
     M4_15_FACETS,
     N5_15_EXTRA_DUAL_EDGES,
     b5_30_facet,
+    link,
     n5_15_facet,
 )
 from corpus import find_handle_pair, select, tube_sphere
@@ -108,7 +108,7 @@ def test_criterion_5_homology(m4_15, s4_30):
     assert prof.betti == (1, 3, 0, 3, 1)
     assert prof.orientable is False
     assert prof.connected
-    assert is_orientable(s4_30)
+    assert homology_profile(s4_30).orientable
     _report(5, t0, 5.0, "betti (1,3,0,3,1), non-orientable, connected; S4_30 orientable")
 
 
@@ -131,7 +131,7 @@ def test_criterion_7_edge_degree_tables(m4_15):
     t0 = time.perf_counter()
 
     def deg(u, v):
-        return len(m4_15.link(tuple(sorted((u, v)))).vertices)
+        return len(link(m4_15, (u, v)).vertices)
 
     for (u, v), expected in WITHIN_A.items():
         assert deg(u, v) == expected and deg(v, u) == expected

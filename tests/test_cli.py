@@ -10,9 +10,11 @@ from itertools import combinations
 
 import pytest
 
-from walkup import build_m4_15, random_stacked_sphere
+from walkup import CLONE_MARKER, build_m4_15, random_stacked_sphere
 from walkup.cli import main
 from walkup.io import loads, serialize
+
+from corpus import select, tags_of
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -77,6 +79,24 @@ def test_check_stacked_exit_codes(capsys, monkeypatch):
         monkeypatch=monkeypatch, capsys=capsys,
     )
     assert code == 1
+
+
+def test_check_stacked_on_every_closed_corpus_entry(capsys, monkeypatch):
+    # every closed entry but the one with clone labels, which a facet file
+    # may not hold: stacked spheres, and negatives such as the cyclic
+    # spheres, the 0-sphere and the handle manifolds
+    entries = [(name, X) for name, X in select("closed")
+               if not any(CLONE_MARKER in v for v in X.vertices)]
+    assert len(entries) == 103
+    for name, X in entries:
+        code, out, _ = run_cli(
+            ["--porcelain", "check", "stacked"], stdin_text=serialize(X),
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        stacked = "stacked" in tags_of(name)
+        assert json.loads(out) == {
+            "command": "check stacked", "kind": "sphere", "stacked": stacked}, name
+        assert code == (0 if stacked else 1), name
 
 
 def test_check_walkup_and_bounds(capsys, monkeypatch):

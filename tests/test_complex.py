@@ -29,7 +29,6 @@ from walkup.errors import (
     DuplicateVertexInFacet,
     EmptyBoundary,
     EmptyInput,
-    FaceNotPresent,
     InvalidLabel,
     MixedDimensions,
     NotPseudomanifoldWithBoundary,
@@ -38,6 +37,7 @@ from walkup.errors import (
 from walkup.complex import spanning_forest
 from walkup.homology import _dual_forest
 
+from conftest import link
 from corpus import face_layer_inputs, get, select
 
 
@@ -125,27 +125,22 @@ def test_link_of_vertex_in_m4_15(m4_15):
 
 
 def test_vertex_link_matches_facet_scan(b5_30, m4_15):
-    # the one-pass links against link((v,)), which scans every facet;
+    # the one-pass links against link(X, (v,)), which scans every facet;
     # b5-30 has boundary, two points and a cycle sit below dimension 2
     two_points = from_facets([["p"], ["q"]])
     cycle = from_facets([[f"c{i}", f"c{(i + 1) % 5}"] for i in range(5)])
     for X in (two_points, cycle, b5_30, m4_15):
         for v in X.vertices:
-            assert X.vertex_link(v) == X.link((v,)), v
+            assert X.vertex_link(v) == link(X, (v,)), v
     assert two_points.vertex_link("p").is_empty
     assert cycle.vertex_link("c0").facets == (("c1",), ("c4",))
     with pytest.raises(UnknownVertex):
         cycle.vertex_link("nope")
 
 
-def test_link_of_non_face(m4_15):
-    with pytest.raises(FaceNotPresent):
-        m4_15.link(("a1", "a2", "a3", "a4", "a5"))
-
-
 def test_link_of_facet_is_empty():
     X = standard_sphere(2)
-    assert X.link(X.facets[0]).is_empty
+    assert link(X, X.facets[0]).is_empty
 
 
 # ------------------------------------------------------- induced subcomplex

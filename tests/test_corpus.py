@@ -32,8 +32,7 @@ def test_every_tag_is_what_the_library_says():
         }
         assert {tag for tag, holds in truth.items() if holds} == tags - {
             "tight", "not-tight", "handle-built"}, name
-        # the recognizers agree, except on the 0-sphere
-        assert d < 1 or len(set(recognizers)) == 1, name
+        assert len(set(recognizers)) == 1, name  # the recognizers agree
         if len(X.vertices) > 15:
             assert tags.isdisjoint({"tight", "not-tight"}), name
             continue

@@ -12,12 +12,10 @@ from walkup import (
     SimplicialComplex,
     from_facets,
     homology_profile,
-    is_orientable,
     random_stacked_sphere,
     standard_sphere,
 )
 from walkup.complex import spanning_forest
-from walkup.errors import NotClosedPseudomanifold
 from walkup.homology import (
     PivotSpace,
     betti_numbers,
@@ -219,23 +217,17 @@ def test_profile_empty():
 
 
 def test_orientable_s4_30(s4_30):
-    assert is_orientable(s4_30) is True
+    assert homology_profile(s4_30).orientable is True
 
 
 def test_orientable_stacked_sphere_boundaries():
     for seed in range(3):
         X = random_stacked_sphere(3, 9, seed=seed)
-        assert is_orientable(X)
-
-
-def test_orientable_requires_closed():
-    X = from_facets([["a", "b", "c"]])
-    with pytest.raises(NotClosedPseudomanifold):
-        is_orientable(X)
+        assert homology_profile(X).orientable is True
 
 
 def test_orientability_of_closed_fixtures(m4_15, s4_30, rp2_6, torus_7):
-    got = [is_orientable(X) for X in (m4_15, s4_30, rp2_6, torus_7)]
+    got = [homology_profile(X).orientable for X in (m4_15, s4_30, rp2_6, torus_7)]
     assert got == [False, True, False, True]
 
 
@@ -318,7 +310,7 @@ def test_betti_numbers_match_elimination(top):
 
 def test_is_orientable_matches_shared_vertex_signs():
     corpus = select("closed")
-    verdicts = [is_orientable(X) for _, X in corpus]
+    verdicts = [homology_profile(X).orientable for _, X in corpus]
     assert verdicts == [orientable_by_shared_vertices(X) for _, X in corpus]
     for (name, _), verdict in zip(corpus, verdicts):
         assert verdict == ("orientable" in tags_of(name)), name

@@ -15,17 +15,16 @@ from walkup import (
     is_stacked_sphere,
     is_stacked_sphere_by_reduction,
     random_stacked_sphere,
-    reduce_once,
     reduce_to_core,
-    replay_reductions,
     standard_sphere,
 )
 from walkup.complex import is_standard_sphere
-from walkup.errors import DegreeTooHigh, TooFewVertices
+from walkup.errors import NotClosedPseudomanifold
 from walkup.rng import SplitMix64
 from walkup.stacked import ReductionStep
 from walkup.theory import stacked_sphere_fvector
 
+from conftest import reduce_once, replay_reductions
 from corpus import get, select, tags_of, tube_sphere
 
 
@@ -105,18 +104,6 @@ def test_reduce_twice_to_simplex_boundary():
         residue, steps = reduce_to_core(X)
         assert len(steps) == 2
         assert is_standard_sphere(residue)
-
-
-def test_reduce_once_degree_error(s4_30):
-    # a3 lies in many facets, degree above 5
-    with pytest.raises(DegreeTooHigh):
-        reduce_once(s4_30, "a3")
-
-
-def test_reduce_once_too_few_vertices():
-    X = standard_sphere(3)
-    with pytest.raises(TooFewVertices):
-        reduce_once(X, "v1")
 
 
 def test_reduce_to_core_s4_30(s4_30):
@@ -250,17 +237,19 @@ def _random_stacked_by_rebuild(d, n, seed):
     return cur
 
 
-# Inputs whose residue is the standard sphere though they are no stacked
-# sphere: the 0-sphere, which the recognizers part on (see test_corpus),
-# and stacked spheres less facets, balls that reduce_once strips down to
-# a closed simplex boundary.
-RESIDUE_IS_A_SPHERE = ("two points", "stacked(3, 8, 1) less a facet",
-                       "stacked(4, 10, 3) less two facets", "stacked(4, 12, 2) less a facet")
+# The closed input whose residue is the standard sphere though it is no
+# stacked sphere: the 0-sphere, the boundary of a 1-simplex, which both
+# recognizers refuse below dimension 1.
+RESIDUE_IS_A_SPHERE = ("two points",)
 
 
 def test_reduce_to_core_matches_reduce_once_twin():
     reduced = 0
     for name, X in select(max_f0=40):
+        if "closed" not in tags_of(name):
+            with pytest.raises(NotClosedPseudomanifold):
+                reduce_to_core(X)
+            continue
         residue, steps = reduce_to_core(X)
         assert (residue, steps) == _reduce_by_rebuild(X), name
         reduced += bool(steps)

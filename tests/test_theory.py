@@ -30,7 +30,7 @@ from walkup.errors import (
 from walkup.complex import _residue_masks
 from walkup.theory import _check_f0_f1
 
-from conftest import find_induced_standard_spheres, in_class_by_filling
+from conftest import find_induced_standard_spheres, in_class_by_filling, link
 from corpus import get, select, suspension, tags_of
 
 
@@ -317,9 +317,10 @@ def test_open_complex_not_in_class():
 
 
 def _fresh_links(monkeypatch):
-    """Serve vertex_link from link(), whose complexes carry no residue
-    masks: every clique search then reads its masks off adjacency()."""
-    monkeypatch.setattr(SimplicialComplex, "vertex_link", lambda self, v: self.link((v,)))
+    """Serve vertex_link from the facet-scan twin link(), whose complexes
+    carry no residue masks: every clique search then reads its masks off
+    adjacency()."""
+    monkeypatch.setattr(SimplicialComplex, "vertex_link", lambda self, v: link(self, (v,)))
 
 
 def test_link_masks_from_residues_match_adjacency(monkeypatch):
