@@ -14,7 +14,7 @@ from types import ModuleType
 _LAYERS = {
     "complex": (
         "CLONE_MARKER", "DualGraph", "Face", "SimplicialComplex",
-        "from_facets", "induces_standard_sphere", "is_standard_sphere",
+        "from_facets", "is_standard_sphere",
     ),
     "constructions": (
         "build_b5_30", "build_m4_15", "build_n5_15", "build_s4_30",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from itertools import chain, combinations, repeat
 from math import inf
-from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFacet,
@@ -244,24 +244,16 @@ class SimplicialComplex:
 
     def face_index(self, j: int) -> dict[Face, int]:
         """The j-faces, each mapped to its position in the one face order
-        shared by f_vector, has_face, faces_of_dim and every boundary
-        bitset; empty outside 0..d."""
+        shared by f_vector, every face lookup and every boundary bitset;
+        empty outside 0..d.  Its keys are the j-faces in that order."""
         index = self._face_index()
         return index[j] if 0 <= j < len(index) else {}
-
-    def faces_of_dim(self, j: int) -> KeysView[Face]:
-        """The j-faces in face_index order (first met, not sorted)."""
-        return self.face_index(j).keys()
 
     def faces_by_dim(self) -> dict[int, tuple[Face, ...]]:
         """All faces grouped by dimension, each group lexicographically
         sorted.  A view for readers that want that order, built on each
         call; the library itself reads face_index."""
         return {j: tuple(sorted(ix)) for j, ix in enumerate(self._face_index())}
-
-    def has_face(self, face: Sequence[str]) -> bool:
-        f = tuple(sorted(face))
-        return f in self.face_index(len(f) - 1)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f0, ..., fd); the empty complex gives ()."""
@@ -297,9 +289,6 @@ class SimplicialComplex:
             link._cache[_NEIGHBOUR_MASKS] = _residue_masks(link)
         return links
 
-    def _vertex_set(self) -> frozenset[str]:
-        return self._memo("vertex_set", lambda: frozenset(self.vertices))
-
     # -- dual graph / boundary ----------------------------------------------
 
     def dual_graph(self) -> DualGraph:
@@ -326,7 +315,7 @@ class SimplicialComplex:
 
     def is_closed_pseudomanifold(self) -> bool:
         """Every ridge in exactly two facets (dual graph may be disconnected)."""
-        return not self.is_empty and self.dual_graph().is_closed
+        return self.dual_graph().is_closed
 
     def boundary_complex(self) -> "SimplicialComplex":
         """Subcomplex generated by the ridges lying in exactly one facet."""
@@ -358,19 +347,13 @@ class SimplicialComplex:
 
         return self._memo("adjacency", compute)
 
-    def degree(self, v: str) -> int:
-        if v not in self._vertex_set():
-            raise UnknownVertex(f"unknown vertex {v!r}")
-        return len(self.adjacency()[v])
-
     def graph_distance(self, u: str, v: str) -> int | float:
         """Shortest-path length in the 1-skeleton; inf if disconnected."""
-        vs = self._vertex_set()
-        if u not in vs or v not in vs:
+        adj = self.adjacency()
+        if u not in adj or v not in adj:
             raise UnknownVertex(f"unknown vertex in pair ({u!r}, {v!r})")
         if u == v:
             return 0
-        adj = self.adjacency()
         dist = {u: 0}
         frontier = [u]
         while frontier:
@@ -531,17 +514,3 @@ def is_standard_sphere(X: SimplicialComplex) -> bool:
     d = X.dimension
     return n == d + 2 and len(X.facets) == n
 
-
-def induces_standard_sphere(X: SimplicialComplex, subset: Iterable[str]) -> bool:
-    """True iff X[subset] consists of all proper subsets of the subset.
-
-    The subset must have d+2 vertices for a (d)-sphere check relative to
-    its own size: every proper subset a face of X, the whole set not.
-    Faces are closed under subsets, so the (|S|-1)-subsets decide every
-    proper one.  A set of fewer than two vertices bounds no simplex of
-    dimension 1 or more, so it is never a sphere.
-    """
-    s = tuple(sorted(set(subset)))
-    if len(s) < 2 or X.has_face(s):
-        return False
-    return all(X.has_face(t) for t in combinations(s, len(s) - 1))

@@ -48,17 +48,12 @@ def is_stacked_sphere(X: SimplicialComplex) -> bool:
 
 
 def _stacked_sphere(X: SimplicialComplex) -> bool:
-    if X.is_empty:
-        return False
     d = X.dimension
     if d < 1:
         return False
     if d == 1:
-        return (
-            X.is_connected()
-            and X.is_closed_pseudomanifold()
-            and all(X.degree(v) == 2 for v in X.vertices)
-        )
+        # a closed 1-dimensional pseudomanifold has every degree 2
+        return X.is_connected() and X.is_closed_pseudomanifold()
     cliques = X.clique_complex()
     if any(len(c) != d + 2 for c in cliques):
         return False

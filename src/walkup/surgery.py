@@ -5,7 +5,9 @@ handles.
 Handle deletion is the inverse of handle addition.  Cutting along an
 induced standard sphere removes the dual-graph adjacencies across ridges
 inside the sphere, splits each affected vertex star into its two cut
-components and gives each component one copy of the vertex.  Which copy
+components and gives each component one copy of the vertex.  The same
+dual graph says whether the vertex set induces a sphere at all: it is
+no facet, and each of its d-subsets is a ridge.  Which copy
 keeps the label is read off the two sides of the cut, the components of
 the 2(d+1) copies of the sphere's ridges, so every facet is renamed
 once; the two sides are then capped with fresh facets.  The
@@ -34,7 +36,6 @@ from .complex import (
     CLONE_MARKER,
     Face,
     SimplicialComplex,
-    induces_standard_sphere,
     injective_maps,
     spanning_forest,
 )
@@ -176,19 +177,12 @@ def disjoint_union(
 
 
 def connected_sum(
-    X1: SimplicialComplex,
-    X2: SimplicialComplex,
-    psi: VertexBijection | dict[str, str],
+    X1: SimplicialComplex, X2: SimplicialComplex, psi: dict[str, str]
 ) -> SimplicialComplex:
-    """Glue X1 and X2 along psi (source facet in X1, target facet in X2).
-
-    psi may be a plain source-to-target vertex mapping, since a
-    VertexBijection cannot be formed before colliding labels of X2 are
-    renamed; the target side is translated through the relabeling.
-    """
+    """Glue X1 and X2 along psi, a vertex map from a facet of X1 onto a
+    facet of X2; its targets are translated through the relabeling."""
     union, rename = disjoint_union(X1, X2)
-    raw = psi.mapping if isinstance(psi, VertexBijection) else dict(psi)
-    translated = {a: rename.get(b, b) for a, b in raw.items()}
+    translated = {a: rename.get(b, b) for a, b in psi.items()}
     return handle_addition(union, bijection_from_map(translated))
 
 
@@ -280,15 +274,19 @@ def handle_deletion(
 ) -> tuple[SimplicialComplex, VertexBijection]:
     """Cut a closed manifold along an induced standard sphere S.
 
-    Each S-vertex star splits, over DualGraph.adjacency(), into two parts
-    across the severed ridges inside S, and each part gets one copy of
-    the vertex.  The two sides of the cut are read off the small surface
-    of the 2(d+1) ridge copies (each ridge inside S, once from each of
-    its two facets); the side holding the least label keeps the original
-    labels and the other takes the clones, so each facet is renamed
-    once.  Returns the cut complex together with the bijection whose
-    handle addition restores the input exactly; the round trip is
-    validated before returning.
+    S induces the boundary of a d-simplex iff it has d+1 vertices, is
+    no face (with d+1 vertices, no facet) and has every d-subset a face
+    (with d vertices, a ridge); both are read off Y.dual_graph(), which
+    the cut reads next, so no face lattice is built.  Each S-vertex star
+    splits, over DualGraph.adjacency(), into two parts across the
+    severed ridges inside S, and each part gets one copy of the vertex.
+    The two sides of the cut are read off the small surface of the
+    2(d+1) ridge copies (each ridge inside S, once from each of its two
+    facets); the side holding the least label keeps the original labels
+    and the other takes the clones, so each facet is renamed once.
+    Returns the cut complex together with the bijection whose handle
+    addition restores the input exactly; the round trip is validated
+    before returning.
     """
     d = Y.dimension
     if d < 3:
@@ -298,10 +296,10 @@ def handle_deletion(
     S = tuple(sorted(set(subset)))
     if len(S) != d + 1 or not set(S) <= set(Y.vertices):
         raise NotInducedStandardSphere(f"{S} is not a (d+1)-vertex subset")
-    if not induces_standard_sphere(Y, S):
+    incidence = Y.dual_graph().ridge_incidence
+    if S in Y.facet_set or not all(r in incidence for r in combinations(S, d)):
         raise NotInducedStandardSphere(f"{S} does not induce a standard sphere")
     s_set = set(S)
-    incidence = Y.dual_graph().ridge_incidence
     adj = Y.dual_graph().adjacency()
 
     # Partition each vertex star into the components of the cut dual

@@ -26,8 +26,8 @@ Permutation = dict[str, str]
 
 def _edge_degrees(X: SimplicialComplex) -> dict[str, dict[str, int]]:
     """Each vertex's neighbours, each with the degree of the edge to it."""
-    deg: dict[tuple[str, str], int] = dict.fromkeys(X.faces_of_dim(1), 0)
-    for tri in X.faces_of_dim(2):
+    deg: dict[tuple[str, str], int] = dict.fromkeys(X.face_index(1), 0)
+    for tri in X.face_index(2):
         for e in combinations(tri, 2):
             deg[e] += 1
     nbrs: dict[str, dict[str, int]] = {v: {} for v in X.vertices}

@@ -129,15 +129,11 @@ def in_walkup_class(X: SimplicialComplex) -> bool:
     verdict on the link, so testing one complex again, as kalai_decompose
     does with its input, builds no complex.
     """
-    if X.is_empty:
-        return False
     d = X.dimension
     if d < 1:
         return False
     for v in X.vertices:
         link = X.vertex_link(v)
-        if link.dimension != d - 1:
-            return False
         if d == 1:
             if len(link.vertices) != 2:
                 return False

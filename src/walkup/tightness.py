@@ -148,7 +148,7 @@ def homology_map_injective(X: SimplicialComplex, subset, k: int) -> bool:
 
     # B_k(X): boundaries of all (k+1)-faces; B_k(Y): those of Y's.
     bx = boundary_columns(X, k + 1)
-    by = [v for f, v in zip(X.faces_of_dim(k + 1), bx) if s.issuperset(f)]
+    by = [v for f, v in zip(X.face_index(k + 1), bx) if s.issuperset(f)]
     dim_z = len(cycles_y)
     dim_bx = rank_gf2(bx)
     dim_sum = rank_gf2(bx + cycles_y)
@@ -237,7 +237,7 @@ class TightnessEngine:
         self.n = len(X.vertices)
         self.d = d = X.dimension
         vidx = {v: i for i, v in enumerate(X.vertices)}
-        faces = [X.faces_of_dim(k) for k in range(d + 1)]
+        faces = [X.face_index(k) for k in range(d + 1)]
         # boundary of each k-face over (k-1)-face positions
         bd = [[0] * self.n] + [boundary_columns(X, k) for k in range(1, d + 1)]
         # bases of the orthogonal complements of the boundary spaces B_k(X)

@@ -1,7 +1,8 @@
 """Shared fixtures: the named complexes, read from the corpus module;
 reference data read by the construction checks; the twins of the
-memoized vertex links and of unstacking; and the twins of the filling
-and of the decomposition's sphere search and separation test."""
+memoized vertex links and of unstacking; the twin of the cut's sphere
+test; and the twins of the filling and of the decomposition's sphere
+search and separation test."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from walkup import SimplicialComplex, is_stacked_ball
-from walkup.complex import Face, induces_standard_sphere, spanning_forest
+from walkup.complex import Face, spanning_forest
 from walkup.constructions import B5_30_NAMED_FACETS
 from walkup.errors import DimensionTooLow
 from walkup.stacked import ReductionStep, stack_star
@@ -156,13 +157,39 @@ def replay_reductions(
     return SimplicialComplex(facets)
 
 
+# ----------------------------------------------- twin of the cut's sphere test
+
+# handle_deletion reads whether its set induces a standard sphere off the
+# dual graph it cuts; these test the set against the face index instead.
+
+def has_face(X: SimplicialComplex, face) -> bool:
+    """Is the vertex set a face of X?"""
+    f = tuple(sorted(face))
+    return f in X.face_index(len(f) - 1)
+
+
+def induces_standard_sphere(X: SimplicialComplex, subset) -> bool:
+    """True iff X[subset] consists of all proper subsets of the subset.
+
+    The subset must have d+2 vertices for a (d)-sphere check relative to
+    its own size: every proper subset a face of X, the whole set not.
+    Faces are closed under subsets, so the (|S|-1)-subsets decide every
+    proper one.  A set of fewer than two vertices bounds no simplex of
+    dimension 1 or more, so it is never a sphere.
+    """
+    s = tuple(sorted(set(subset)))
+    if len(s) < 2 or has_face(X, s):
+        return False
+    return all(has_face(X, t) for t in combinations(s, len(s) - 1))
+
+
 # --------------------------------------------- twins of the filling and its cut
 
 def filling_by_definition(X: SimplicialComplex) -> SimplicialComplex:
     """The filling of X: the (d+1)-complex of the (d+2)-sets of vertices
     all of whose triangles are faces of X, by brute force over the sets
     (Bagchi and Datta, Europ. J. Combin. 36, 2014)."""
-    triangles = set(X.faces_of_dim(2))
+    triangles = X.face_index(2)
     return SimplicialComplex(
         s for s in combinations(X.vertices, X.dimension + 2)
         if all(t in triangles for t in combinations(s, 3))

@@ -143,7 +143,7 @@ def test_commands_without_betti_numbers_skip_homology(argv, m4_15_files):
 
 
 def test_public_names_are_their_submodule_attributes():
-    assert len(walkup.__all__) == len(set(walkup.__all__)) == 44
+    assert len(walkup.__all__) == len(set(walkup.__all__)) == 43
     assert dir(walkup) == walkup.__all__
     for layer, names in walkup._LAYERS.items():
         module = importlib.import_module(f"walkup.{layer}")

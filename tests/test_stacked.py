@@ -171,9 +171,10 @@ def _clique_route_corpus():
         if X.dimension >= 2:
             yield SimplicialComplex(X.facets[1:])
         if X.dimension == 2 and len(X.vertices) <= 13:
+            edges, triangles = X.face_index(1), X.face_index(2)
             for tri in combinations(X.vertices, 3):
-                if not X.has_face(tri) and all(
-                    X.has_face(e) for e in combinations(tri, 2)
+                if tri not in triangles and all(
+                    e in edges for e in combinations(tri, 2)
                 ):
                     yield SimplicialComplex(X.facets + (tri,))
 

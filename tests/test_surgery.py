@@ -24,7 +24,6 @@ from walkup import (
     handle_deletion,
     homology_profile,
     in_walkup_class,
-    induces_standard_sphere,
     is_admissible,
     is_isomorphic,
     is_stacked_sphere,
@@ -45,7 +44,12 @@ from walkup.complex import CLONE_MARKER, spanning_forest
 from walkup import surgery
 from walkup.surgery import HandleLedger, _admissibility_masks
 
-from conftest import filling_by_definition, find_induced_standard_spheres, separates
+from conftest import (
+    filling_by_definition,
+    find_induced_standard_spheres,
+    induces_standard_sphere,
+    separates,
+)
 from corpus import find_handle_pair, get, select, shuffled_labels, tags_of, tube_sphere
 
 
@@ -456,6 +460,26 @@ def test_deletion_requires_induced_sphere(m4_15):
         handle_deletion(m4_15, ("a1", "a2", "a3", "a4", "b2"))
     with pytest.raises(NotInducedStandardSphere):
         handle_deletion(m4_15, ("a1", "a2", "a3"))
+
+
+def test_cut_refuses_exactly_the_corpus_non_spheres():
+    # the cut's sphere test, read off the dual graph, against the
+    # face-index twin on every (d+1)-subset of each closed entry of
+    # dimension >= 3 up to 12 vertices; every subset it takes is cut,
+    # and the cut's handle glues Y back
+    entries = [(name, Y) for name, Y in select("closed", max_f0=12) if Y.dimension >= 3]
+    subsets = cuts = 0
+    for name, Y in entries:
+        for S in combinations(Y.vertices, Y.dimension + 1):
+            subsets += 1
+            if not induces_standard_sphere(Y, S):
+                with pytest.raises(NotInducedStandardSphere, match="does not induce"):
+                    handle_deletion(Y, S)
+                continue
+            cut, psi = handle_deletion(Y, S)
+            assert handle_addition(cut, psi) == Y, (name, S)
+            cuts += 1
+    assert (len(entries), subsets, cuts) == (32, 7997, 85)
 
 
 def test_deletion_of_sum_disconnects():

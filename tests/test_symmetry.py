@@ -201,8 +201,8 @@ def test_scans_and_cuts_leave_no_cycles(m4_15):
 # ------------------------------------------------- colour refinement twin
 
 def _twin_edge_degree_lookup(X):
-    deg = dict.fromkeys(X.faces_of_dim(1), 0)
-    for tri in X.faces_of_dim(2):
+    deg = dict.fromkeys(X.face_index(1), 0)
+    for tri in X.face_index(2):
         for e in combinations(tri, 2):
             deg[e] += 1
     return lambda u, v: deg.get((u, v) if u < v else (v, u), -1)
