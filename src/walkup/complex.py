@@ -154,8 +154,9 @@ class DualGraph(NamedTuple):
 class SimplicialComplex:
     """A finite pure simplicial complex given by its facets.
 
-    Use from_facets() for validated construction from raw label lists;
-    the constructor itself expects already-canonical faces.
+    The constructor takes canonical faces and is the one place that
+    refuses mixed facet sizes and repeated facets; from_facets() first
+    checks raw label lists and canonicalizes each facet.
     """
 
     __slots__ = ("facets", "facet_set", "vertices", "_lock", "_cache")
@@ -166,13 +167,13 @@ class SimplicialComplex:
             dim = len(fs[0])
             for f in fs:
                 if len(f) != dim:
-                    raise MixedDimensions(
-                        f"facet {f} has {len(f)} vertices, expected {dim}"
-                    )
+                    sizes = sorted({len(g) for g in fs})
+                    raise MixedDimensions(f"facet sizes {sizes} are mixed")
         self.facets: tuple[Face, ...] = fs
         self.facet_set: frozenset[Face] = frozenset(fs)
         if len(self.facet_set) != len(fs):
-            raise DuplicateFacet("facet list contains repeats")
+            repeated = next(f for f, g in zip(fs, fs[1:]) if f == g)
+            raise DuplicateFacet(f"facet {repeated} repeated")
         vs: set[str] = set()
         for f in fs:
             vs.update(f)
@@ -476,10 +477,10 @@ def from_facets(
 ) -> SimplicialComplex:
     """Build a complex from raw vertex-label lists, validating everything.
 
-    Rejects empty input, invalid labels, repeated vertices inside a
-    facet, mixed facet dimensions and repeated facets.  Labels carrying
-    the clone marker are rejected unless clones is set (complexes written
-    by handle deletion, such as ledger bases, carry them).
+    Rejects empty input, invalid labels and repeated vertices inside a
+    facet, then the constructor mixed sizes and repeated facets.  Labels
+    carrying the clone marker are rejected unless clones is set (complexes
+    written by handle deletion, such as ledger bases, carry them).
     """
     rows = [list(f) for f in raw_facets]
     if not rows:
@@ -494,22 +495,11 @@ def from_facets(
             if not isinstance(label, str) or label not in checked:
                 checked.add(check_label(label, clones))
         faces.append(make_face(row))
-    dims = {len(f) for f in faces}
-    if len(dims) > 1:
-        raise MixedDimensions(f"facet sizes {sorted(dims)} are mixed")
-    if len(set(faces)) != len(faces):
-        seen: set[Face] = set()
-        for f in faces:
-            if f in seen:
-                raise DuplicateFacet(f"facet {f} repeated")
-            seen.add(f)
     return SimplicialComplex(faces)
 
 
 def is_standard_sphere(X: SimplicialComplex) -> bool:
     """True iff X is the boundary of a simplex: all d+1-subsets of d+2 vertices."""
-    if X.is_empty:
-        return False
     n = len(X.vertices)
     d = X.dimension
     return n == d + 2 and len(X.facets) == n

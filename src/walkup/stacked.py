@@ -26,8 +26,6 @@ class ReductionStep(NamedTuple):
 
 def is_stacked_ball(X: SimplicialComplex) -> bool:
     """Weak pseudomanifold with boundary whose dual graph is a tree."""
-    if X.is_empty:
-        return False
     dg = X.dual_graph()
     if not dg.is_weak_pseudomanifold or dg.is_closed:
         return False

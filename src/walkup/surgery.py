@@ -30,6 +30,7 @@ reverse never has to rename a pending handle.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, NamedTuple
 
 from .complex import (
@@ -352,12 +353,12 @@ def handle_deletion(
     # final[x][p] names x in part p of its star
     final = {x: c if c[0] in sides[0] else c[::-1] for x, c in copies.items()}
 
+    # each label maps back to one vertex of Y and the clones are fresh,
+    # so distinct facets stay distinct
     new_facets = {
         tuple(sorted(final[v][part_of[v][f]] if v in s_set else v for v in f))
         for f in Y.facets
     }
-    if len(new_facets) != len(Y.facets):
-        raise CutValidationFailed("cut collapsed distinct facets")
     cap_keep = S
     cap_clone = tuple(sorted(c[1] for c in copies.values()))
     new_facets.add(cap_keep)
@@ -458,15 +459,15 @@ def _cycle_face(Y: SimplicialComplex) -> Face | None:
 def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     """Decompose a connected Walkup-class member into base + handles.
 
-    While the complex is not a stacked sphere, cut it along the first
-    induced standard sphere (in sorted order) whose cut leaves it
-    connected.  Such a cut lowers beta_1 by one and stays in the class,
-    and one exists whenever beta_1 > 0; at beta_1 = 0 the complex is
-    stacked (Kalai).  The sphere is read off the filling before cutting
-    (_cycle_face), so only it goes through handle_deletion.  The ledger
-    is the last complex plus the cuts' bijections, most recent first: it
-    holds exactly beta_1 handles, and replaying it reproduces the input
-    exactly.
+    Such a member of K(d), d >= 4, is a stacked sphere plus beta_1
+    handles, so f1 = (d+1) f0 - C(d+2, 2) (1 - beta_1) (Kalai) fixes the
+    number of rounds.  Each cuts along the first induced standard sphere
+    (in sorted order) whose cut leaves the complex connected, which
+    lowers beta_1 by one and stays in the class; the sphere is read off
+    the filling (_cycle_face), so only it goes through handle_deletion.
+    Only the base is asked whether it is a stacked sphere.  The ledger is
+    the base plus the cuts' bijections, most recent first, and replaying
+    it reproduces the input exactly.
     """
     d = X.dimension
     if d < 4:
@@ -476,9 +477,14 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
     if not in_walkup_class(X):
         raise NotWalkup("some vertex link is not a stacked sphere")
 
+    # f1 off the edge graph is_connected() memoized; face_index(1) would
+    # build every face
+    f0 = len(X.vertices)
+    f1 = sum(map(len, X.adjacency().values())) // 2
+    betti_1 = (f1 - (d + 1) * f0) // comb(d + 2, 2) + 1
     cuts: list[VertexBijection] = []
     Y = X
-    while not is_stacked_sphere(Y):
+    for _ in range(betti_1):
         sphere = _cycle_face(Y)
         if sphere is None:
             raise NotWalkup(
@@ -486,6 +492,8 @@ def kalai_decompose(X: SimplicialComplex) -> HandleLedger:
             )
         Y, psi = handle_deletion(Y, sphere)
         cuts.append(psi)
+    if not is_stacked_sphere(Y):
+        raise NotWalkup(f"base after {betti_1} cuts is not a stacked sphere")
 
     ledger = HandleLedger(base=Y, handles=tuple(reversed(cuts)))
     if ledger.replay() != X:

@@ -103,8 +103,8 @@ DEFAULT_EXHAUSTIVE_CEILING = 20
 # the threshold.
 POOL_MIN_SUBSETS = 8000
 # A sampled scan that stops at its first violation walks its first
-# SAMPLE_HEAD draws alone before drawing the rest: an input that fails
-# often stops there, and a tight one walks those draws twice.
+# SAMPLE_HEAD draws alone, then only the rest if those are clean: an
+# input that fails often stops there.
 SAMPLE_HEAD = 16
 
 
@@ -184,10 +184,10 @@ def duality_applies(X: SimplicialComplex) -> bool:
     hence PL spheres, and the link of a face in a PL sphere is again a
     PL sphere (F. Effenberger, Stacked polytopes and tight
     triangulations of manifolds, JCTA 118, 2011).  Any other input gets
-    _face_links_are_spheres().
+    _face_links_are_spheres().  The empty complex is not closed, and the
+    one closed 0-complex, two points, is disconnected.
     """
-    d = X.dimension
-    if d < 1 or not X.is_closed_pseudomanifold() or not X.is_connected():
+    if not X.is_closed_pseudomanifold() or not X.is_connected():
         return False
     return in_walkup_class(X) or _face_links_are_spheres(X)
 
@@ -568,16 +568,16 @@ def is_tight_z2(
         engine = TightnessEngine(X)
         dual = duality_applies(X)
         rng = SplitMix64(seed)
-        head = SAMPLE_HEAD if stop_on_first else sample_count
-        draws = _draws(rng, n, min(head, sample_count))
+        head = min(SAMPLE_HEAD, sample_count) if stop_on_first else sample_count
         evaluated, checked, violations = engine.search_draws(
-            draws, stop_on_first, dual
+            _draws(rng, n, head), stop_on_first, dual
         )
-        if not violations and len(draws) < sample_count:
-            draws += _draws(rng, n, sample_count - len(draws))
-            evaluated, checked, violations = engine.search_draws(
-                draws, stop_on_first, dual
+        if not violations and head < sample_count:
+            more, covered, violations = engine.search_draws(
+                _draws(rng, n, sample_count - head), stop_on_first, dual
             )
+            evaluated += more
+            checked += covered
     else:
         raise ValueError(f"unknown mode {mode!r}")
     sampled = mode == "sampled"

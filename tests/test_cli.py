@@ -202,6 +202,19 @@ def test_parse_error_diagnostic(capsys, monkeypatch):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("facets, message", [
+    ([["a", "b", "c"], ["a", "b"]], "facet sizes [2, 3] are mixed"),
+    ([["a", "b"], ["b", "a"]], "facet ('a', 'b') repeated"),
+])
+def test_json_input_refusals(facets, message, capsys, monkeypatch):
+    # the constructor refuses JSON input in from_facets's words
+    code, out, err = run_cli(
+        ["--porcelain", "info"], stdin_text=json.dumps({"facets": facets}),
+        monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_homology_output(capsys, monkeypatch):
     _, m_text, _ = run_cli(["generate", "m4-15"], capsys=capsys)
     code, out, _ = run_cli(

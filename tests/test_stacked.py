@@ -54,6 +54,15 @@ def test_closed_complex_is_not_stacked_ball(s4_30):
     assert not is_stacked_ball(s4_30)
 
 
+def test_no_ball_or_simplex_boundary_on_empty_or_two_points():
+    # the tree test alone refuses the empty complex, and n = 0 != d + 2
+    # refuses it as a simplex boundary; two points are the 0-sphere
+    assert not is_stacked_ball(get("empty"))
+    assert not is_standard_sphere(get("empty"))
+    assert not is_stacked_ball(get("two points"))
+    assert is_standard_sphere(get("two points"))
+
+
 def test_s4_30_is_stacked_sphere(s4_30):
     assert is_stacked_sphere(s4_30)
     assert is_stacked_sphere_by_reduction(s4_30)

@@ -650,6 +650,29 @@ def test_kalai_decompose_many_handles_pinned(many_handles):
     assert ledger.replay() == many_handles
 
 
+def test_kalai_decompose_asks_the_recognizer_once(monkeypatch):
+    # f0 and f1 fix the beta_1 rounds, so the recognizer is asked only
+    # about the base, and a base it refuses is refused
+    calls = {"is_stacked_sphere": 0, "_cycle_face": 0}
+
+    def counted(fn):
+        def wrapper(X):
+            calls[fn.__name__] += 1
+            return fn(X)
+        return wrapper
+
+    monkeypatch.setattr(surgery, "is_stacked_sphere", counted(surgery.is_stacked_sphere))
+    monkeypatch.setattr(surgery, "_cycle_face", counted(surgery._cycle_face))
+    for X, beta1 in ((get("m4-15"), 3), (get("many handles"), 18),
+                     (get("K4 # m4-15"), 4), (random_stacked_sphere(4, 30, 1), 0)):
+        calls.update(is_stacked_sphere=0, _cycle_face=0)
+        kalai_decompose(X)
+        assert calls == {"is_stacked_sphere": 1, "_cycle_face": beta1}, X
+    monkeypatch.setattr(surgery, "is_stacked_sphere", lambda X: False)
+    with pytest.raises(NotWalkup, match="after 3 cuts is not a stacked sphere"):
+        kalai_decompose(get("m4-15"))
+
+
 @pytest.fixture(scope="module")
 def sphere_cuts():
     """(Y, [(S, handle_deletion(Y, S)) for each induced standard sphere S])

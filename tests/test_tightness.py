@@ -373,6 +373,14 @@ def test_walkup_shortcut_agrees_with_face_link_gate():
         assert _face_links_are_spheres(X), name
 
 
+def test_duality_gate_refuses_empty_and_two_points(monkeypatch):
+    # below dimension 1 the gate needs no test of its own: the empty
+    # complex is not closed and two points are disconnected
+    monkeypatch.setattr(tightness, "_face_links_are_spheres", None)
+    for name in ("empty", "two points"):
+        assert not duality_applies(get(name)), name
+
+
 def test_non_members_reach_face_link_gate(monkeypatch):
     calls = []
 
