@@ -70,7 +70,7 @@ def build_s4_30() -> SimplicialComplex:
 
 def _identification_bijections() -> list[VertexBijection]:
     return [
-        bijection_from_map({f"{x}{i}p": f"{x}{i}" for i in range(1, 6)})
+        bijection_from_map({p: v for p, v in _IDENTIFY.items() if p[0] == x})
         for x in "abc"
     ]
 

@@ -89,10 +89,6 @@ class NotAdmissible(WalkupError):
     """Bijection moves some vertex to distance < 3."""
 
 
-class WouldCreateDuplicateFacet(WalkupError):
-    """Identification would merge two facets; input is corrupt."""
-
-
 class NotInducedStandardSphere(WalkupError):
     """Vertex set does not induce a standard sphere."""
 

@@ -49,7 +49,6 @@ from .errors import (
     NotInducedStandardSphere,
     NotWalkup,
     WalkupError,
-    WouldCreateDuplicateFacet,
 )
 from .stacked import is_stacked_sphere
 from .theory import in_walkup_class
@@ -120,8 +119,11 @@ def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialCom
     """Remove the two glued facets and identify sources with targets.
 
     Drops f0 by d+1 and the facet count by 2; the identified vertex set
-    induces a standard (d-1)-sphere in the result.  Only the star of the
-    source facet is renamed; every other facet passes through as it is.
+    induces a standard (d-1)-sphere in the result.  Only the facets that
+    meet the source are renamed.  The glued facets being cliques, two
+    facets that became one would put some a within distance 2 of psi(a),
+    so admissibility rules a merge out (and the constructor refuses
+    one); a facet that would collapse is refused here.
     """
     if not X.is_closed_pseudomanifold():
         raise NotClosedPseudomanifold("handle addition needs a closed complex")
@@ -133,28 +135,17 @@ def handle_addition(X: SimplicialComplex, psi: VertexBijection) -> SimplicialCom
     rename = psi.mapping
     source, target = psi.source_facet, psi.target_facet
     untouched = rename.keys().isdisjoint
-    kept: list[Face] = []
-    renamed: dict[Face, Face] = {}
+    facets: list[Face] = []
     for f in X.facets:
         if untouched(f):
             if f != target:
-                kept.append(f)
-            continue
-        if f == source:
-            continue
-        g = tuple(sorted(rename.get(v, v) for v in f))
-        if len(set(g)) != len(g):
-            raise NotAdmissible(f"facet {f} would collapse under the identification")
-        twin = renamed.get(g)
-        if twin is None and g != target and g in X.facet_set:
-            twin = g  # an untouched facet
-        if twin is not None:
-            first, second = sorted((twin, f))
-            raise WouldCreateDuplicateFacet(
-                f"facets {first} and {second} both become {g}"
-            )
-        renamed[g] = f
-    return SimplicialComplex(kept + list(renamed))
+                facets.append(f)
+        elif f != source:
+            g = tuple(sorted(rename.get(v, v) for v in f))
+            if len(set(g)) != len(g):
+                raise NotAdmissible(f"facet {f} would collapse under the identification")
+            facets.append(g)
+    return SimplicialComplex(facets)
 
 
 def disjoint_union(
@@ -359,17 +350,8 @@ def handle_deletion(
         tuple(sorted(final[v][part_of[v][f]] if v in s_set else v for v in f))
         for f in Y.facets
     }
-    cap_keep = S
-    cap_clone = tuple(sorted(c[1] for c in copies.values()))
-    new_facets.add(cap_keep)
-    new_facets.add(cap_clone)
-    result = SimplicialComplex(new_facets)
-
-    psi = VertexBijection(
-        source_facet=cap_clone,
-        target_facet=cap_keep,
-        pairs=tuple(sorted((c[1], x) for x, c in copies.items())),
-    )
+    psi = bijection_from_map({clone: x for x, (_, clone) in copies.items()})
+    result = SimplicialComplex(new_facets | {psi.source_facet, psi.target_facet})
     try:
         restored = handle_addition(result, psi)
     except WalkupError as e:

@@ -444,21 +444,6 @@ def test_replay_reads_a_ledger_with_a_byte_order_mark(tmp_path, capsys):
     assert run_cli(["replay", str(ledger)], capsys=capsys) == (0, m_text, "")
 
 
-def test_check_tight_porcelain_independent_of_jobs(capsys, monkeypatch):
-    # the pooled scan must report the serial scan's first violation and
-    # count, whatever the scheduling of its workers
-    for text in (serialize(random_stacked_sphere(3, 8, 1)), TORUS_TEXT):
-        outputs = set()
-        for _ in range(4):
-            for jobs in ("1", "2"):
-                code, out, _ = run_cli(
-                    ["--porcelain", "check", "tight", "--jobs", jobs],
-                    stdin_text=text, monkeypatch=monkeypatch, capsys=capsys,
-                )
-                outputs.add((code, out))
-        assert len(outputs) == 1
-
-
 def test_check_tight_reports_evaluated(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["--porcelain", "check", "tight", "--jobs", "1"], stdin_text=TORUS_TEXT,

@@ -34,11 +34,11 @@ from walkup import (
 from walkup.errors import (
     CutValidationFailed,
     DimensionTooLow,
+    DuplicateFacet,
     NotAdmissible,
     NotAFacet,
     NotInducedStandardSphere,
     NotWalkup,
-    WouldCreateDuplicateFacet,
 )
 from walkup.complex import CLONE_MARKER, spanning_forest
 from walkup import surgery
@@ -374,20 +374,23 @@ def test_handle_addition_matches_renaming_every_facet(monkeypatch, m4_15, s4_30)
 
 def test_handle_addition_still_refuses_duplicates_and_collapses(monkeypatch):
     # An admissible bijection can neither collapse a facet nor merge two,
-    # so these checks are reached only with the admissibility test off.
+    # so these refusals are reached only with the admissibility test off:
+    # a merge by the constructor, a collapse by handle_addition itself.
     X = random_stacked_sphere(4, 12, seed=0)
-    dup = bijection_from_map({"v10": "v1", "v2": "v12", "v3": "v5", "v6": "v8", "v7": "v9"})
+    dup = bijection_from_map({"v10": "v1", "v2": "v9", "v3": "v12", "v6": "v8", "v7": "v5"})
     col = bijection_from_map({"v1": "v12", "v11": "v4", "v2": "v5", "v6": "v8", "v7": "v9"})
     for psi in (dup, col):
         with pytest.raises(NotAdmissible, match="closer than distance 3"):
             handle_addition(X, psi)
     monkeypatch.setattr("walkup.surgery.is_admissible", lambda X, psi: True)
-    # a renamed facet equals one the identification leaves untouched
+    # no facet holds a vertex and its image, yet a renamed facet equals
+    # one the identification leaves untouched
+    assert not any(a in f and b in f for f in X.facets for a, b in dup.pairs)
     untouched, renamed = ("v1", "v12", "v4", "v5", "v9"), ("v1", "v2", "v3", "v4", "v7")
     assert untouched in X.facet_set and renamed in X.facet_set
     assert set(untouched).isdisjoint(dup.source_facet)
-    message = f"facets {untouched} and {renamed} both become {untouched}"
-    with pytest.raises(WouldCreateDuplicateFacet, match=re.escape(message)):
+    assert tuple(sorted(dup.mapping.get(v, v) for v in renamed)) == untouched
+    with pytest.raises(DuplicateFacet, match="repeated"):
         handle_addition(X, dup)
     collapsing = ("v1", "v11", "v2", "v4", "v6")  # holds v11 and its image v4
     with pytest.raises(NotAdmissible, match=re.escape(f"facet {collapsing} would collapse")):

@@ -178,14 +178,6 @@ def test_sampled_mode_on_tight_complex():
             assert rep.verdict == "tight-on-sample", name
 
 
-def test_parallel_scan_matches_sequential():
-    X = random_stacked_sphere(4, 9, seed=3)
-    seq = is_tight_z2(X, jobs=1, stop_on_first=False)
-    par = is_tight_z2(X, jobs=2, stop_on_first=False)
-    assert seq.checked == par.checked == 2 ** 9 - 2
-    assert set(seq.violations) == set(par.violations)
-
-
 def test_ceiling_guard():
     X = random_stacked_sphere(3, 25, seed=0)
     with pytest.raises(SubsetSpaceTooLarge):
@@ -269,14 +261,6 @@ def test_dual_scan_mirrors_violations_exactly():
         rest = tuple(v for v in X.vertices if v not in s)
         assert (rest, d - 1 - k) in bad
         assert not homology_map_injective(X, s, k)
-
-
-def test_pooled_report_equals_serial_report():
-    # early stop included: same first violation, same count
-    for _, X in _scans(7, *NON_TIGHT_STACKED):
-        for stop in (True, False):
-            serial = is_tight_z2(X, jobs=1, stop_on_first=stop)
-            assert is_tight_z2(X, jobs=2, stop_on_first=stop) == serial
 
 
 def test_dual_scan_stops_at_first_serial_violation():

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import importlib.util
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -88,20 +86,13 @@ def test_every_check_decides_the_exit_code(script, capsys, monkeypatch):
         assert line.startswith(f"FAILED: {name}"), (line, name)
 
 
-def test_script_exits_2_with_one_error_line():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--tight", "--jobs", "0"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr == "error: need at least 1 job, got 0\n"
-
-
-def test_script_refuses_jobs_without_tight(script, capsys):
+def test_script_exits_2_with_one_error_line(script, capsys, monkeypatch):
+    # a command that exits 2 ends the run with the CLI's one error line
+    cwd = os.getcwd()
+    bad = (["check", "tight", "--jobs", "0", "m4-15.txt"], {"verdict": "tight"})
+    monkeypatch.setattr(script, "STEPS", [bad])
     with pytest.raises(SystemExit) as exc:
-        script.main(["--jobs", "2"])
+        script.main([])
     assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.endswith("error: --jobs needs --tight\n")
+    assert os.getcwd() == cwd
+    assert capsys.readouterr() == ("", "error: need at least 1 job, got 0\n")
