@@ -380,21 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
                    "--sample; never more than the CPU count, the default")
 
     fv = sub.add_parser("fvector", help="closed-form face vectors")
+    fv.set_defaults(func=cmd_fvector)
     fsub = fv.add_subparsers(dest="kind", required=True)
-    p = fsub.add_parser("stacked")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_fvector, kind="stacked")
-    p = fsub.add_parser("walkup")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
-    p.set_defaults(func=cmd_fvector, kind="walkup")
-    p = fsub.add_parser("from-f1")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--f1", type=int, required=True)
-    p.set_defaults(func=cmd_fvector, kind="from-f1")
+    for kind, extra in (("stacked", ()), ("walkup", ("--chi",)), ("from-f1", ("--f1",))):
+        p = fsub.add_parser(kind)
+        for flag in ("--dim", "--n", *extra):
+            p.add_argument(flag, type=int, required=True)
 
     gen = sub.add_parser("generate", help="built-in complexes to stdout")
     gen.set_defaults(func=cmd_generate)

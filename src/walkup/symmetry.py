@@ -133,8 +133,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def generating_set(perms: list[Permutation]) -> list[Permutation]:
     """Greedy small generating set of a permutation group given by its elements."""
-    if not perms:
-        return []
     identity = {v: v for v in perms[0]}
     gens: list[Permutation] = []
     span = {tuple(sorted(identity.items()))}

@@ -394,6 +394,9 @@ def test_boundary_of_nonpseudomanifold_raises():
     X = from_facets([["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]])
     with pytest.raises(NotPseudomanifoldWithBoundary):
         X.boundary_complex()
+    # two points: dimension 0 has no ridges
+    with pytest.raises(NotPseudomanifoldWithBoundary, match="below dimension 1"):
+        from_facets([["a"], ["b"]]).boundary_complex()
 
 
 # -------------------------------------------------------------- clique complex

@@ -37,6 +37,7 @@ from walkup.errors import (
     DuplicateFacet,
     NotAdmissible,
     NotAFacet,
+    NotClosedPseudomanifold,
     NotInducedStandardSphere,
     NotWalkup,
 )
@@ -83,6 +84,8 @@ def test_neighbor_bijection_not_admissible():
         if not set(f1) & set(f2)
     )
     assert find_admissible_bijection(X, *pair) is None
+    meet = next(g for g in X.facets if g != pair[0] and set(g) & set(pair[0]))
+    assert find_admissible_bijection(X, pair[0], meet) is None
     psi = bijection_from_map(dict(zip(*pair)))
     assert not is_admissible(X, psi)
     with pytest.raises(NotAdmissible):
@@ -247,8 +250,9 @@ def test_admissibility_negative_cases(s4_30):
 
 def test_is_admissible_requires_facets(s4_30):
     psi = bijection_from_map({"a1": "b2", "a2": "b3", "a3": "b4", "a4": "b5", "a5": "c1"})
-    with pytest.raises(NotAFacet):
-        is_admissible(s4_30, psi)
+    for phi in (psi, bijection_from_map({b: a for a, b in psi.pairs})):
+        with pytest.raises(NotAFacet):
+            is_admissible(s4_30, phi)
 
 
 def test_find_admissible_bijection_requires_facets(s4_30):
@@ -382,6 +386,8 @@ def test_handle_addition_still_refuses_duplicates_and_collapses(monkeypatch):
     for psi in (dup, col):
         with pytest.raises(NotAdmissible, match="closer than distance 3"):
             handle_addition(X, psi)
+    with pytest.raises(NotClosedPseudomanifold):
+        handle_addition(SimplicialComplex(X.facets[1:]), dup)
     monkeypatch.setattr("walkup.surgery.is_admissible", lambda X, psi: True)
     # no facet holds a vertex and its image, yet a renamed facet equals
     # one the identification leaves untouched
@@ -443,6 +449,8 @@ def test_induced_spheres_match_brute_force():
 def test_induced_spheres_dimension_guard():
     with pytest.raises(DimensionTooLow):
         find_induced_standard_spheres(standard_sphere(2))
+    with pytest.raises(DimensionTooLow):
+        handle_deletion(standard_sphere(2), ("v1", "v2", "v3"))
 
 
 # ----------------------------------------------------------- handle deletion
@@ -463,6 +471,22 @@ def test_deletion_requires_induced_sphere(m4_15):
         handle_deletion(m4_15, ("a1", "a2", "a3", "a4", "b2"))
     with pytest.raises(NotInducedStandardSphere):
         handle_deletion(m4_15, ("a1", "a2", "a3"))
+    X = random_stacked_sphere(4, 8, seed=0)
+    with pytest.raises(NotClosedPseudomanifold):
+        handle_deletion(SimplicialComplex(X.facets[1:]), X.facets[1])
+
+
+def test_cut_refuses_a_pinched_vertex():
+    # the boundary of the 4-simplex on 1-5 with facet 1234 stacked by 6,
+    # wedged at 1 with a second one on 1abcd: 1234 induces a standard
+    # 2-sphere, but the star of 1 has a third part beyond the cut
+    stacked = {f for f in combinations("12345", 4) if f != ("1", "2", "3", "4")}
+    stacked |= {tuple(sorted(r + ("6",))) for r in combinations("1234", 3)}
+    Y = SimplicialComplex(stacked | set(combinations("1abcd", 4)))
+    assert Y.is_closed_pseudomanifold() and induces_standard_sphere(Y, ("1", "2", "3", "4"))
+    with pytest.raises(CutValidationFailed,
+                       match="star of '1' separates into 3 parts, expected 2"):
+        handle_deletion(Y, ("1", "2", "3", "4"))
 
 
 def test_cut_refuses_exactly_the_corpus_non_spheres():
@@ -581,6 +605,8 @@ def test_kalai_guards(m4_15, torus_7):
     )
     with pytest.raises(NotWalkup):
         kalai_decompose(X)
+    with pytest.raises(NotWalkup, match="some vertex link is not a stacked sphere"):
+        kalai_decompose(get("∂C(5, 10)"))
 
 
 def test_ledger_replay_standalone(m4_15):

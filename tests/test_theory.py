@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -259,8 +260,10 @@ def test_m4_15_in_walkup_class(m4_15):
 
 
 def test_standard_spheres_in_walkup_class():
-    for d in (2, 3, 4, 5):
+    for d in (1, 2, 3, 4, 5):
         assert in_walkup_class(standard_sphere(d))
+    # dimension 1: the class is the cycles; K4's vertices have degree 3
+    assert not in_walkup_class(SimplicialComplex(combinations("abcd", 2)))
 
 
 def test_torus_in_walkup_class(torus_7):

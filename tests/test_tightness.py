@@ -67,7 +67,9 @@ def test_nonadjacent_pair_breaks_degree_zero():
         if v not in adj[u]
     )
     assert not homology_map_injective(X, (u, v), 0)
-    assert homology_map_injective(X, (u, v), 1)
+    # degree 1 injects, and degrees outside 0..d have nothing to map
+    for k in (-1, 1, 5):
+        assert homology_map_injective(X, (u, v), k)
 
 
 def test_unknown_vertex_rejected(m4_15):
@@ -193,6 +195,8 @@ def test_sampling_needs_a_proper_subset():
             is_tight_z2(X, mode="sampled", sample_count=3)
     rep = is_tight_z2(from_facets([["a", "b"]]), mode="sampled", sample_count=3)
     assert rep.checked == 3
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        is_tight_z2(from_facets([["a", "b"]]), mode="bogus")
 
 
 def test_engine_counts_match_report(m4_15):

@@ -32,7 +32,7 @@ def test_script_prints_the_cli_reports(script, capsys, tmp_path, monkeypatch):
     out, err = capsys.readouterr()
     assert err == ""
     blocks = out.strip("\n").split("\n\n")
-    assert len(blocks) == len(script.STEPS) + 1
+    assert len(blocks) == len(script.STEPS)
 
     # the same inputs, under the same names, for the same commands
     monkeypatch.chdir(tmp_path)
@@ -40,7 +40,7 @@ def test_script_prints_the_cli_reports(script, capsys, tmp_path, monkeypatch):
         assert walkup_main(["generate", name]) == 0
         Path(f"{name}.txt").write_text(capsys.readouterr().out, encoding="utf-8")
     Path("s4-30.txt").write_text(cio.serialize(build_s4_30()), encoding="utf-8")
-    for block, (what, expected) in zip(blocks, [*script.STEPS, (None, script.SAMPLED)]):
+    for block, (what, expected) in zip(blocks, script.STEPS):
         heading, *lines = block.split("\n")
         if callable(expected):
             assert (heading, lines) == (f"{what}: yes", [])
@@ -74,12 +74,10 @@ def test_every_check_decides_the_exit_code(script, capsys, monkeypatch):
         for what, e in script.STEPS
     ]
     monkeypatch.setattr(script, "STEPS", steps)
-    monkeypatch.setattr(script, "SAMPLED", {key: "wrong" for key in script.SAMPLED})
     assert script.main([]) == 1
     failed = capsys.readouterr().err.splitlines()
-    tight = ["check", "tight", "--sample", "2000", "--seed", "0", "m4-15.txt"]
     named = []
-    for what, e in [*steps, (tight, script.SAMPLED)]:
+    for what, e in steps:
         named += [what] if callable(e) else [f"walkup {' '.join(what)}: {key} is " for key in e]
     assert len(failed) == len(named)
     for line, name in zip(failed, named):
